@@ -198,15 +198,18 @@ def load_manifest(path: Path) -> dict | None:
 
 
 def current_manifest() -> dict | None:
-    """Manifest of the running environment, when ``repro`` is importable."""
+    """Manifest of the running environment, when ``repro`` is importable.
+
+    Only a missing ``repro`` package yields ``None``; any other import
+    failure is a real error and raises.
+    """
     try:
         from repro.obs.manifest import collect_manifest
-        from repro.trace.columnar import COLUMNAR_THRESHOLD
-    except ImportError:
+    except ModuleNotFoundError as error:
+        if error.name != "repro":
+            raise
         return None
-    return collect_manifest(
-        engine={"columnar_threshold": COLUMNAR_THRESHOLD}
-    ).to_dict()
+    return collect_manifest().to_dict()
 
 
 def manifest_drift(baseline: dict | None, candidate: dict | None) -> list[str]:

@@ -48,11 +48,11 @@ def timed_play_pair() -> dict:
     totals = set()
     for _ in range(ROUNDS):
         start_s = time.perf_counter()
-        totals.add(memory.play_vectorized(columnar).total)
+        totals.add(memory.play(columnar).total)
         bare_seconds.append(time.perf_counter() - start_s)
 
         start_s = time.perf_counter()
-        totals.add(memory.play_vectorized(columnar, recorder=null_recorder).total)
+        totals.add(memory.play(columnar, recorder=null_recorder).total)
         null_seconds.append(time.perf_counter() - start_s)
 
     return {
@@ -164,7 +164,7 @@ def test_jsonl_recorder_counts_events(tmp_path, benchmark):
 
     def instrumented_play() -> float:
         with JsonlRecorder(log_path) as recorder:
-            return memory.play_vectorized(columnar, recorder=recorder).total
+            return memory.play(columnar, recorder=recorder).total
 
     total_pj = benchmark.pedantic(instrumented_play, rounds=bench_rounds(), iterations=1)
     log = read_log(log_path)

@@ -293,23 +293,19 @@ REPRO_SCHEMA_MODEL = SchemaModel(
             writers=("repro.obs.replay.ObsLog.to_report",),
             persist=("repro.cli._cmd_obs",),
             version_constant="repro.obs.replay.OBS_REPORT_SCHEMA_VERSION",
-            version=1,
+            version=2,
             fields=(
                 "attrs",
-                "calls",
                 "component",
                 "component_sum_pj",
-                "counter",
                 "counters",
                 "depth",
                 "elapsed_seconds",
                 "energy_pj",
-                "engine_routing",
                 "exact",
                 "generated_by",
                 "manifest",
                 "name",
-                "path",
                 "reconciled",
                 "reconciliation",
                 "reported_total_pj",
@@ -375,10 +371,9 @@ REPRO_SCHEMA_MODEL = SchemaModel(
             writers=("repro.obs.manifest.RunManifest.to_dict",),
             readers=("repro.obs.manifest.RunManifest.from_dict",),
             version_constant="repro.obs.manifest.MANIFEST_SCHEMA_VERSION",
-            version=1,
+            version=2,
             fields=(
                 "config_hash",
-                "engine",
                 "extra",
                 "package_version",
                 "platform",
@@ -435,30 +430,6 @@ REPRO_SCHEMA_MODEL = SchemaModel(
             external_reader=(
                 "tests/golden flow corpus and the batch result cache; both "
                 "compare payloads structurally rather than reading named keys"
-            ),
-        ),
-        SchemaSpec(
-            name="bench-columnar",
-            writers=("repro.cli._cmd_bench",),
-            persist=("repro.cli._cmd_bench",),
-            version_constant="repro.cli.BENCH_SCHEMA_VERSION",
-            version=1,
-            fields=(
-                "columnar_threshold",
-                "events",
-                "experiment",
-                "generated_by",
-                "identical",
-                "manifest",
-                "results",
-                "scalar_ms",
-                "schema",
-                "speedup",
-                "vectorized_ms",
-            ),
-            external_reader=(
-                "BENCH_columnar.json is a committed measurement artifact read "
-                "by humans and CI diff review, never parsed in-package"
             ),
         ),
         SchemaSpec(

@@ -247,7 +247,6 @@ _COLUMNAR_FUNCTIONS: dict[str, FunctionUnits] = {
     ),
     "repro.trace.columnar.assign_banks": FunctionUnits(None, {}, None),
     "repro.trace.columnar.per_bank_read_write_counts": FunctionUnits(None, {}, None),
-    "repro.trace.columnar.use_columnar": FunctionUnits(None, {}, None),
     # ColumnarTrace summaries: block indices and an address tuple (bytes are
     # the elements, not the tuple, so the return stays untracked).
     "block_ids": FunctionUnits(None, {"block_size": BYTES}, ("block_size",)),

@@ -97,7 +97,7 @@ class BlockLayout:
 
         Position lookup is one ``searchsorted`` against the sorted block
         order; addresses of blocks absent from the layout raise ``KeyError``
-        exactly like the scalar path.
+        exactly like :meth:`remap_address`.
         """
         blocks = columnar.addresses // self.block_size
         offsets = columnar.addresses - blocks * self.block_size

@@ -28,7 +28,6 @@ from ..partition.evaluate import SimulatedPartitionEnergy, simulate_partition
 from ..partition.greedy import EvenPartitioner, GreedyPartitioner
 from ..partition.optimal import OptimalPartitioner, PartitionResult
 from ..partition.spec import PartitionSpec
-from ..trace.columnar import COLUMNAR_THRESHOLD, is_streamed_trace, use_columnar
 from ..trace.profile import AccessProfile
 from ..trace.trace import Trace
 from .clustering import ClusteringStrategy, IdentityClustering, get_strategy
@@ -251,7 +250,6 @@ class MemoryOptimizationFlow:
         """Provenance manifest for a run of this flow on ``trace_name``."""
         return collect_manifest(
             config_hash=config_fingerprint(self.config.describe()),
-            engine={"columnar_threshold": COLUMNAR_THRESHOLD},
             trace=trace_name,
         )
 
@@ -331,16 +329,9 @@ class MemoryOptimizationFlow:
                 partitioner = config.make_partitioner()
                 result = partitioner.partition(cost_model)
         with span(recorder, "playback", variant=label, banks=result.num_banks):
-            if is_streamed_trace(data_trace):
-                # Streamed traces remap lazily, chunk by chunk, keeping the
-                # playback memory bound at the chunk size.
-                layout_trace = data_trace.map_chunks(layout.remap_columnar)
-            elif use_columnar(data_trace):
-                # Above the columnar threshold the whole playback chain stays
-                # in array form: vectorized remap feeds vectorized simulation.
-                layout_trace = layout.remap_columnar(data_trace.columnar())
-            else:
-                layout_trace = layout.remap_trace(data_trace)
+            # A streamed trace remaps lazily, chunk by chunk, keeping the
+            # playback memory bound at the chunk size.
+            layout_trace = data_trace.map_chunks(layout.remap_columnar)
             simulated = simulate_partition(
                 result.spec,
                 layout_trace,

@@ -4,13 +4,7 @@ from .bank import MemoryBank
 from .energy import BusEnergyModel, DecoderEnergyModel, DRAMEnergyModel, SRAMEnergyModel
 from .mainmem import MainMemory
 from .partitioned import AccessOutsideMemoryError, MonolithicMemory, PartitionedMemory
-from .sleep import (
-    BankSleepReport,
-    SleepPolicy,
-    simulate_bank_sleep,
-    simulate_bank_sleep_columnar,
-    simulate_bank_sleep_scalar,
-)
+from .sleep import BankSleepReport, SleepPolicy, simulate_bank_sleep
 
 __all__ = [
     "SRAMEnergyModel",
@@ -25,6 +19,4 @@ __all__ = [
     "SleepPolicy",
     "BankSleepReport",
     "simulate_bank_sleep",
-    "simulate_bank_sleep_scalar",
-    "simulate_bank_sleep_columnar",
 ]

@@ -17,23 +17,9 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from ..obs.counters import (
-    ENGINE_SCALAR,
-    ENGINE_STREAMED,
-    ENGINE_VECTORIZED,
-    PLAY_BANK_HITS,
-    PLAY_ENERGY_PJ,
-    PLAY_ENGINE,
-    PLAY_EVENTS,
-)
+from ..obs.counters import PLAY_BANK_HITS, PLAY_ENERGY_PJ, PLAY_EVENTS
 from ..obs.recorder import Recorder
-from ..trace.columnar import (
-    ColumnarTrace,
-    assign_banks,
-    is_streamed_trace,
-    per_bank_read_write_counts,
-    use_columnar,
-)
+from ..trace.columnar import ColumnarTrace, assign_banks, per_bank_read_write_counts
 from ..trace.events import MemoryAccess
 from ..trace.trace import Trace
 from .bank import MemoryBank
@@ -59,6 +45,12 @@ class MemoryEnergyReport:
     decoder_energy: float
     leakage_energy: float
     accesses: int
+
+    def __post_init__(self) -> None:
+        for name in ("bank_energy", "decoder_energy", "leakage_energy", "accesses"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"MemoryEnergyReport.{name} must be >= 0, got {value!r}")
 
     @property
     def total(self) -> float:
@@ -147,105 +139,19 @@ class PartitionedMemory:
         When ``include_leakage`` is set, every bank leaks for the full trace
         duration (timestamp span), which penalizes over-provisioned banks.
 
-        Traces at or above the columnar threshold (and any
-        :class:`~repro.trace.columnar.ColumnarTrace`) are routed through
-        :meth:`play_vectorized`; smaller scalar traces take
-        :meth:`play_scalar`.  Both produce bit-identical reports.
+        One vectorized pass per columnar chunk (``trace.chunks()``): bank
+        assignment via ``searchsorted``, per-bank read/write counts via
+        ``bincount``, accumulated as integers, so the per-bank counters after
+        the last chunk are the same whatever the chunking and the report —
+        assembled by :meth:`_report_from_counters` — is bit-identical too.
+        Peak memory is bounded by the chunk size, not the trace length.
+        Addresses are validated chunk by chunk, so a trace that raises
+        :class:`AccessOutsideMemoryError` leaves the counters reset.
 
-        ``recorder`` receives per-call counters (events played, engine path
-        taken, bank hit distribution, energy components); counters are
-        flushed once per play from totals the report needs anyway, so an
-        enabled recorder never changes the result and a disabled one costs
-        one flag check.
-        """
-        if is_streamed_trace(trace):
-            return self.play_streamed(
-                trace, include_leakage=include_leakage, recorder=recorder
-            )
-        if use_columnar(trace):
-            if isinstance(trace, Trace):
-                trace = trace.columnar()
-            return self.play_vectorized(
-                trace, include_leakage=include_leakage, recorder=recorder
-            )
-        return self.play_scalar(trace, include_leakage=include_leakage, recorder=recorder)
-
-    def play_scalar(
-        self,
-        trace: Trace,
-        include_leakage: bool = False,
-        recorder: Recorder | None = None,
-    ) -> MemoryEnergyReport:
-        """Reference implementation of :meth:`play`: one event at a time.
-
-        Each event is routed to its bank (binary search) and counted; the
-        energy report is then assembled from the per-bank counters, so the
-        arithmetic — per-bank ``count x coefficient`` products summed in
-        bank order — is shared with :meth:`play_vectorized` and the two
-        paths agree to the bit.
-        """
-        self.reset_counters()
-        for event in trace:
-            bank = self.bank_for(event.address)
-            if event.is_write:
-                bank.writes += 1
-            else:
-                bank.reads += 1
-        duration_cycles = 0
-        if len(trace):
-            duration_cycles = trace.events[-1].time - trace.events[0].time + 1
-        return self._report_from_counters(
-            len(trace), duration_cycles, include_leakage, recorder, ENGINE_SCALAR
-        )
-
-    def play_vectorized(
-        self,
-        trace: ColumnarTrace,
-        include_leakage: bool = False,
-        recorder: Recorder | None = None,
-    ) -> MemoryEnergyReport:
-        """Vectorized :meth:`play`: bank assignment via ``searchsorted``,
-        per-bank access counts via ``bincount``.
-
-        Produces reports bit-identical to :meth:`play_scalar` (the same
-        per-bank ``count x coefficient`` sums, in the same order).  Unlike
-        the scalar path, addresses are validated up front, so a trace that
-        raises :class:`AccessOutsideMemoryError` leaves the counters reset
-        instead of partially updated.
-        """
-        self.reset_counters()
-        bank_bases = np.fromiter((bank.base for bank in self.banks), dtype=np.int64)
-        bank_limits = np.fromiter((bank.limit for bank in self.banks), dtype=np.int64)
-        try:
-            bank_ids = assign_banks(trace.addresses, bank_bases, bank_limits)
-        except ValueError:
-            outside = (trace.addresses < self.base) | (trace.addresses >= self.limit)
-            offender = int(trace.addresses[np.argmax(outside)])
-            raise AccessOutsideMemoryError(
-                f"address {offender:#x} outside memory [{self.base:#x}, {self.limit:#x})"
-            ) from None
-        reads, writes = per_bank_read_write_counts(bank_ids, trace.kinds, self.num_banks)
-        for bank, bank_reads, bank_writes in zip(self.banks, reads, writes):
-            bank.reads = int(bank_reads)
-            bank.writes = int(bank_writes)
-        return self._report_from_counters(
-            len(trace), trace.duration_cycles(), include_leakage, recorder, ENGINE_VECTORIZED
-        )
-
-    def play_streamed(
-        self,
-        trace,
-        include_leakage: bool = False,
-        recorder: Recorder | None = None,
-    ) -> MemoryEnergyReport:
-        """Streamed :meth:`play`: one vectorized pass per columnar chunk.
-
-        Per-chunk bank assignment and read/write counts are accumulated as
-        integers, so after the last chunk the per-bank counters are exactly
-        the values a single whole-trace vectorized pass would have set, and
-        the report — assembled by the same :meth:`_report_from_counters`
-        merge point — is bit-identical to both other engines.  Peak memory
-        is bounded by the chunk size, not the trace length.
+        ``recorder`` receives per-call counters (events played, bank hit
+        distribution, energy components); counters are flushed once per
+        play from totals the report needs anyway, so an enabled recorder
+        never changes the result and a disabled one costs one flag check.
         """
         self.reset_counters()
         bank_bases = np.fromiter((bank.base for bank in self.banks), dtype=np.int64)
@@ -284,7 +190,7 @@ class PartitionedMemory:
         if first_time is not None:
             duration_cycles = last_time - first_time + 1
         return self._report_from_counters(
-            accesses, duration_cycles, include_leakage, recorder, ENGINE_STREAMED
+            accesses, duration_cycles, include_leakage, recorder
         )
 
     def _report_from_counters(
@@ -293,12 +199,12 @@ class PartitionedMemory:
         duration_cycles: int,
         include_leakage: bool,
         recorder: Recorder | None = None,
-        engine: str = ENGINE_SCALAR,
     ) -> MemoryEnergyReport:
         """Assemble the energy report from the per-bank counters.
 
-        This is the single definition of the playback arithmetic: both the
-        scalar and the vectorized path land here with identical counters,
+        This is the single definition of the playback arithmetic: the
+        chunked kernel and the per-event reference in
+        ``tests/playback_oracle.py`` both land here with identical counters,
         which is what makes their reports bit-identical.  Observability
         counters are emitted here too — after the arithmetic, from the same
         totals the report carries, so recording cannot perturb results.
@@ -311,7 +217,6 @@ class PartitionedMemory:
             leakage_pj = sum(bank.leakage_energy(duration_cycles) for bank in self.banks)
         if recorder is not None and recorder.enabled:
             recorder.counter(PLAY_EVENTS, accesses)
-            recorder.counter(PLAY_ENGINE, 1, path=engine)
             for index, bank in enumerate(self.banks):
                 recorder.counter(PLAY_BANK_HITS, bank.accesses, bank=index)
             recorder.counter(PLAY_ENERGY_PJ, bank_pj, component="bank")

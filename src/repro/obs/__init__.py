@@ -2,10 +2,8 @@
 
 Every headline number the package regenerates comes out of a multi-stage
 pipeline (trace → profile → cluster → partition → playback).  This package
-makes those stages *accountable*: where the wall-clock time went, which
-engine path (scalar reference vs vectorized columnar) served each playback
-layer, and how the per-stage energy contributions add up to the reported
-totals.
+makes those stages *accountable*: where the wall-clock time went, and how
+the per-stage energy contributions add up to the reported totals.
 
 Design constraints, in order:
 
@@ -30,13 +28,7 @@ schema (v1).
 """
 
 from .clock import Clock, TickClock, WallClock
-from .counters import (
-    ENGINE_SCALAR,
-    ENGINE_STREAMED,
-    ENGINE_VECTORIZED,
-    CounterRegistry,
-    attrs_key,
-)
+from .counters import CounterRegistry, attrs_key
 from .manifest import RunManifest, collect_manifest, config_fingerprint
 from .merge import MergedSweep, ShardLog, TaskSegment, load_merged, load_shards, merge_shards
 from .recorder import SCHEMA_VERSION, JsonlRecorder, NullRecorder, Recorder
@@ -56,9 +48,6 @@ __all__ = [
     "span",
     "CounterRegistry",
     "attrs_key",
-    "ENGINE_SCALAR",
-    "ENGINE_STREAMED",
-    "ENGINE_VECTORIZED",
     "RunManifest",
     "collect_manifest",
     "config_fingerprint",

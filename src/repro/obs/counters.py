@@ -5,7 +5,7 @@ layers) and consumers (``repro obs``, the tests) agree on the vocabulary —
 the same reviewed-in-one-place policy the unit model and the layer model
 follow.  Names are dotted ``layer.measure`` with the unit suffix
 convention on the measure (``_pj`` for picojoule quantities); labels ride
-in attrs (``path=``, ``stage=``, ``bank=``, ``component=``).
+in attrs (``stage=``, ``bank=``, ``component=``).
 
 :class:`CounterRegistry` aggregates samples by ``(name, attrs)`` — the
 accumulation used both on the replay side (summing a JSONL log) and in
@@ -17,25 +17,16 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Tuple
 
 __all__ = [
-    "ENGINE_SCALAR",
-    "ENGINE_VECTORIZED",
-    "ENGINE_STREAMED",
     "PLAY_EVENTS",
-    "PLAY_ENGINE",
     "PLAY_BANK_HITS",
     "PLAY_ENERGY_PJ",
-    "SLEEP_ENGINE",
     "SLEEP_WAKE_EVENTS",
     "SLEEP_ENERGY_PJ",
     "PROFILE_EVENTS",
     "PROFILE_BLOCKS",
-    "PROFILE_ENGINE",
-    "AFFINITY_ENGINE",
-    "SPM_ENGINE",
     "SPM_BLOCKS",
     "SPM_BENEFIT_PJ",
     "RECONFIG_KERNELS",
-    "RECONFIG_ENGINE",
     "STAGE_ENERGY_PJ",
     "FLOW_TOTAL_PJ",
     "PLATFORM_ENERGY_PJ",
@@ -44,41 +35,29 @@ __all__ = [
     "BATCH_CACHE_HITS",
     "BATCH_CACHE_MISSES",
     "BATCH_RETRIES",
-    "ENGINE_COUNTERS",
     "attrs_key",
     "CounterRegistry",
 ]
 
-#: Engine-path label values (``path=`` attr on ``*.engine`` counters).
-ENGINE_SCALAR = "scalar"
-ENGINE_VECTORIZED = "vectorized"
-ENGINE_STREAMED = "streamed"
-
-# -- memory playback (PartitionedMemory.play*) --------------------------------------
+# -- memory playback (PartitionedMemory.play) ---------------------------------------
 PLAY_EVENTS = "play.events"
-PLAY_ENGINE = "play.engine"
 PLAY_BANK_HITS = "play.bank_hits"
 PLAY_ENERGY_PJ = "play.energy_pj"
 
-# -- bank-sleep simulation (simulate_bank_sleep*) -----------------------------------
-SLEEP_ENGINE = "sleep.engine"
+# -- bank-sleep simulation (simulate_bank_sleep) ------------------------------------
 SLEEP_WAKE_EVENTS = "sleep.wake_events"
 SLEEP_ENERGY_PJ = "sleep.energy_pj"
 
 # -- access profiling (AccessProfile) -----------------------------------------------
 PROFILE_EVENTS = "profile.events"
 PROFILE_BLOCKS = "profile.blocks"
-PROFILE_ENGINE = "profile.engine"
-AFFINITY_ENGINE = "affinity.engine"
 
 # -- scratchpad allocation (SPMAllocator) -------------------------------------------
-SPM_ENGINE = "spm.engine"
 SPM_BLOCKS = "spm.blocks_allocated"
 SPM_BENEFIT_PJ = "spm.benefit_pj"
 
 # -- reconfigurable-fabric scheduling (EnergyAwareScheduler) ------------------------
 RECONFIG_KERNELS = "reconfig.kernels"
-RECONFIG_ENGINE = "reconfig.knapsack_engine"
 
 # -- flow-level accounting (core pipeline, platforms) -------------------------------
 STAGE_ENERGY_PJ = "stage.energy_pj"
@@ -91,17 +70,6 @@ BATCH_TASKS = "batch.tasks"
 BATCH_CACHE_HITS = "batch.cache_hits"
 BATCH_CACHE_MISSES = "batch.cache_misses"
 BATCH_RETRIES = "batch.retries"
-
-#: The ``*.engine`` counters — one per playback layer that has a scalar and
-#: a vectorized path.  ``repro obs`` renders these as the routing table.
-ENGINE_COUNTERS = (
-    PLAY_ENGINE,
-    SLEEP_ENGINE,
-    PROFILE_ENGINE,
-    AFFINITY_ENGINE,
-    SPM_ENGINE,
-    RECONFIG_ENGINE,
-)
 
 
 def attrs_key(attrs: Mapping[str, object]) -> Tuple[Tuple[str, object], ...]:

@@ -1,11 +1,10 @@
 """Run manifests: provenance for every regenerated number.
 
 A manifest answers "what produced this log / this benchmark file?":
-package version, Python and OS, the engine thresholds that decide
-scalar-vs-columnar routing, a configuration fingerprint, and the seed.
-Attached to every :class:`~repro.core.pipeline.FlowResult`, embedded in
-``BENCH_columnar.json``, and written as the first line of every JSONL run
-log — so two runs whose numbers differ can first be checked for differing
+package version, Python and OS, a configuration fingerprint, and the seed.
+Attached to every :class:`~repro.core.pipeline.FlowResult`, embedded in the
+benchmark baseline, and written as the first line of every JSONL run log —
+so two runs whose numbers differ can first be checked for differing
 *inputs*.
 
 Manifests are deterministic: no wall-clock timestamps (the determinism
@@ -25,7 +24,7 @@ from typing import Mapping
 __all__ = ["MANIFEST_SCHEMA_VERSION", "RunManifest", "collect_manifest", "config_fingerprint"]
 
 #: Version of the manifest payload layout.
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 #: Keys that legitimately differ between two comparable runs (a different
 #: seed or config is a different *experiment*, not an environment drift).
@@ -63,8 +62,6 @@ class RunManifest:
         Installed ``repro`` distribution version.
     python_version / platform:
         Interpreter and OS identifiers (``sys``-derived, deterministic).
-    engine:
-        Engine routing thresholds in force (e.g. ``columnar_threshold``).
     config_hash:
         :func:`config_fingerprint` of the run's configuration, if any.
     seed:
@@ -76,7 +73,6 @@ class RunManifest:
     package_version: str
     python_version: str
     platform: str
-    engine: dict = field(default_factory=dict)
     config_hash: str | None = None
     seed: int | None = None
     extra: dict = field(default_factory=dict)
@@ -108,24 +104,14 @@ class RunManifest:
 
 
 def collect_manifest(
-    config_hash: str | None = None,
-    seed: int | None = None,
-    engine: Mapping | None = None,
-    **extra,
+    config_hash: str | None = None, seed: int | None = None, **extra
 ) -> RunManifest:
-    """Assemble the manifest for the current environment.
-
-    ``engine`` is passed by the caller (typically
-    ``{"columnar_threshold": COLUMNAR_THRESHOLD}``) rather than imported
-    here: ``obs`` imports nothing from the rest of the package, so the
-    layer model can pin it below everything it instruments.
-    """
+    """Assemble the manifest for the current environment."""
     info = sys.version_info
     return RunManifest(
         package_version=_package_version(),
         python_version=f"{info.major}.{info.minor}.{info.micro}",
         platform=sys.platform,
-        engine=dict(engine) if engine is not None else {},
         config_hash=config_hash,
         seed=seed,
         extra=dict(extra),

@@ -27,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.counters import (
-    ENGINE_SCALAR,
-    ENGINE_VECTORIZED,
-    RECONFIG_ENGINE,
-    RECONFIG_KERNELS,
-)
+from ..obs.counters import RECONFIG_KERNELS
 from ..obs.recorder import Recorder
 from ..obs.spans import span
-from ..trace.columnar import COLUMNAR_THRESHOLD
 from .model import Application, DataSet, Kernel, ReconfigArchitecture, ScheduleEnergy
 
 __all__ = ["NaiveScheduler", "EnergyAwareScheduler", "Schedule", "evaluate_schedule"]
@@ -209,7 +203,6 @@ class EnergyAwareScheduler:
         application: Application,
         architecture: ReconfigArchitecture,
         order: list[int],
-        recorder: Recorder | None = None,
     ) -> list[frozenset]:
         placements: list[frozenset] = []
         previous_placement: frozenset = frozenset()
@@ -235,63 +228,26 @@ class EnergyAwareScheduler:
                 value_pj = saved_pj - stage_pj - writeback_pj
                 if value_pj > 0:
                     items.append((ds.name, ds.size, value_pj))
-            placements.append(self._knapsack(items, architecture.l0_size, recorder))
+            placements.append(self._knapsack(items, architecture.l0_size))
             previous_placement = placements[-1]
         return placements
 
     @staticmethod
-    def _knapsack(
-        items: list[tuple[str, int, float]],
-        capacity: int,
-        recorder: Recorder | None = None,
-    ) -> frozenset:
+    def _knapsack(items: list[tuple[str, int, float]], capacity: int) -> frozenset:
         """Exact 0/1 knapsack via DP on (coarse-grained) size.
 
-        Large DP tables take the vectorized row-update path; both paths do
-        the same float comparisons in the same order, so they pick the same
-        set (strict-improvement tie-break included).
+        Items are visited in name order.  Each item updates the whole DP row
+        at once: a descending in-place room update reads only cells the item
+        has not updated yet, i.e. previous-row values — exactly what one
+        whole-row ``where`` computes.  Only a strict improvement takes an
+        item, and recorded take masks backtrack the chosen set from the first
+        best room.
         """
         if not items:
             return frozenset()
         # Quantize sizes to 16-byte grains to bound the DP table.
         grain = 16
         slots = capacity // grain
-        if (slots + 1) * len(items) >= COLUMNAR_THRESHOLD:
-            if recorder is not None and recorder.enabled:
-                recorder.counter(RECONFIG_ENGINE, 1, path=ENGINE_VECTORIZED)
-            return EnergyAwareScheduler._knapsack_vectorized(items, slots, grain)
-        if recorder is not None and recorder.enabled:
-            recorder.counter(RECONFIG_ENGINE, 1, path=ENGINE_SCALAR)
-        return EnergyAwareScheduler._knapsack_scalar(items, slots, grain)
-
-    @staticmethod
-    def _knapsack_scalar(
-        items: list[tuple[str, int, float]], slots: int, grain: int
-    ) -> frozenset:
-        """Reference DP: in-place descending room update, chosen-list tracking."""
-        best = [0.0] * (slots + 1)
-        chosen: list[list[str]] = [[] for _ in range(slots + 1)]
-        for name, size, value in sorted(items, key=lambda item: item[0]):
-            weight = (size + grain - 1) // grain
-            for room in range(slots, weight - 1, -1):
-                candidate = best[room - weight] + value
-                if candidate > best[room]:
-                    best[room] = candidate
-                    chosen[room] = chosen[room - weight] + [name]
-        top = max(range(slots + 1), key=lambda room: best[room])
-        return frozenset(chosen[top])
-
-    @staticmethod
-    def _knapsack_vectorized(
-        items: list[tuple[str, int, float]], slots: int, grain: int
-    ) -> frozenset:
-        """Vectorized DP rows + take-mask backtracking.
-
-        The descending in-place update of the scalar reference reads only
-        not-yet-updated cells, i.e. previous-row values — exactly what one
-        whole-row ``where`` computes.  Recorded take masks reconstruct the
-        same chosen set the scalar path accumulates eagerly.
-        """
         best = np.zeros(slots + 1, dtype=np.float64)
         takes: list[tuple[str, int, np.ndarray | None]] = []
         for name, size, value in sorted(items, key=lambda item: item[0]):
@@ -320,12 +276,11 @@ class EnergyAwareScheduler:
         """Produce the energy-aware schedule.
 
         ``recorder`` brackets the run in a ``reconfig_schedule`` span and
-        receives the kernel count plus one engine-path counter per knapsack
-        the placement stage solves.
+        receives the kernel count.
         """
         with span(recorder, "reconfig_schedule", kernels=len(application.kernels)):
             if recorder is not None and recorder.enabled:
                 recorder.counter(RECONFIG_KERNELS, len(application.kernels))
             order = self._order(application)
-            placements = self._placements(application, architecture, order, recorder)
+            placements = self._placements(application, architecture, order)
             return Schedule(order=tuple(order), l0_placements=tuple(placements))

@@ -19,17 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..memory.energy import SRAMEnergyModel
-from ..obs.counters import (
-    ENGINE_SCALAR,
-    ENGINE_STREAMED,
-    ENGINE_VECTORIZED,
-    SPM_BENEFIT_PJ,
-    SPM_BLOCKS,
-    SPM_ENGINE,
-)
+from ..obs.counters import SPM_BENEFIT_PJ, SPM_BLOCKS
 from ..obs.recorder import Recorder
 from ..obs.spans import span
-from ..trace.columnar import is_streamed_trace, use_columnar
 from ..trace.profile import AccessProfile
 
 __all__ = ["SPMConfig", "SPMAllocation", "SPMAllocator"]
@@ -105,53 +97,35 @@ class SPMAllocator:
         """Pick the block set maximizing predicted energy benefit.
 
         ``recorder`` brackets the allocation in an ``spm_alloc`` span and
-        receives the engine path, block count, and predicted benefit.
+        receives the block count and predicted benefit.
         """
         with span(recorder, "spm_alloc", capacity_bytes=self.config.size):
-            allocation, engine = self._allocate(profile)
+            allocation = self._allocate(profile)
         if recorder is not None and recorder.enabled:
-            recorder.counter(SPM_ENGINE, 1, path=engine)
             recorder.counter(SPM_BLOCKS, len(allocation.blocks))
             recorder.counter(SPM_BENEFIT_PJ, allocation.predicted_benefit)
         return allocation
 
-    def _allocate(self, profile: AccessProfile) -> tuple[SPMAllocation, str]:
-        """Allocation body; returns the result and the engine path taken."""
+    def _allocate(self, profile: AccessProfile) -> SPMAllocation:
+        """Allocation body: exact top-k blocks by access count.
+
+        One ``lexsort`` on ``(-count, block)`` ranks the blocks, so ties
+        break deterministically towards the lower block index.
+        """
         saving_pj = self.cache_path_energy - self.config.access_energy()
         capacity_blocks = self.config.size // profile.block_size
-        if saving_pj <= 0 or capacity_blocks == 0:
-            empty = SPMAllocation(
-                blocks=frozenset(),
-                block_size=profile.block_size,
-                config=self.config,
-                predicted_benefit=0.0,
-            )
-            return empty, ENGINE_SCALAR
-        counts = profile.access_counts()
-        if use_columnar(profile.trace):
-            # Vectorized exact top-k: lexsort on (-count, block) reproduces
-            # the scalar ranking, deterministic tie-break included.  A
-            # streamed trace's counts were merged chunk-by-chunk upstream,
-            # so the same ranking applies — only the engine label differs.
+        chosen: list[int] = []
+        benefit_pj = 0.0
+        if saving_pj > 0 and capacity_blocks > 0:
+            counts = profile.access_counts()
             blocks = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
             totals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
             picked = np.lexsort((blocks, -totals))[:capacity_blocks]
             chosen = blocks[picked].tolist()
             benefit_pj = saving_pj * int(totals[picked].sum())
-            engine = (
-                ENGINE_STREAMED
-                if is_streamed_trace(profile.trace)
-                else ENGINE_VECTORIZED
-            )
-        else:
-            ranked = sorted(counts, key=lambda block: (-counts[block], block))
-            chosen = ranked[:capacity_blocks]
-            benefit_pj = saving_pj * sum(counts[block] for block in chosen)
-            engine = ENGINE_SCALAR
-        allocation = SPMAllocation(
+        return SPMAllocation(
             blocks=frozenset(chosen),
             block_size=profile.block_size,
             config=self.config,
             predicted_benefit=benefit_pj,
         )
-        return allocation, engine

@@ -1,6 +1,6 @@
 """Trace infrastructure: events, containers, profiles, generators, file I/O."""
 
-from .columnar import COLUMNAR_THRESHOLD, ColumnarTrace, is_streamed_trace, use_columnar
+from .columnar import ColumnarTrace
 from .events import AccessKind, AddressSpace, MemoryAccess
 from .io import load_npz, load_text, save_npz, save_text, trace_digest
 from .store import (
@@ -41,9 +41,6 @@ __all__ = [
     "MemoryAccess",
     "Trace",
     "ColumnarTrace",
-    "COLUMNAR_THRESHOLD",
-    "use_columnar",
-    "is_streamed_trace",
     "StreamedTrace",
     "StoreError",
     "TRACE_STORE_SCHEMA_VERSION",

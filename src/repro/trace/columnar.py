@@ -1,15 +1,14 @@
 """Columnar (structure-of-arrays) trace representation and vectorized kernels.
 
 The scalar :class:`~repro.trace.trace.Trace` stores one Python object per
-event, which is the right interface for producers and for small traces — but
-every hot consumer (memory playback, sleep simulation, profiling, affinity
-construction) then pays a Python-level loop per event, capping practical
-trace sizes around a few hundred thousand events.  A :class:`ColumnarTrace`
-holds the same information as parallel NumPy arrays (``addresses``,
-``timestamps``, ``kinds``, ``sizes``, ``spaces``), so those consumers can run
-as vectorized kernels instead: bank assignment is one
-:func:`numpy.searchsorted`, per-bank access counts are one
-:func:`numpy.bincount`, idle-interval detection is one :func:`numpy.diff`.
+event, which is the right interface for producers — but every hot consumer
+(memory playback, sleep simulation, profiling, affinity construction) would
+then pay a Python-level loop per event.  A :class:`ColumnarTrace` holds the
+same information as parallel NumPy arrays (``addresses``, ``timestamps``,
+``kinds``, ``sizes``, ``spaces``), so those consumers run as vectorized
+kernels instead: bank assignment is one :func:`numpy.searchsorted`, per-bank
+access counts are one :func:`numpy.bincount`, idle-interval detection is one
+:func:`numpy.diff`.
 
 Conversion contract
 -------------------
@@ -18,23 +17,27 @@ coerced); ``from_trace``/``to_trace`` are single O(n) passes.  A round trip
 through ``from_trace``/``to_trace`` reproduces every event field, including
 optional value payloads.
 
+Chunk protocol
+--------------
+Every trace consumer is one fold over columnar chunks.  ``Trace``,
+:class:`ColumnarTrace` and :class:`~repro.trace.store.StreamedTrace` share
+two methods: ``chunks()`` yields the trace as columnar chunks in trace
+order, and ``map_chunks(fn)`` applies a per-chunk, count-preserving
+transform.  A :class:`ColumnarTrace` is a one-chunk stream; a ``Trace`` is
+its cached ``.columnar()`` view.
+
 Equivalence contract
 --------------------
-Every vectorized kernel in this package is paired with a scalar reference
-implementation and must agree with it *exactly* — integer results
-(counts, cycles, wake events) are identical by construction, and energy
-totals are bit-identical because both paths evaluate the same per-bank
-``count x coefficient`` products in the same order (see
-``tests/test_properties_columnar.py``).
-
-Consumers switch to the columnar engine automatically once a trace reaches
-:data:`COLUMNAR_THRESHOLD` events; below that the scalar reference runs
-(less conversion overhead, and the reference stays exercised).
+Each kernel is pinned against a per-event reference implementation kept in
+``tests/playback_oracle.py``: integer results (counts, cycles, wake events)
+are identical by construction, and energy totals are bit-identical because
+oracle and kernel feed the same per-bank merge point (see
+``tests/test_properties_store.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +45,6 @@ from .events import AccessKind, AddressSpace, MemoryAccess
 from .trace import Trace
 
 __all__ = [
-    "COLUMNAR_THRESHOLD",
     "KIND_READ",
     "KIND_WRITE",
     "SPACE_DATA",
@@ -51,13 +53,7 @@ __all__ = [
     "assign_banks",
     "per_bank_read_write_counts",
     "idle_interval_split",
-    "use_columnar",
-    "is_streamed_trace",
 ]
-
-#: Event count at or above which flow-layer consumers route a trace through
-#: the columnar engine instead of the scalar reference implementation.
-COLUMNAR_THRESHOLD = 4096
 
 #: ``kinds`` column encoding (matches :class:`AccessKind` declaration order).
 KIND_READ = 0
@@ -66,28 +62,6 @@ KIND_WRITE = 1
 #: ``spaces`` column encoding (matches :class:`AddressSpace` declaration order).
 SPACE_DATA = 0
 SPACE_INSTRUCTION = 1
-
-
-def is_streamed_trace(trace) -> bool:
-    """Whether ``trace`` is a chunked streaming view (duck-typed).
-
-    Streamed traces (``repro.trace.store.StreamedTrace``) advertise an
-    ``is_streamed`` class attribute rather than an isinstance contract, so
-    the playback layers can route on it without importing the store module.
-    """
-    return bool(getattr(trace, "is_streamed", False))
-
-
-def use_columnar(trace: "Trace | ColumnarTrace") -> bool:
-    """Whether a consumer should take the columnar path for ``trace``.
-
-    ``True`` for any :class:`ColumnarTrace` (the conversion is already
-    paid), for any streamed trace (whose chunks *are* columnar), and for
-    scalar traces of at least :data:`COLUMNAR_THRESHOLD` events.
-    """
-    if isinstance(trace, ColumnarTrace) or is_streamed_trace(trace):
-        return True
-    return len(trace) >= COLUMNAR_THRESHOLD
 
 
 class ColumnarTrace:
@@ -228,6 +202,18 @@ class ColumnarTrace:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarTrace(name={self.name!r}, events={len(self)})"
 
+    # -- chunk protocol -----------------------------------------------------------
+
+    def chunks(self) -> Iterator["ColumnarTrace"]:
+        """The trace as one chunk: itself."""
+        yield self
+
+    def map_chunks(
+        self, transform: Callable[["ColumnarTrace"], "ColumnarTrace"]
+    ) -> "ColumnarTrace":
+        """``transform`` applied to the trace's only chunk."""
+        return transform(self)
+
     # -- conversion ---------------------------------------------------------------
 
     def to_trace(self) -> Trace:
@@ -341,8 +327,8 @@ def assign_banks(
 
     ``bank_bases``/``bank_limits`` describe ascending, non-overlapping
     address windows (gaps between windows are allowed).  One
-    :func:`numpy.searchsorted` replaces the per-event scan of the scalar
-    reference; any address outside every window raises ``ValueError`` naming
+    :func:`numpy.searchsorted` replaces a per-event scan of the windows;
+    any address outside every window raises ``ValueError`` naming
     the first offender in trace order.
     """
     bank_bases = np.asarray(bank_bases, dtype=np.int64)

@@ -43,6 +43,9 @@ TRACE_DIGEST_VERSION = 1
 
 _NO_VALUE = -1  # sentinel for "event carries no payload" in the npz format
 
+#: Arrays every npz trace archive carries (what :func:`save_npz` writes).
+_NPZ_KEYS = ("times", "addresses", "sizes", "kinds", "spaces", "values", "name")
+
 
 def save_text(trace: Trace, path: str | Path) -> None:
     """Write ``trace`` to ``path`` in the text format."""
@@ -60,12 +63,16 @@ def save_text(trace: Trace, path: str | Path) -> None:
 
 
 def load_text(path: str | Path) -> Trace:
-    """Read a text-format trace from ``path``."""
+    """Read a text-format trace from ``path``.
+
+    A malformed line, or a timestamp lower than its predecessor's, raises
+    ``ValueError`` naming ``path:line``.
+    """
     path = Path(path)
     events = []
     name = path.stem
     with path.open() as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -74,12 +81,12 @@ def load_text(path: str | Path) -> Trace:
                     name = line[len("# trace ") :].strip()
                 continue
             fields = line.split()
-            if len(fields) not in (5, 6):
-                raise ValueError(f"malformed trace line: {line!r}")
-            time, kind, space, address, size = fields[:5]
-            value = int(fields[5], 16) if len(fields) == 6 else None
-            events.append(
-                MemoryAccess(
+            try:
+                if len(fields) not in (5, 6):
+                    raise ValueError(f"expected 5 or 6 fields, got {len(fields)}")
+                time, kind, space, address, size = fields[:5]
+                value = int(fields[5], 16) if len(fields) == 6 else None
+                event = MemoryAccess(
                     time=int(time),
                     address=int(address, 16),
                     size=int(size),
@@ -87,7 +94,16 @@ def load_text(path: str | Path) -> Trace:
                     space=AddressSpace.from_str(space),
                     value=value,
                 )
-            )
+            except ValueError as error:
+                raise ValueError(
+                    f"{path}:{number}: malformed trace line {line!r}: {error}"
+                ) from error
+            if events and event.time < events[-1].time:
+                raise ValueError(
+                    f"{path}:{number}: timestamp {event.time} is lower than "
+                    f"the previous event's {events[-1].time}"
+                )
+            events.append(event)
     return Trace(events, name=name)
 
 
@@ -167,8 +183,23 @@ def trace_digest(trace: Trace) -> str:
 
 
 def load_npz(path: str | Path) -> Trace:
-    """Read an npz-format trace from ``path``."""
+    """Read an npz-format trace from ``path``.
+
+    A missing archive key, or a timestamp lower than its predecessor's,
+    raises ``ValueError`` naming the file (and the key or event index).
+    """
     with np.load(Path(path)) as data:
+        missing = [key for key in _NPZ_KEYS if key not in data.files]
+        if missing:
+            raise ValueError(f"{path}: npz trace archive is missing key {missing[0]!r}")
+        times = data["times"]
+        backwards = np.flatnonzero(np.diff(times) < 0)
+        if len(backwards):
+            index = int(backwards[0]) + 1
+            raise ValueError(
+                f"{path}: event {index} has timestamp {int(times[index])}, lower "
+                f"than the previous event's {int(times[index - 1])}"
+            )
         events = [
             MemoryAccess(
                 time=int(time),
@@ -179,7 +210,7 @@ def load_npz(path: str | Path) -> Trace:
                 value=int(value) if value != _NO_VALUE else None,
             )
             for time, address, size, kind, space, value in zip(
-                data["times"],
+                times,
                 data["addresses"],
                 data["sizes"],
                 data["kinds"],

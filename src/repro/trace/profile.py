@@ -25,17 +25,9 @@ from typing import Union
 
 import numpy as np
 
-from ..obs.counters import (
-    AFFINITY_ENGINE,
-    ENGINE_SCALAR,
-    ENGINE_STREAMED,
-    ENGINE_VECTORIZED,
-    PROFILE_BLOCKS,
-    PROFILE_ENGINE,
-    PROFILE_EVENTS,
-)
+from ..obs.counters import PROFILE_BLOCKS, PROFILE_EVENTS
 from ..obs.recorder import Recorder
-from .columnar import KIND_WRITE, ColumnarTrace, is_streamed_trace, use_columnar
+from .columnar import KIND_WRITE, ColumnarTrace
 from .trace import Trace
 
 __all__ = ["BlockStats", "AccessProfile", "reuse_distances"]
@@ -101,9 +93,9 @@ class AccessProfile:
         Granularity in bytes at which addresses are aggregated.  This is the
         unit the partitioner and clustering algorithms move around.
     recorder:
-        Optional observability recorder; receives event/block counts and the
-        engine path taken (counters only — flushed once, after the build, so
-        recording cannot perturb the profile).
+        Optional observability recorder; receives event and block counts
+        (counters only — flushed once, after the build, so recording cannot
+        perturb the profile).
     """
 
     def __init__(
@@ -116,82 +108,23 @@ class AccessProfile:
             raise ValueError(f"block_size must be positive, got {block_size}")
         self.block_size = block_size
         self.trace = trace
-        self._recorder = recorder
         self._stats: dict[int, BlockStats] = {}
         self._sequence: list[int] = []
-        if is_streamed_trace(trace):
-            self._build_streamed(trace)
-            engine = ENGINE_STREAMED
-        elif use_columnar(trace):
-            columnar = trace if isinstance(trace, ColumnarTrace) else trace.columnar()
-            self._build_columnar(columnar)
-            engine = ENGINE_VECTORIZED
-        else:
-            self._build()
-            engine = ENGINE_SCALAR
+        self._build(trace)
         if recorder is not None and recorder.enabled:
-            recorder.counter(PROFILE_ENGINE, 1, path=engine)
             recorder.counter(PROFILE_EVENTS, self.total_accesses)
             recorder.counter(PROFILE_BLOCKS, self.num_blocks)
 
-    def _build(self) -> None:
-        """Reference profile construction: one event at a time."""
-        for event in self.trace:
-            block = event.block(self.block_size)
-            self._sequence.append(block)
-            stats = self._stats.get(block)
-            if stats is None:
-                stats = BlockStats(block=block, first_time=event.time, last_time=event.time)
-                self._stats[block] = stats
-            if event.is_read:
-                stats.reads += 1
-            else:
-                stats.writes += 1
-            stats.last_time = event.time
+    def _build(self, trace) -> None:
+        """Profile construction: one fold over ``trace.chunks()``.
 
-    def _build_columnar(self, columnar: ColumnarTrace) -> None:
-        """Vectorized profile construction over a columnar trace.
-
-        Per-block read/write counts come from one ``bincount`` each;
-        first/last access times are recovered from first/last occurrence
-        indices.  The stats dict is populated in first-encounter order to
-        match the scalar reference exactly (consumers break ties on dict
-        order).
-        """
-        blocks = columnar.block_ids(self.block_size)
-        self._sequence = blocks.tolist()
-        if not len(blocks):
-            return
-        unique, first_index, inverse = np.unique(
-            blocks, return_index=True, return_inverse=True
-        )
-        write_mask = columnar.kinds == KIND_WRITE
-        writes = np.bincount(inverse[write_mask], minlength=len(unique))
-        totals = np.bincount(inverse, minlength=len(unique))
-        reads = totals - writes
-        last_index = np.empty(len(unique), dtype=np.int64)
-        last_index[inverse] = np.arange(len(blocks))
-        times = columnar.timestamps
-        for position in np.argsort(first_index, kind="stable").tolist():
-            block = int(unique[position])
-            self._stats[block] = BlockStats(
-                block=block,
-                reads=int(reads[position]),
-                writes=int(writes[position]),
-                first_time=int(times[first_index[position]]),
-                last_time=int(times[last_index[position]]),
-            )
-
-    def _build_streamed(self, trace) -> None:
-        """Chunked profile construction over a streamed trace.
-
-        Runs the columnar per-chunk arithmetic (``bincount`` counts,
-        first/last occurrence times) and merges chunk results into the
-        running stats: blocks already seen add counts and advance
-        ``last_time`` in place, unseen blocks are appended in their
-        chunk-local first-encounter order — which, chunks arriving in trace
-        order, reproduces the scalar reference's global first-encounter
-        dict order exactly.
+        Per chunk, read/write counts come from one ``bincount`` each and
+        first/last access times from first/last occurrence indices.  Chunk
+        results merge into the running stats: blocks already seen add counts
+        and advance ``last_time`` in place, unseen blocks are appended in
+        their chunk-local first-encounter order — which, chunks arriving in
+        trace order, is the global first-encounter dict order (consumers
+        break ties on dict order, so the order is part of the contract).
         """
         for chunk in trace.chunks():
             if not len(chunk):
@@ -308,45 +241,22 @@ class AccessProfile:
         consecutive events, increment the pair's count.  The result is a
         sparse, symmetric (stored with ``a < b``) affinity map: the raw
         material of address clustering.
+
+        Co-occurring pairs are enumerated one window *offset* at a time —
+        ``window - 1`` array passes instead of a Python inner loop per
+        event.  Pair counts are exact, and the result dict is populated in
+        first-encounter order (clustering breaks affinity ties on dict
+        order, so the order is part of the contract).
         """
         if window <= 1:
             raise ValueError(f"window must be > 1, got {window}")
-        recorder = self._recorder
-        if len(self._sequence) >= 2 and use_columnar(self.trace):
-            if recorder is not None and recorder.enabled:
-                recorder.counter(AFFINITY_ENGINE, 1, path=ENGINE_VECTORIZED)
-            return self._affinity_matrix_vectorized(window)
-        if recorder is not None and recorder.enabled:
-            recorder.counter(AFFINITY_ENGINE, 1, path=ENGINE_SCALAR)
-        affinity: dict[tuple[int, int], int] = {}
-        recent: list[int] = []
-        for block in self._sequence:
-            for other in recent:
-                if other == block:
-                    continue
-                key = (block, other) if block < other else (other, block)
-                affinity[key] = affinity.get(key, 0) + 1
-            recent.append(block)
-            if len(recent) > window - 1:
-                recent.pop(0)
-        return affinity
-
-    def _affinity_matrix_vectorized(self, window: int) -> dict[tuple[int, int], int]:
-        """Vectorized :meth:`affinity_matrix`.
-
-        Enumerates co-occurring pairs one window *offset* at a time —
-        ``window - 1`` array passes instead of a Python inner loop per event.
-        Pair counts are exact, and the result dict is populated in the
-        scalar reference's first-encounter order (clustering breaks affinity
-        ties on dict order, so the order is part of the contract).
-        """
         sequence = np.asarray(self._sequence, dtype=np.int64)
         compact, dense = np.unique(sequence, return_inverse=True)
         span = len(compact)
         # pair key -> [count, first-encounter rank]; the rank reproduces the
-        # scalar insertion order: at event i the reference pairs against the
-        # window oldest-first, so rank (i * window - offset) orders first by
-        # event, then by descending offset.
+        # per-event insertion order: at event i the window pairs oldest-first,
+        # so rank (i * window - offset) orders first by event, then by
+        # descending offset.
         merged: dict[int, list[int]] = {}
         for offset in range(1, window):
             if offset >= len(dense):

@@ -17,13 +17,11 @@ Complements :mod:`repro.trace.profile` (which aggregates per block) with
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Union
 
 import numpy as np
 
-from .columnar import ColumnarTrace, use_columnar
-
+from .columnar import ColumnarTrace
 from .trace import Trace
 
 __all__ = [
@@ -58,24 +56,14 @@ def stride_histogram(
 ) -> list[tuple[int, int]]:
     """Histogram of consecutive address deltas, most frequent first.
 
-    Returns ``(stride, count)`` pairs; ``top`` truncates the list.  Large
-    traces take a vectorized path (``diff`` + ``unique``) that reproduces
-    the scalar ranking exactly, ties included.
+    Returns ``(stride, count)`` pairs; ``top`` truncates the list.  Ties
+    rank by first encounter, the order ``Counter.most_common`` gives.
     """
-    if use_columnar(trace):
-        columnar = _columnar_view(trace)
-        if len(columnar) < 2:
-            return []
-        ranked = _ranked_counts(np.diff(columnar.addresses))
-        return ranked if top is None else ranked[:top]
-    counts: Counter = Counter()
-    previous = None
-    for event in trace:
-        if previous is not None:
-            counts[event.address - previous] += 1
-        previous = event.address
-    ranked = counts.most_common(top)
-    return [(stride, count) for stride, count in ranked]
+    columnar = _columnar_view(trace)
+    if len(columnar) < 2:
+        return []
+    ranked = _ranked_counts(np.diff(columnar.addresses))
+    return ranked if top is None else ranked[:top]
 
 
 def dominant_stride(trace: Union[Trace, ColumnarTrace]) -> tuple[int, float]:
@@ -100,29 +88,20 @@ def address_entropy(trace: Union[Trace, ColumnarTrace], block_size: int = 32) ->
     """
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    if use_columnar(trace):
-        columnar = _columnar_view(trace)
-        if not len(columnar):
-            return 0.0
-        blocks = columnar.block_ids(block_size)
-        _unique, first_index, block_counts = np.unique(
-            blocks, return_index=True, return_counts=True
-        )
-        total = len(blocks)
-        entropy = 0.0
-        # Accumulate in the scalar reference's first-encounter order so the
-        # float sum is bit-identical; only the counting is vectorized.
-        for position in np.argsort(first_index, kind="stable").tolist():
-            probability = int(block_counts[position]) / total
-            entropy -= probability * math.log2(probability)
-        return entropy
-    counts: Counter = Counter(event.block(block_size) for event in trace)
-    total = sum(counts.values())
-    if total == 0:
+    columnar = _columnar_view(trace)
+    if not len(columnar):
         return 0.0
+    blocks = columnar.block_ids(block_size)
+    _unique, first_index, block_counts = np.unique(
+        blocks, return_index=True, return_counts=True
+    )
+    total = len(blocks)
     entropy = 0.0
-    for count in counts.values():
-        probability = count / total
+    # Accumulate in first-encounter order (the order a Counter over the
+    # block stream iterates), which pins the float sum; only the counting
+    # is vectorized.
+    for position in np.argsort(first_index, kind="stable").tolist():
+        probability = int(block_counts[position]) / total
         entropy -= probability * math.log2(probability)
     return entropy
 
@@ -137,31 +116,21 @@ def region_transition_matrix(
     """
     if region_size <= 0:
         raise ValueError(f"region_size must be positive, got {region_size}")
-    if use_columnar(trace):
-        columnar = _columnar_view(trace)
-        if len(columnar) < 2:
-            return {}
-        regions = columnar.addresses // region_size
-        compact, dense = np.unique(regions, return_inverse=True)
-        span = len(compact)
-        keys = dense[:-1] * span + dense[1:]
-        unique_keys, first_index, counts = np.unique(
-            keys, return_index=True, return_counts=True
-        )
-        matrix: dict[tuple[int, int], int] = {}
-        for position in np.argsort(first_index, kind="stable").tolist():
-            key = int(unique_keys[position])
-            pair = (int(compact[key // span]), int(compact[key % span]))
-            matrix[pair] = int(counts[position])
-        return matrix
-    matrix = {}
-    previous = None
-    for event in trace:
-        region = event.address // region_size
-        if previous is not None:
-            key = (previous, region)
-            matrix[key] = matrix.get(key, 0) + 1
-        previous = region
+    columnar = _columnar_view(trace)
+    if len(columnar) < 2:
+        return {}
+    regions = columnar.addresses // region_size
+    compact, dense = np.unique(regions, return_inverse=True)
+    span = len(compact)
+    keys = dense[:-1] * span + dense[1:]
+    unique_keys, first_index, counts = np.unique(
+        keys, return_index=True, return_counts=True
+    )
+    matrix: dict[tuple[int, int], int] = {}
+    for position in np.argsort(first_index, kind="stable").tolist():
+        key = int(unique_keys[position])
+        pair = (int(compact[key // span]), int(compact[key % span]))
+        matrix[pair] = int(counts[position])
     return matrix
 
 

@@ -35,9 +35,8 @@ Bit-identity contract
 ---------------------
 A round trip through :func:`save_store`/:func:`load_store` reproduces
 every column bit-for-bit, and streamed playback of a store agrees exactly
-with scalar and columnar playback of the same trace — the three-way
-``scalar == columnar == streamed`` contract pinned by
-``tests/test_properties_store.py``.
+with the per-event reference of the same trace at any chunk size — the
+``oracle == kernel`` contract pinned by ``tests/test_properties_store.py``.
 """
 
 from __future__ import annotations
@@ -445,11 +444,10 @@ def open_store(
 class StreamedTrace:
     """A trace replayed as a sequence of columnar chunks.
 
-    Consumers recognise streamed traces by the ``is_streamed`` class
-    attribute (duck-typed, so the playback layers need no import of this
-    module) and accumulate per-chunk integer counters into the same merge
-    points the scalar and columnar engines share — which is what makes
-    streamed reports bit-identical to the other two engines.
+    Implements the chunk protocol (``chunks``/``map_chunks``) that every
+    trace consumer folds over, so the playback layers accumulate per-chunk
+    integer counters into one merge point whatever the chunking — which is
+    what makes streamed reports bit-identical to in-memory ones.
 
     Parameters
     ----------
@@ -470,9 +468,6 @@ class StreamedTrace:
         Nominal events per chunk of the *base* store (views keep their
         parent's value for reporting; filtered chunks may be shorter).
     """
-
-    #: Duck-typing marker checked by ``repro.trace.columnar.is_streamed_trace``.
-    is_streamed = True
 
     def __init__(
         self,

@@ -10,11 +10,14 @@ caches, platforms).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .events import AccessKind, AddressSpace, MemoryAccess
+
+if TYPE_CHECKING:
+    from .columnar import ColumnarTrace
 
 __all__ = ["Trace"]
 
@@ -74,6 +77,16 @@ class Trace:
 
             self._columnar = ColumnarTrace.from_trace(self)
         return self._columnar
+
+    def chunks(self) -> Iterator[ColumnarTrace]:
+        """The trace as columnar chunks: its cached :meth:`columnar` view, once."""
+        yield self.columnar()
+
+    def map_chunks(
+        self, transform: Callable[[ColumnarTrace], ColumnarTrace]
+    ) -> ColumnarTrace:
+        """``transform`` applied to the cached :meth:`columnar` view."""
+        return transform(self.columnar())
 
     @property
     def events(self) -> Sequence[MemoryAccess]:

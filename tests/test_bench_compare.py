@@ -332,11 +332,10 @@ def manifest_payload(**overrides) -> dict:
         "package_version": "1.0",
         "python_version": "3.12.0",
         "platform": "linux",
-        "engine": {"columnar_threshold": 4096},
         "config_hash": None,
         "seed": None,
         "extra": {},
-        "schema": 1,
+        "schema": 2,
     }
     payload.update(overrides)
     return payload
@@ -399,7 +398,6 @@ class TestManifestDrift:
         compare_module.update_baseline(run, baseline)
         stored = json.loads(baseline.read_text()).get("manifest")
         assert stored is not None
-        assert "columnar_threshold" in stored["engine"]
 
     def test_committed_baseline_carries_a_manifest(self):
         manifest = compare_module.load_manifest(compare_module.DEFAULT_BASELINE)

@@ -9,6 +9,7 @@ from repro.memory import (
     MonolithicMemory,
     PartitionedMemory,
 )
+from repro.memory.partitioned import MemoryEnergyReport
 from repro.trace import AccessKind, MemoryAccess, Trace
 
 
@@ -92,6 +93,19 @@ class TestPartitionedMemory:
         without = memory.play(trace, include_leakage=False).total
         with_leak = memory.play(trace, include_leakage=True).total
         assert with_leak > without
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((-1.0, 0.0, 0.0, 1), "bank_energy"),
+            ((1.0, -1.0, 0.0, 1), "decoder_energy"),
+            ((1.0, 0.0, -1e-9, 1), "leakage_energy"),
+            ((1.0, 0.0, 0.0, -1), "accesses"),
+        ],
+    )
+    def test_energy_report_checks_each_field(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            MemoryEnergyReport(*fields)
 
     def test_smaller_bank_cheaper_per_access(self):
         # Same trace on [small hot bank + big cold bank] vs one big bank.

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.memory import SleepPolicy, SRAMEnergyModel, simulate_bank_sleep
-from repro.trace import MemoryAccess, Trace
+from repro.memory import BankSleepReport, SleepPolicy, SRAMEnergyModel, simulate_bank_sleep
+from repro.trace import ColumnarTrace, MemoryAccess, Trace
 
 LEAKY = SRAMEnergyModel(leakage_pw_per_bit=10.0)
 
@@ -90,3 +90,27 @@ class TestSimulation:
         )
         assert short.sleep_fraction > long.sleep_fraction
         assert short.wake_events >= long.wake_events
+
+
+class TestReportPostconditions:
+    def test_decreasing_timestamps_raise_instead_of_negative_leakage(self):
+        # from_arrays bypasses trace ingress, so only the report's own
+        # postconditions stand between this trace and a negative leakage.
+        trace = ColumnarTrace.from_arrays([0, 4, 8], [500, 0, 1000])
+        with pytest.raises(ValueError, match="BankSleepReport"):
+            simulate_bank_sleep([1024], [0], trace, SleepPolicy())
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((-1.0, 0.0, 0, 0.0, 0.0), "always_on_leakage"),
+            ((1.0, -1e-4, 0, 0.0, 0.0), "managed_leakage"),
+            ((1.0, 0.5, -1, 0.0, 0.0), "wake_events"),
+            ((1.0, 0.5, 0, -15.0, 0.0), "wake_energy"),
+            ((1.0, 0.5, 0, 0.0, 1.597), "sleep_fraction"),
+            ((1.0, 0.5, 0, 0.0, float("nan")), "sleep_fraction"),
+        ],
+    )
+    def test_each_field_is_checked(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            BankSleepReport(*fields)

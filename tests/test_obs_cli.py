@@ -48,12 +48,10 @@ class TestObsCommand:
         out = capsys.readouterr().out
         assert "run manifest:" in out
         assert "config_hash:" in out
-        assert "columnar_threshold:" in out
         assert "stages" in out
         assert "trace_load" in out and "playback" in out
         assert "per-stage energy" in out
         assert "energy reconciliation" in out
-        assert "engine routing" in out
 
     def test_reconciliation_is_exact_on_a_real_run(self, run_log, capsys):
         assert main(["obs", str(run_log)]) == 0
@@ -119,7 +117,6 @@ class TestObsJsonFormat:
         assert report["reconciled"] is True
         assert {span["name"] for span in report["spans"]} >= {"trace_load", "playback"}
         assert all(row["exact"] for row in report["reconciliation"])
-        assert report["engine_routing"]
         # sort_keys=True emission: the document round-trips canonically.
         assert out.strip() == json.dumps(report, sort_keys=True, indent=1)
 
@@ -147,26 +144,3 @@ class TestObsJsonFormat:
         assert main(["obs", str(path), "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["reconciled"] is False
-
-
-class TestBenchManifest:
-    def test_bench_embeds_the_run_manifest(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "bench",
-                    "--events",
-                    "1000",
-                    "--seed",
-                    "3",
-                    "--out",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        payload = json.loads((tmp_path / "BENCH_columnar.json").read_text())
-        manifest = payload["manifest"]
-        assert manifest["seed"] == 3
-        assert "columnar_threshold" in manifest["engine"]
-        assert manifest["python_version"]

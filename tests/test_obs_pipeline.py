@@ -13,7 +13,7 @@ import io
 
 import pytest
 
-from repro.core import FlowConfig, MemoryOptimizationFlow, optimize_memory_layout
+from repro.core import FlowConfig, MemoryOptimizationFlow
 from repro.memory import (
     PartitionedMemory,
     SleepPolicy,
@@ -23,18 +23,13 @@ from repro.obs import JsonlRecorder, NullRecorder, read_log
 from repro.obs.clock import TickClock
 from repro.obs.counters import (
     COMPRESS_OFFCHIP_BYTES,
-    ENGINE_SCALAR,
-    ENGINE_VECTORIZED,
     FLOW_TOTAL_PJ,
     PLATFORM_ENERGY_PJ,
-    PLAY_ENGINE,
     PLAY_EVENTS,
     PROFILE_BLOCKS,
     PROFILE_EVENTS,
-    RECONFIG_ENGINE,
     RECONFIG_KERNELS,
     SLEEP_ENERGY_PJ,
-    SLEEP_ENGINE,
     SLEEP_WAKE_EVENTS,
     SPM_BENEFIT_PJ,
     SPM_BLOCKS,
@@ -42,7 +37,6 @@ from repro.obs.counters import (
 )
 from repro.obs.manifest import config_fingerprint
 from repro.trace import ScatteredHotGenerator
-from repro.trace.columnar import COLUMNAR_THRESHOLD
 
 
 def recorded_run(fn):
@@ -55,8 +49,6 @@ def recorded_run(fn):
 
 @pytest.fixture(scope="module")
 def scattered_trace():
-    # 10k accesses: comfortably above COLUMNAR_THRESHOLD, so the flow's
-    # playback takes the vectorized route.
     return ScatteredHotGenerator(
         num_blocks=150, num_hot=15, hot_weight=25.0, accesses=10000, seed=4
     ).generate()
@@ -99,7 +91,6 @@ class TestInstrumentedFlow:
         result, log = instrumented
         assert result.manifest is not None
         assert log.manifest == result.manifest.to_dict()
-        assert result.manifest.engine == {"columnar_threshold": COLUMNAR_THRESHOLD}
         assert result.manifest.extra["trace"] == scattered_trace.name
         assert result.manifest.config_hash == config_fingerprint(
             result.config.describe()
@@ -116,21 +107,6 @@ class TestInstrumentedFlow:
         counters = log.counters()
         # Three variants each replay the full remapped trace.
         assert counters.total(PLAY_EVENTS) == 3 * len(scattered_trace)
-        assert counters.total(PLAY_ENGINE, path=ENGINE_VECTORIZED) == 3
-        assert counters.total(PLAY_ENGINE, path=ENGINE_SCALAR) == 0
-
-    def test_small_trace_routes_scalar(self):
-        trace = ScatteredHotGenerator(
-            num_blocks=20, num_hot=4, hot_weight=10.0, accesses=200, seed=11
-        ).generate()
-        _result, log = recorded_run(
-            lambda recorder: optimize_memory_layout(
-                trace, recorder=recorder, max_banks=4
-            )
-        )
-        counters = log.counters()
-        assert counters.total(PLAY_ENGINE, path=ENGINE_SCALAR) == 3
-        assert counters.total(PLAY_ENGINE, path=ENGINE_VECTORIZED) == 0
 
     def test_reported_totals_match_flow_results_exactly(self, instrumented):
         result, log = instrumented
@@ -210,11 +186,10 @@ class TestSleepInstrumentation:
         events = [MemoryAccess(time=10 * i, address=(i % 128) * 4) for i in range(64)]
         return Trace(events, name="sleep-small")
 
-    def test_scalar_route_recorded(self, small_trace):
+    def test_sleep_span_and_counters_recorded(self, small_trace):
         report, log = recorded_run(lambda r: self.simulate(small_trace, r))
         counters = log.counters()
         assert [record.name for record in log.spans()] == ["sleep"]
-        assert counters.total(SLEEP_ENGINE, path=ENGINE_SCALAR) == 1
         assert counters.total(SLEEP_WAKE_EVENTS) == report.wake_events
         for component, value in (
             ("managed", report.managed_leakage),
@@ -222,12 +197,6 @@ class TestSleepInstrumentation:
             ("always_on", report.always_on_leakage),
         ):
             assert counters.total(SLEEP_ENERGY_PJ, component=component) == value
-
-    def test_columnar_route_recorded(self, small_trace):
-        _report, log = recorded_run(
-            lambda r: self.simulate(small_trace.columnar(), r)
-        )
-        assert log.counters().total(SLEEP_ENGINE, path=ENGINE_VECTORIZED) == 1
 
 
 class TestSpmInstrumentation:
@@ -285,7 +254,6 @@ class TestReconfigInstrumentation:
         counters = log.counters()
         assert [record.name for record in log.spans()] == ["reconfig_schedule"]
         assert counters.total(RECONFIG_KERNELS) == len(app.kernels)
-        assert counters.grand_total(RECONFIG_ENGINE) >= 1
 
     def test_naive_scheduler_records_kernel_count(self):
         from repro.reconfig import NaiveScheduler, ReconfigArchitecture

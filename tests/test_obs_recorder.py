@@ -8,6 +8,7 @@ Pipeline-level integration lives in ``test_obs_pipeline.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -170,7 +171,7 @@ class TestJsonlRecorder:
 
     def test_manifest_round_trips_through_read_log(self):
         recorder, sink = make_recorder()
-        manifest = collect_manifest(seed=3, engine={"columnar_threshold": 4096})
+        manifest = collect_manifest(seed=3, kernel="fir")
         recorder.record_manifest(manifest.to_dict())
         log = read_log(sink.getvalue().splitlines())
         assert log.manifest == manifest.to_dict()
@@ -243,8 +244,8 @@ class TestCounterRegistry:
 
 class TestManifest:
     def test_collect_manifest_is_deterministic(self):
-        first = collect_manifest(seed=1, engine={"t": 4096})
-        second = collect_manifest(seed=1, engine={"t": 4096})
+        first = collect_manifest(seed=1, kernel="fir")
+        second = collect_manifest(seed=1, kernel="fir")
         assert first == second
 
     def test_config_fingerprint_stable_across_key_order(self):
@@ -263,11 +264,11 @@ class TestManifest:
         assert base.differences(other) == []
 
     def test_differences_report_environment_drift(self):
-        base = collect_manifest(engine={"columnar_threshold": 4096})
-        other = collect_manifest(engine={"columnar_threshold": 64})
+        base = collect_manifest()
+        other = dataclasses.replace(base, python_version="2.7.18")
         drift = base.differences(other)
         assert len(drift) == 1
-        assert drift[0].startswith("engine:")
+        assert drift[0].startswith("python_version:")
 
     def test_from_dict_ignores_unknown_keys(self):
         manifest = collect_manifest(seed=9)

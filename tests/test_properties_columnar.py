@@ -1,9 +1,12 @@
-"""Property-based equivalence: scalar reference vs vectorized columnar engine.
+"""Property-based equivalence: per-event scalar reference vs vectorized engine.
 
-The columnar engine's contract is *exact* agreement with the scalar
-reference — bit-identical energy totals, identical per-bank access counts,
-identical sleep accounting — on any trace, including empty traces and
-single-bank memories.  Hypothesis searches for counterexamples.
+The vectorized kernels' contract is *exact* agreement with the per-event
+scalar references in ``tests/playback_oracle.py`` — bit-identical energy
+totals, identical per-bank access counts, identical sleep accounting — on
+any trace, including empty traces and single-bank memories.  Each kernel
+here is fed the trace's ``ColumnarTrace`` view; ``test_properties_store.py``
+repeats the comparison on ``Trace`` and ``open_store`` inputs at drawn chunk
+sizes.  Hypothesis searches for counterexamples.
 """
 
 from __future__ import annotations
@@ -11,14 +14,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import (
-    PartitionedMemory,
-    SleepPolicy,
-    simulate_bank_sleep_columnar,
-    simulate_bank_sleep_scalar,
-)
+from repro.memory import PartitionedMemory, SleepPolicy, simulate_bank_sleep
 from repro.trace import AccessKind, MemoryAccess, Trace
 from repro.trace.profile import AccessProfile
+
+from . import playback_oracle as oracle
 
 BANK_BYTES = 256
 
@@ -59,8 +59,8 @@ def test_play_scalar_and_vectorized_agree_exactly(case):
     bank_sizes, trace = build_case(case)
     memory_scalar = PartitionedMemory(bank_sizes)
     memory_vector = PartitionedMemory(bank_sizes)
-    report_scalar = memory_scalar.play_scalar(trace, include_leakage=True)
-    report_vector = memory_vector.play_vectorized(trace.columnar(), include_leakage=True)
+    report_scalar = oracle.play(memory_scalar, trace, include_leakage=True)
+    report_vector = memory_vector.play(trace.columnar(), include_leakage=True)
     assert report_scalar.total == report_vector.total
     assert report_scalar.bank_energy == report_vector.bank_energy
     assert report_scalar.decoder_energy == report_vector.decoder_energy
@@ -77,8 +77,8 @@ def test_bank_sleep_scalar_and_columnar_agree_exactly(case, timeout_cycles):
     bank_sizes, trace = build_case(case)
     bank_bases = [i * BANK_BYTES for i in range(len(bank_sizes))]
     policy = SleepPolicy(timeout_cycles=timeout_cycles)
-    report_scalar = simulate_bank_sleep_scalar(bank_sizes, bank_bases, trace, policy)
-    report_columnar = simulate_bank_sleep_columnar(
+    report_scalar = oracle.simulate_bank_sleep(bank_sizes, bank_bases, trace, policy)
+    report_columnar = simulate_bank_sleep(
         bank_sizes, bank_bases, trace.columnar(), policy
     )
     assert report_scalar == report_columnar
@@ -89,41 +89,16 @@ def test_bank_sleep_scalar_and_columnar_agree_exactly(case, timeout_cycles):
 @given(trace_strategy)
 def test_profile_scalar_and_columnar_agree_exactly(case):
     _bank_sizes, trace = build_case(case)
-    scalar = AccessProfile.__new__(AccessProfile)
-    scalar.block_size = 32
-    scalar.trace = trace
-    scalar._stats = {}
-    scalar._sequence = []
-    scalar._build()
+    sequence, stats = oracle.profile_stats(trace, block_size=32)
     vectorized = AccessProfile(trace.columnar(), block_size=32)
-    assert scalar._sequence == vectorized._sequence
+    assert vectorized.block_sequence == sequence
     # Dict order is part of the contract: clustering breaks ties on it.
-    assert list(scalar._stats) == list(vectorized._stats)
-    for block, stats in scalar._stats.items():
-        other = vectorized._stats[block]
-        assert (stats.reads, stats.writes, stats.first_time, stats.last_time) == (
-            other.reads,
-            other.writes,
-            other.first_time,
-            other.last_time,
-        )
+    assert [
+        (block, (s.reads, s.writes, s.first_time, s.last_time))
+        for block, s in vectorized._stats.items()
+    ] == list(stats.items())
     if len(trace) >= 2:
         window = 8
-        reference: dict[tuple[int, int], int] = {}
-        recent: list[int] = []
-        for block in scalar._sequence:
-            for other_block in recent:
-                if other_block == block:
-                    continue
-                key = (
-                    (block, other_block)
-                    if block < other_block
-                    else (other_block, block)
-                )
-                reference[key] = reference.get(key, 0) + 1
-            recent.append(block)
-            if len(recent) > window - 1:
-                recent.pop(0)
         assert list(vectorized.affinity_matrix(window).items()) == list(
-            reference.items()
+            oracle.affinity_matrix(sequence, window).items()
         )

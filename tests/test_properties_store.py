@@ -1,31 +1,42 @@
-"""Property-based three-way equivalence: scalar == columnar == streamed.
+"""Property-based equivalence: per-event oracle == chunked kernel.
 
-The trace store's playback contract is *exact*: replaying a packed trace
-chunk-by-chunk (any chunk size — one event per chunk, chunks straddling
-idle intervals, one chunk holding the whole trace) produces bit-identical
-reports to the scalar reference and the in-memory columnar engine, at
-every playback layer (partitioned play, bank sleep, access profile).
-Hypothesis searches random traces × random chunk sizes for
-counterexamples; chunk sizes are drawn past the trace length so the
-degenerate single-chunk case is exercised alongside chunk=1.
+Every trace consumer in ``repro`` is one fold over columnar chunks, pinned
+here against its per-event reference in ``tests/playback_oracle.py``.  The
+playback properties feed one generated trace to the kernel three ways — as
+a ``Trace``, as its ``ColumnarTrace`` (one chunk), and packed into a
+``.tstore`` replayed by ``open_store`` chunk by chunk — and require each
+result to equal the oracle's with ``==``: bit-identical floats, identical
+counts, identical dict order.  Chunk sizes are drawn past the maximum trace
+length (120), so one event per chunk, chunks straddling idle intervals and
+the whole trace in one chunk are all exercised.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory import (
-    PartitionedMemory,
-    SleepPolicy,
-    simulate_bank_sleep_columnar,
-    simulate_bank_sleep_scalar,
+from repro.batch.flows import trace_to_application
+from repro.core.layout import BlockLayout
+from repro.memory import PartitionedMemory, SleepPolicy, simulate_bank_sleep
+from repro.partition.evaluate import SimulatedPartitionEnergy, build_memory, simulate_partition
+from repro.partition.spec import PartitionSpec
+from repro.reconfig.scheduler import EnergyAwareScheduler
+from repro.spm import SPMAllocator, SPMConfig
+from repro.trace import (
+    AccessKind,
+    MemoryAccess,
+    Trace,
+    address_entropy,
+    region_transition_matrix,
+    stride_histogram,
 )
-from repro.memory.sleep import simulate_bank_sleep_streamed
-from repro.trace import AccessKind, MemoryAccess, Trace
 from repro.trace.io import trace_digest
 from repro.trace.profile import AccessProfile
 from repro.trace.store import load_store, open_store, save_store, store_digest
+
+from . import playback_oracle as oracle
 
 BANK_BYTES = 256
 
@@ -75,6 +86,12 @@ def packed(tmp_path_factory, trace: Trace, chunk_size: int):
     return save_store(trace, root / "prop.tstore", chunk_size=chunk_size)
 
 
+def three_views(tmp_path_factory, trace: Trace, chunk_size: int) -> list:
+    """``trace`` as a ``Trace``, a ``ColumnarTrace`` and a ``StreamedTrace``."""
+    path = packed(tmp_path_factory, trace, chunk_size)
+    return [trace, trace.columnar(), open_store(path)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(trace_strategy, chunk_strategy)
 def test_round_trip_is_bit_identical(tmp_path_factory, case, chunk_size):
@@ -91,26 +108,14 @@ def test_round_trip_is_bit_identical(tmp_path_factory, case, chunk_size):
 @given(trace_strategy, chunk_strategy)
 def test_play_three_way_identical(tmp_path_factory, case, chunk_size):
     bank_sizes, trace = build_case(case)
-    path = packed(tmp_path_factory, trace, chunk_size)
-    streamed = open_store(path)
-
-    memory_scalar = PartitionedMemory(bank_sizes)
-    memory_vector = PartitionedMemory(bank_sizes)
-    memory_stream = PartitionedMemory(bank_sizes)
-    report_scalar = memory_scalar.play_scalar(trace, include_leakage=True)
-    report_vector = memory_vector.play_vectorized(
-        trace.columnar(), include_leakage=True
-    )
-    report_stream = memory_stream.play_streamed(streamed, include_leakage=True)
-    assert report_scalar == report_vector == report_stream
-    assert (
-        memory_scalar.bank_access_counts()
-        == memory_vector.bank_access_counts()
-        == memory_stream.bank_access_counts()
-    )
-    assert [(b.reads, b.writes) for b in memory_scalar.banks] == [
-        (b.reads, b.writes) for b in memory_stream.banks
-    ]
+    reference_memory = PartitionedMemory(bank_sizes)
+    reference = oracle.play(reference_memory, trace, include_leakage=True)
+    for view in three_views(tmp_path_factory, trace, chunk_size):
+        memory = PartitionedMemory(bank_sizes)
+        assert memory.play(view, include_leakage=True) == reference
+        assert [(b.reads, b.writes) for b in memory.banks] == [
+            (b.reads, b.writes) for b in reference_memory.banks
+        ]
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,51 +126,27 @@ def test_bank_sleep_three_way_identical(
     bank_sizes, trace = build_case(case)
     bank_bases = [i * BANK_BYTES for i in range(len(bank_sizes))]
     policy = SleepPolicy(timeout_cycles=timeout_cycles)
-    path = packed(tmp_path_factory, trace, chunk_size)
-    streamed = open_store(path)
-
-    report_scalar = simulate_bank_sleep_scalar(bank_sizes, bank_bases, trace, policy)
-    report_columnar = simulate_bank_sleep_columnar(
-        bank_sizes, bank_bases, trace.columnar(), policy
-    )
-    report_streamed = simulate_bank_sleep_streamed(
-        bank_sizes, bank_bases, streamed, policy
-    )
-    assert report_scalar == report_columnar == report_streamed
-    assert report_scalar.leakage_saving == report_streamed.leakage_saving
+    reference = oracle.simulate_bank_sleep(bank_sizes, bank_bases, trace, policy)
+    for view in three_views(tmp_path_factory, trace, chunk_size):
+        assert simulate_bank_sleep(bank_sizes, bank_bases, view, policy) == reference
 
 
 @settings(max_examples=150, deadline=None)
-@given(trace_strategy, chunk_strategy)
-def test_profile_three_way_identical(tmp_path_factory, case, chunk_size):
+@given(trace_strategy, chunk_strategy, st.integers(min_value=2, max_value=12))
+def test_profile_three_way_identical(tmp_path_factory, case, chunk_size, window):
     _bank_sizes, trace = build_case(case)
-    path = packed(tmp_path_factory, trace, chunk_size)
-    streamed = open_store(path)
-
-    scalar = AccessProfile.__new__(AccessProfile)
-    scalar.block_size = 32
-    scalar.trace = trace
-    scalar._stats = {}
-    scalar._sequence = []
-    scalar._build()
-    vectorized = AccessProfile(trace.columnar(), block_size=32)
-    from_stream = AccessProfile(streamed, block_size=32)
-    assert scalar._sequence == vectorized._sequence == from_stream._sequence
-    # Dict order is part of the contract: clustering breaks ties on it, so
-    # first-encounter order must survive chunk boundaries.
-    assert list(scalar._stats) == list(from_stream._stats)
-    for block, stats in scalar._stats.items():
-        other = from_stream._stats[block]
-        assert (stats.reads, stats.writes, stats.first_time, stats.last_time) == (
-            other.reads,
-            other.writes,
-            other.first_time,
-            other.last_time,
-        )
-    if len(trace) >= 2:
-        assert list(vectorized.affinity_matrix(8).items()) == list(
-            from_stream.affinity_matrix(8).items()
-        )
+    sequence, stats = oracle.profile_stats(trace, block_size=32)
+    affinity = oracle.affinity_matrix(sequence, window)
+    for view in three_views(tmp_path_factory, trace, chunk_size):
+        profile = AccessProfile(view, block_size=32)
+        assert profile.block_sequence == sequence
+        # Dict order is part of the contract: clustering breaks ties on it,
+        # so first-encounter order must survive chunk boundaries.
+        assert [
+            (block, (s.reads, s.writes, s.first_time, s.last_time))
+            for block, s in profile._stats.items()
+        ] == list(stats.items())
+        assert list(profile.affinity_matrix(window).items()) == list(affinity.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,3 +161,112 @@ def test_streamed_filters_match_scalar_filters(tmp_path_factory, case, chunk_siz
         assert len(expected) == len(actual)
         for want, got in zip(expected, actual):
             assert want == got
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_strategy, chunk_strategy, st.data())
+def test_remap_and_rounded_playback_match_oracle(tmp_path_factory, case, chunk_size, data):
+    """The flow's layout remap and the rounded-spec address translation."""
+    _bank_sizes, trace = build_case(case)
+    if not len(trace):
+        return
+    if data.draw(st.booleans(), label="block-aligned"):
+        # First bytes of blocks land on bank edges after the remap.
+        trace = trace.remap(lambda address: address - address % 32)
+    profile = AccessProfile(trace, block_size=32)
+    layout = BlockLayout(data.draw(st.permutations(profile.blocks)), block_size=32)
+    remapped = layout.remap_trace(trace)
+    cuts = sorted(data.draw(st.sets(st.integers(1, layout.num_blocks), max_size=3)))
+    bank_blocks = [b - a for a, b in zip([0] + cuts, cuts + [layout.num_blocks]) if b > a]
+    spec = PartitionSpec(block_size=32, bank_blocks=tuple(bank_blocks), round_pow2=True)
+    memory = build_memory(spec)
+    report = oracle.play(memory, oracle.translate_rounded(spec, remapped), True)
+    reference = SimulatedPartitionEnergy(
+        bank_energy=report.bank_energy,
+        decoder_energy=report.decoder_energy,
+        leakage_energy=report.leakage_energy,
+        accesses=report.accesses,
+        bank_access_counts=tuple(memory.bank_access_counts()),
+    )
+    for view in three_views(tmp_path_factory, trace, chunk_size):
+        layout_trace = view.map_chunks(layout.remap_columnar)
+        events = [event for chunk in layout_trace.chunks() for event in chunk.to_trace()]
+        assert events == list(remapped)
+        assert simulate_partition(spec, layout_trace, include_leakage=True) == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trace_strategy,
+    st.sampled_from([1, 2, 3, 5, 8]),  # SPM capacity in 32-byte blocks
+    st.sampled_from([0.1, 50.0]),  # cache-path energy: no saving / saving
+)
+def test_spm_allocation_matches_oracle(case, capacity_blocks, cache_path_energy):
+    """Top-k by access count, ties to the lower block index."""
+    _bank_sizes, trace = build_case(case)
+    profile = AccessProfile(trace, block_size=32)
+    allocator = SPMAllocator(
+        SPMConfig(size=32 * capacity_blocks), cache_path_energy=cache_path_energy
+    )
+    assert allocator.allocate(profile) == oracle.spm_allocate(allocator, profile)
+
+
+knapsack_items = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=160),  # size in bytes
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),  # small set: value ties
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(knapsack_items, st.integers(min_value=0, max_value=400))
+def test_knapsack_matches_oracle(raw_items, capacity):
+    # Names sort in a different order from generation, as real data-set
+    # names (``region_0x...``) need not arrive sorted.
+    items = [(f"ds{(7 * i) % 11}", size, value) for i, (size, value) in enumerate(raw_items)]
+    assert EnergyAwareScheduler._knapsack(items, capacity) == oracle.knapsack(items, capacity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trace_strategy,
+    st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    st.sampled_from([8, 32, 128]),
+    st.sampled_from([64, 256, 4096]),
+)
+def test_stats_match_oracle(case, top, block_size, region_size):
+    """Stride ranking ties, entropy float order, transition dict order."""
+    _bank_sizes, trace = build_case(case)
+    strides = oracle.stride_histogram(trace, top)
+    entropy = oracle.address_entropy(trace, block_size)
+    transitions = oracle.region_transition_matrix(trace, region_size)
+    for view in (trace, trace.columnar()):
+        assert stride_histogram(view, top) == strides
+        assert address_entropy(view, block_size) == entropy
+        assert list(region_transition_matrix(view, region_size).items()) == list(
+            transitions.items()
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trace_strategy,
+    chunk_strategy,
+    st.integers(min_value=1, max_value=50),  # window_events
+    st.sampled_from([64, 256]),  # region_bytes
+)
+def test_trace_to_application_windows_match_oracle(
+    tmp_path_factory, case, chunk_size, window_events, region_bytes
+):
+    """Windows that straddle chunk boundaries merge into one kernel."""
+    _bank_sizes, trace = build_case(case)
+    for view in three_views(tmp_path_factory, trace, chunk_size):
+        if not len(trace):
+            with pytest.raises(ValueError, match="no data accesses"):
+                trace_to_application(view, window_events, region_bytes, 3)
+            continue
+        assert trace_to_application(view, window_events, region_bytes, 3) == (
+            oracle.trace_to_application(trace, window_events, region_bytes, 3)
+        )

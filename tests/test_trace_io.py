@@ -1,5 +1,8 @@
 """Unit tests for trace file I/O."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.trace import (
@@ -66,6 +69,21 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             load_text(path)
 
+    @pytest.mark.parametrize(
+        "line", ["0 R D", "x R D 0x0 4", "0 Q D 0x0 4", "0 R D 0xzz 4", "0 R D 0x0 0"]
+    )
+    def test_every_parse_error_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.trc"
+        path.write_text(f"# trace bad\n0 R D 0x0 4\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+            load_text(path)
+
+    def test_decreasing_timestamp_names_file_and_line(self, tmp_path):
+        path = tmp_path / "travel.trc"
+        path.write_text("500 R D 0x0 4\n0 R D 0x4 4\n1000 R D 0x8 4\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: timestamp 0")):
+            load_text(path)
+
     def test_name_header(self, tmp_path):
         path = tmp_path / "x.trc"
         save_text(sample_trace(), path)
@@ -93,3 +111,16 @@ class TestNpzFormat:
         path = tmp_path / "big.npz"
         save_npz(original, path)
         assert_traces_equal(original, load_npz(path))
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        path = tmp_path / "partial.npz"
+        np.savez(path, times=np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"partial\.npz: .*missing key 'addresses'"):
+            load_npz(path)
+
+    def test_decreasing_timestamp_names_file_and_index(self, tmp_path):
+        path = tmp_path / "travel.npz"
+        times = (500, 0, 1000)
+        save_npz(Trace([MemoryAccess(time=t, address=4 * t) for t in times]), path)
+        with pytest.raises(ValueError, match=r"travel\.npz: event 1 has timestamp 0"):
+            load_npz(path)
