@@ -43,17 +43,20 @@ def test_full_package_lint_runtime(benchmark):
 
 
 def test_par_only_lint_runtime(benchmark):
-    """The PAR family alone: call graph + effects + reachability."""
+    """A lint reporting only PAR findings.
+
+    ``select`` filters findings after every family has run, so this costs
+    one full lint, like ``test_full_package_lint_runtime``.
+    """
     report = benchmark(run_lint, select=["PAR"])
     assert report.clean, report.render_text()
 
 
 def test_ser_only_lint_runtime(benchmark):
-    """The SER family alone: call graph + schema extraction + reachability.
+    """A lint reporting only SER findings.
 
-    SER shares the runner's single call graph with PAR, so this should
-    cost roughly one graph build plus cheap per-schema walks; a large gap
-    versus ``test_par_only_lint_runtime`` means the sharing regressed.
+    ``select`` filters findings after every family has run, so this costs
+    one full lint, like ``test_full_package_lint_runtime``.
     """
     report = benchmark(run_lint, select=["SER"])
     assert report.clean, report.render_text()

@@ -2,11 +2,10 @@
 
 This package machine-enforces the invariants ARCHITECTURE.md documents —
 the layering diagram, the determinism policy, the error-handling
-conventions, public-API hygiene, the units-and-dimensions convention, the
-parallel-safety contract of the batch worker path, and the serialization
-contracts of every persisted artifact — by parsing the package with
-:mod:`ast`.  It is a *leaf*: it imports nothing from the rest of
-``repro``, so it can lint a broken tree.
+conventions, public-API hygiene, the parallel-safety contract of the batch
+worker path, and the serialization contracts of every persisted artifact —
+by parsing the package with :mod:`ast`.  It is a *leaf*: it imports
+nothing from the rest of ``repro``, so it can lint a broken tree.
 
 Usage::
 
@@ -40,8 +39,6 @@ from .schemamodel import (
     SchemaSpec,
 )
 from .serialization import check_serialization, schema_report
-from .unitmodel import REPRO_UNIT_MODEL, FunctionUnits, Unit, UnitModel
-from .units import SuffixSuggestion, check_units, suggest_suffix_renames
 
 __all__ = [
     "run_lint",
@@ -55,13 +52,6 @@ __all__ = [
     "REPRO_LAYER_MODEL",
     "ImportEdge",
     "extract_imports",
-    "Unit",
-    "UnitModel",
-    "FunctionUnits",
-    "REPRO_UNIT_MODEL",
-    "check_units",
-    "suggest_suffix_renames",
-    "SuffixSuggestion",
     "CallGraph",
     "build_call_graph",
     "ALL_EFFECTS",

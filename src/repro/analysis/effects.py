@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 from .callgraph import MODULE_NODE_SUFFIX, CallGraph, module_aliases
 from .determinism import check_determinism
-from .rules import SourceModule, parse_pragmas
+from .rules import SourceModule, is_suppressed, parse_pragmas
 
 __all__ = [
     "MUTATES_GLOBAL",
@@ -454,14 +454,7 @@ def _nondeterminism_sites(
     ]
     sites: dict[str, list[EffectSite]] = {}
     for finding in check_determinism(module):
-        if finding.rule not in _DET_RULES:
-            continue
-        suppressed = False
-        for lineno in (finding.line, 1):
-            listed = pragmas.get(lineno)
-            if listed and ("*" in listed or finding.rule in listed):
-                suppressed = True
-        if suppressed:
+        if finding.rule not in _DET_RULES or is_suppressed(finding, pragmas):
             continue
         best = None
         for node in functions:

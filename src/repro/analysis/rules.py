@@ -20,11 +20,6 @@ Rule families
 ``API``
     Public-surface hygiene — ``__all__`` consistency and docstrings
     (see :mod:`repro.analysis.api`).
-``UNT``
-    Units and dimensions — every energy/cycle/bit computation carries a
-    consistent physical unit, inferred by dataflow from the suffix
-    convention and the unit registry
-    (see :mod:`repro.analysis.units` and :mod:`repro.analysis.unitmodel`).
 ``PAR``
     Parallel safety — nothing reachable from a batch worker entry point
     mutates module globals, captures unpicklable state, acquires fork-unsafe
@@ -59,6 +54,7 @@ __all__ = [
     "load_module",
     "module_name_for",
     "parse_pragmas",
+    "is_suppressed",
     "ALL_RULES",
 ]
 
@@ -90,8 +86,9 @@ def _registry(*rules: Rule) -> dict[str, Rule]:
     return table
 
 
-#: The full registry, keyed by rule id.  ``--select`` and pragmas validate
-#: against this table.
+#: The full registry, keyed by rule id.  ``--select`` validates against this
+#: table; :func:`parse_pragmas` does not, so a pragma naming an unknown id
+#: silently suppresses nothing.
 RULES: dict[str, Rule] = _registry(
     Rule("SYN001", "syntax-error", "file does not parse as Python", "module"),
     Rule(
@@ -144,42 +141,6 @@ RULES: dict[str, Rule] = _registry(
     Rule("API001", "all-drift", "__all__ names a symbol the module does not define", "module"),
     Rule("API002", "missing-from-all", "public definition missing from __all__", "module"),
     Rule("API003", "missing-docstring", "public function or class without a docstring", "module"),
-    Rule(
-        "UNT001",
-        "dimension-add-mismatch",
-        "adding quantities of incompatible physical dimensions",
-        "module",
-    ),
-    Rule(
-        "UNT002",
-        "dimension-compare-mismatch",
-        "comparing quantities of incompatible physical dimensions",
-        "module",
-    ),
-    Rule(
-        "UNT003",
-        "magnitude-mixing",
-        "mixing magnitudes of one dimension (pJ vs nJ) without a conversion helper",
-        "module",
-    ),
-    Rule(
-        "UNT004",
-        "bit-byte-conflation",
-        "mixing bits and bytes without an explicit conversion",
-        "module",
-    ),
-    Rule(
-        "UNT005",
-        "parameter-unit-mismatch",
-        "dimensioned value passed to a parameter declared with a different unit",
-        "module",
-    ),
-    Rule(
-        "UNT006",
-        "unitless-literal",
-        "unitless literal folded into dimensioned arithmetic outside the allowlist",
-        "module",
-    ),
     Rule(
         "PAR001",
         "worker-global-mutation",
@@ -346,3 +307,16 @@ def parse_pragmas(lines: list[str]) -> dict[int, set[str]]:
         else:
             pragmas[lineno] = {item.strip() for item in listed.split(",") if item.strip()}
     return pragmas
+
+
+def is_suppressed(finding: Finding, pragmas: dict[int, set[str]]) -> bool:
+    """True when a pragma in ``pragmas`` silences ``finding``.
+
+    A pragma applies on the finding's own line or on line 1 (file-wide),
+    and silences the finding when it names its rule or lists no rules.
+    """
+    for lineno in (finding.line, 1):
+        listed = pragmas.get(lineno)
+        if listed and (ALL_RULES in listed or finding.rule in listed):
+            return True
+    return False

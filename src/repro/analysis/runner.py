@@ -35,9 +35,8 @@ from .conventions import check_conventions
 from .determinism import check_determinism
 from .imports import REPRO_LAYER_MODEL, LayerModel, check_layering
 from .parallel import check_parallel
-from .rules import ALL_RULES, RULES, Finding, SourceModule, load_module, parse_pragmas
+from .rules import RULES, Finding, SourceModule, is_suppressed, load_module, parse_pragmas
 from .serialization import check_serialization
-from .units import check_units
 
 __all__ = [
     "LintReport",
@@ -48,7 +47,7 @@ __all__ = [
     "LINT_REPORT_SCHEMA_VERSION",
 ]
 
-_MODULE_CHECKS = (check_determinism, check_conventions, check_api, check_units)
+_MODULE_CHECKS = (check_determinism, check_conventions, check_api)
 
 #: Version of the :meth:`LintReport.to_json` payload layout.  Additions
 #: (new keys) keep it; renames or removals bump it.
@@ -226,7 +225,7 @@ def _validated_selection(select: Iterable[str] | None) -> set[str] | None:
         if item in RULES:
             selection.add(item)
             continue
-        # A bare family prefix ("UNT", "LAY") selects the whole family.
+        # A bare family prefix ("PAR", "LAY") selects the whole family.
         family = {rule for rule in RULES if rule.startswith(item)}
         if family:
             selection.update(family)
@@ -239,14 +238,6 @@ def _validated_selection(select: Iterable[str] | None) -> set[str] | None:
     return selection
 
 
-def _suppressed(finding: Finding, pragmas: dict[int, set[str]]) -> bool:
-    for lineno in (finding.line, 1):
-        suppressed = pragmas.get(lineno)
-        if suppressed and (ALL_RULES in suppressed or finding.rule in suppressed):
-            return True
-    return False
-
-
 def run_lint(
     paths: Sequence[Path] | None = None,
     *,
@@ -256,7 +247,7 @@ def run_lint(
     """Lint ``paths`` (default: the installed package) and return a report.
 
     ``select`` restricts the run to the given rule ids; a bare family prefix
-    (``"UNT"``, ``"LAY"``) selects every rule in the family, and unknown ids
+    (``"PAR"``, ``"LAY"``) selects every rule in the family, and unknown ids
     raise :class:`ValueError` listing the known rules.  ``model`` parameterises the
     layering rules so synthetic trees can be checked in tests.
     """
@@ -291,7 +282,7 @@ def run_lint(
     findings = [
         finding
         for finding in findings
-        if not _suppressed(finding, pragma_maps.get(finding.path, {}))
+        if not is_suppressed(finding, pragma_maps.get(finding.path, {}))
         and (selection is None or finding.rule in selection)
     ]
     findings.sort()

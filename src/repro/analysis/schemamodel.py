@@ -8,9 +8,8 @@ emission must be canonical (``sort_keys=True``), field-set changes must
 bump the schema version, and fingerprint functions must cover every field
 that influences results.  This module declares those contracts as data,
 exactly like :data:`repro.analysis.imports.REPRO_LAYER_MODEL` declares the
-layering diagram and :data:`repro.analysis.unitmodel.REPRO_UNIT_MODEL`
-declares the unit vocabulary; :mod:`repro.analysis.serialization` then
-*proves* them statically (the SER rule family).
+layering diagram; :mod:`repro.analysis.serialization` then *proves* them
+statically (the SER rule family).
 
 Policy: editing this registry is the review trigger.  Adding a field to a
 persisted payload forces an update of the matching :class:`SchemaSpec`

@@ -55,11 +55,9 @@ Subcommands
 ``lint [PATHS]``
     Run the architecture & determinism linter over the package (or the given
     files/directories); exit 1 if there are findings.  ``--select`` narrows
-    to rule ids or family prefixes (``UNT``), ``--statistics`` appends
-    per-rule and per-family counts, ``--schemas`` prints the extracted
-    persisted-schema report (the ``tests/golden/schemas.json`` pin), and
-    ``--fix-suffixes --dry-run`` reports unit-suffix renames for locals
-    with inferable units.
+    to rule ids or family prefixes (``PAR``), ``--statistics`` appends
+    per-rule and per-family counts, and ``--schemas`` prints the extracted
+    persisted-schema report (the ``tests/golden/schemas.json`` pin).
 """
 
 from __future__ import annotations
@@ -425,8 +423,6 @@ def _cmd_lint(args) -> int:
 
     if args.schemas:
         return _lint_schemas(args)
-    if args.fix_suffixes:
-        return _lint_fix_suffixes(args)
     select = None
     if args.select:
         select = [rule for chunk in args.select for rule in chunk.split(",")]
@@ -463,34 +459,6 @@ def _lint_schemas(args) -> int:
             continue  # SYN001 territory; the normal lint path reports it
     report = schema_report(modules)
     print(json.dumps(report, indent=1, sort_keys=True))
-    return 0
-
-
-def _lint_fix_suffixes(args) -> int:
-    from .analysis import load_module, suggest_suffix_renames
-    from .analysis.runner import collect_files, default_target
-
-    if not args.dry_run:
-        raise SystemExit(
-            "error: --fix-suffixes only supports --dry-run for now; renames "
-            "are reported, not applied"
-        )
-    targets = [Path(p) for p in args.paths] or [default_target()]
-    try:
-        files = collect_files(targets)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    suggestions = []
-    for file in files:
-        try:
-            module = load_module(file)
-        except SyntaxError:
-            continue  # SYN001 territory; the normal lint path reports it
-        suggestions.extend(suggest_suffix_renames(module))
-    for suggestion in suggestions:
-        print(suggestion.render())
-    noun = "rename" if len(suggestions) == 1 else "renames"
-    print(f"{len(suggestions)} suggested {noun} in {len(files)} files scanned (dry run)")
     return 0
 
 
@@ -909,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
     lint.add_argument(
         "--select", action="append", metavar="RULE,...", default=[],
-        help="restrict to the given rule ids or family prefixes like UNT "
+        help="restrict to the given rule ids or family prefixes like PAR "
         "(repeatable, comma-separated)",
     )
     lint.add_argument(
@@ -920,14 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--schemas", action="store_true",
         help="print the extracted persisted-schema report (field sets and "
         "versions) as canonical JSON instead of linting",
-    )
-    lint.add_argument(
-        "--fix-suffixes", action="store_true",
-        help="report unit-suffix renames for locals with inferable units",
-    )
-    lint.add_argument(
-        "--dry-run", action="store_true",
-        help="with --fix-suffixes: report the renames without applying them",
     )
     lint.set_defaults(func=_cmd_lint)
 

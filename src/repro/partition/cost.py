@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..memory.energy import DecoderEnergyModel, SRAMEnergyModel
-from ..units import pj_to_nj
 from .spec import PartitionSpec
 
 __all__ = ["PartitionCostModel"]
@@ -117,7 +116,3 @@ class PartitionCostModel:
     def monolithic_cost(self) -> float:
         """Energy (pJ) of the single-bank baseline (no decoder overhead)."""
         return self.segment_cost(0, self.num_blocks)
-
-    def partition_cost_nj(self, spec: PartitionSpec) -> float:
-        """:meth:`partition_cost` in nanojoules (for report tables)."""
-        return pj_to_nj(self.partition_cost(spec))

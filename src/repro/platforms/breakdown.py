@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..units import pj_to_nj
-
 __all__ = ["EnergyBreakdown"]
 
 
@@ -39,11 +37,6 @@ class EnergyBreakdown:
             + self.compression_unit
             + self.spm
         )
-
-    @property
-    def total_nj(self) -> float:
-        """Total memory-subsystem energy in nanojoules (for report tables)."""
-        return pj_to_nj(self.total)
 
     def as_dict(self) -> dict[str, float]:
         """Component name → pJ mapping (insertion-ordered)."""

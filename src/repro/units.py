@@ -3,11 +3,8 @@
 Every quantity in this package carries its unit in its *name* (``_pj``,
 ``_cycles``, ``_bytes``, ...; see ARCHITECTURE.md "Units and dimensions") and
 every magnitude change goes through one of the helpers below — never through
-an inline ``* 1e-3`` or ``// 8``.  The static units analyzer
-(:mod:`repro.analysis.units`, the UNT rule family) knows these signatures,
-so a conversion routed through a helper type-checks while the equivalent
-ad-hoc arithmetic is flagged as magnitude mixing (UNT003) or bit/byte
-conflation (UNT004).
+an inline ``* 1e-3`` or ``// 8`` — so each conversion is named at its call
+site.
 
 The package-wide unit conventions these helpers anchor:
 
@@ -45,7 +42,7 @@ PJ_PER_PW_NS = 1e-9
 def pj_to_nj(energy_pj: float) -> float:
     """Convert an energy from picojoules to nanojoules."""
     # The conversion helpers are the one place magnitudes may legally mix.
-    return energy_pj / PJ_PER_NJ  # repro: lint-ignore[UNT003]
+    return energy_pj / PJ_PER_NJ
 
 
 def nj_to_pj(energy_nj: float) -> float:

@@ -29,7 +29,7 @@ from repro.analysis.effects import (
 )
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.parallel import WorkerEntryPoint, check_parallel
-from repro.analysis.rules import parse_pragmas
+from repro.analysis.rules import is_suppressed, parse_pragmas
 
 ENTRY = (WorkerEntryPoint("pkg.worker.execute", "test entry point"),)
 
@@ -51,12 +51,7 @@ def par_findings(tmp_path, files, **kwargs):
         str(module.path): parse_pragmas(module.lines) for module in modules
     }
     for finding in check_parallel(modules, **kwargs):
-        pragmas = pragma_maps.get(finding.path, {})
-        suppressed = any(
-            lineno in pragmas and ("*" in pragmas[lineno] or finding.rule in pragmas[lineno])
-            for lineno in (finding.line, 1)
-        )
-        if not suppressed:
+        if not is_suppressed(finding, pragma_maps.get(finding.path, {})):
             findings.append(finding)
     return findings
 
@@ -369,6 +364,25 @@ class TestPAR004WorkerNondeterminism:
                 "import time\n"
                 "def stamp():\n"
                 "    return time.time()  # repro: lint-ignore[DET001]\n"
+            ),
+            "pkg/worker.py": (
+                "from .clock import stamp\n"
+                "def execute(task):\n"
+                "    return stamp()\n"
+            ),
+        }
+        assert par_findings(tmp_path, files) == []
+
+    def test_file_level_det_pragma_does_not_poison_workers(self, tmp_path):
+        # A DET pragma on line 1 sanctions the whole file, so the PAR004 that
+        # would anchor at the clock read (line 4) is never derived.
+        files = {
+            "pkg/__init__.py": "",
+            "pkg/clock.py": (
+                "# repro: lint-ignore[DET001]\n"
+                "import time\n"
+                "def stamp():\n"
+                "    return time.time()\n"
             ),
             "pkg/worker.py": (
                 "from .clock import stamp\n"

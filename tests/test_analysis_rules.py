@@ -6,6 +6,7 @@ self-check in ``test_analysis_selfcheck.py`` proves nothing.
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from repro.analysis.conventions import check_conventions
 from repro.analysis.determinism import check_determinism
 from repro.analysis.imports import check_layering, extract_imports
 from repro.analysis.rules import RULES, parse_pragmas
+from repro.cli import main
 
 
 def write_tree(root: Path, files: dict[str, str]) -> Path:
@@ -606,3 +608,54 @@ class TestPragmasAndRunner:
             assert rule.id == rule_id
             assert rule.scope in ("module", "project")
             assert rule.summary
+
+
+STATIC_VALUEERROR = 'def f(x):\n    raise ValueError("static")\n'
+
+
+class TestStatistics:
+    def test_statistics_counts_by_rule(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "def f(x, b=[]):\n"
+            "    if x:\n"
+            '        raise ValueError("static one")\n'
+            '    raise ValueError("static two")\n'
+        )
+        report = run_lint([path], select=["CON001", "CON003"])
+        assert report.statistics() == {"CON001": 2, "CON003": 1}
+
+    def test_render_text_appends_statistics_block(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(STATIC_VALUEERROR)
+        report = run_lint([path], select=["CON001"])
+        text = report.render_text(statistics=True)
+        assert "CON001 (valueerror-without-value): 1" in text
+        assert "CON001 (" not in report.render_text()
+
+    def test_json_statistics_are_additive_to_schema_v1(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(STATIC_VALUEERROR)
+        report = run_lint([path], select=["CON001"])
+        payload = json.loads(report.to_json(statistics=True))
+        assert payload["version"] == 1
+        assert payload["statistics"] == {"CON001": 1}
+        assert "statistics" not in json.loads(report.to_json())
+
+    def test_select_family_prefix_expands_to_all_con_rules(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "def f(x, b=[]):\n"
+            "    try:\n"
+            "        return b[x]\n"
+            "    except:\n"
+            '        raise ValueError("static")\n'
+        )
+        report = run_lint([path], select=["CON"])
+        assert rules_fired(report.findings) == {"CON001", "CON002", "CON003"}
+
+    def test_cli_statistics_flag(self, tmp_path, capsys):
+        path = tmp_path / "mod.py"
+        path.write_text(STATIC_VALUEERROR)
+        assert main(["lint", str(path), "--select", "CON001", "--statistics"]) == 1
+        assert "CON001 (valueerror-without-value): 1" in capsys.readouterr().out

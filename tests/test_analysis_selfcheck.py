@@ -10,10 +10,12 @@ every exception reviewable.
 
 from __future__ import annotations
 
+import tokenize
 from pathlib import Path
 
 import repro
 from repro.analysis import REPRO_LAYER_MODEL, RULES, run_lint
+from repro.analysis.rules import parse_pragmas
 
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 
@@ -62,3 +64,21 @@ def test_no_blanket_pragmas_in_package():
             if "repro: lint-ignore" in line and "lint-ignore[" not in line:
                 blanket.append(f"{path}:{lineno}")
     assert not blanket, f"blanket lint-ignore pragmas found: {blanket}"
+
+
+def test_package_pragmas_name_registered_rules():
+    # ``parse_pragmas`` accepts any id, so a pragma naming a deleted or
+    # misspelt rule suppresses nothing and would linger unnoticed.  Only
+    # comment tokens count: docstrings quote the pragma syntax.
+    stale = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        with tokenize.open(path) as handle:
+            for token in tokenize.generate_tokens(handle.readline):
+                if token.type != tokenize.COMMENT:
+                    continue
+                for rules in parse_pragmas([token.string]).values():
+                    stale.extend(
+                        f"{path}:{token.start[0]}: {rule}"
+                        for rule in sorted(rules - RULES.keys())
+                    )
+    assert not stale, f"pragmas naming unregistered rules: {stale}"

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import load_module, run_lint, schema_report
-from repro.analysis.rules import RULES, parse_pragmas
+from repro.analysis.rules import RULES, is_suppressed, parse_pragmas
 from repro.analysis.schemamodel import (
     REPRO_SCHEMA_MODEL,
     FingerprintSpec,
@@ -50,13 +50,7 @@ def ser_findings(tmp_path, files, model):
     }
     findings = []
     for finding in check_serialization(modules, model=model):
-        pragmas = pragma_maps.get(finding.path, {})
-        suppressed = any(
-            lineno in pragmas
-            and ("*" in pragmas[lineno] or finding.rule in pragmas[lineno])
-            for lineno in (finding.line, 1)
-        )
-        if not suppressed:
+        if not is_suppressed(finding, pragma_maps.get(finding.path, {})):
             findings.append(finding)
     return findings
 

@@ -77,9 +77,7 @@ def test_two_way_shard_split_is_nontrivial():
 def test_infrastructure_paths_are_file_anchored():
     # The suite's data directories resolve via __file__, so tests pass no
     # matter which directory pytest is launched from.
-    from tests import test_golden_flows, test_units_baseline
+    from tests import test_golden_flows
 
     assert test_golden_flows.GOLDEN_DIR.is_absolute()
     assert test_golden_flows.GOLDEN_DIR.parent == TESTS_DIR
-    assert test_units_baseline.BASELINE_PATH.is_absolute()
-    assert test_units_baseline.BASELINE_PATH.parent == TESTS_DIR
