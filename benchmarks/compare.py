@@ -9,7 +9,7 @@ bootstrap confidence interval on its ``candidate/baseline`` median ratio
 sits entirely above 1 **and** the observed slowdown exceeds a minimum
 practical effect (``--min-effect``).  A separate, deliberately looser
 tail gate fails benchmarks whose p99 blew up while the median stayed
-flat (``--tail-threshold``).
+flat (by more than ``GateConfig.tail_threshold_ratio``).
 
 Raw wall-clock times do not transfer between machines, so each
 benchmark's samples are *normalized by the suite median* of their own
@@ -307,24 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "as a regression (default 0.05)",
     )
     parser.add_argument(
-        "--tail-threshold", type=float,
-        default=benchstats.GateConfig().tail_threshold_ratio,
-        help="allowed fractional p99 growth before the tail gate fails "
-        "(default 0.5; deliberately looser than the median gate)",
-    )
-    parser.add_argument(
-        "--confidence", type=float, default=benchstats.GateConfig().confidence,
-        help="two-sided confidence level of the bootstrap interval (default 0.95)",
-    )
-    parser.add_argument(
-        "--resamples", type=int, default=benchstats.GateConfig().resamples,
-        help="bootstrap resample count (default 2000)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=benchstats.GateConfig().seed,
-        help="bootstrap resampling seed (deterministic gate verdicts)",
-    )
-    parser.add_argument(
         "--legacy-median", action="store_true",
         help="gate on suite-normalized medians against --threshold only "
         "(the pre-v2 behavior; no intervals, no tail gate)",
@@ -411,20 +393,16 @@ def main(argv: list[str] | None = None) -> int:
         gate_label = f"median threshold {args.threshold:.0%}"
     else:
         config = benchstats.GateConfig(
-            confidence=args.confidence,
-            resamples=args.resamples,
             min_effect_ratio=args.min_effect,
-            tail_threshold_ratio=args.tail_threshold,
             legacy_threshold_ratio=args.threshold,
-            seed=args.seed,
         )
         regressions, warnings, notes = compare_distributions(
             baseline_run, candidate_run, config
         )
         notes = list(baseline_run.notes) + notes
         gate_label = (
-            f"CI overlap @{args.confidence:.0%} (min effect "
-            f"{args.min_effect:.0%}, tail {args.tail_threshold:.0%})"
+            f"CI overlap @{config.confidence:.0%} (min effect "
+            f"{config.min_effect_ratio:.0%}, tail {config.tail_threshold_ratio:.0%})"
         )
     drift = manifest_drift(
         load_manifest(args.baseline),

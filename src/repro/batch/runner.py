@@ -9,11 +9,11 @@ cache.  The invariants, in the order they are enforced:
   once, digests it, and looks the (flow, config fingerprint, trace
   digest) key up in the :class:`~repro.batch.cache.ResultCache`.  A hit
   never reaches a worker.
-* **Bit-identical merge** — fresh results are round-tripped through
-  canonical JSON (sorted keys) before merging, so a result is the *same
-  parsed object* whether it was computed serially, computed in a worker,
-  or read back from cache.  ``jobs=1`` vs ``jobs=N`` vs warm-cache rerun
-  therefore merge to ``==``-equal reports, which the batch tests assert.
+* **Bit-identical merge** — worker and inline payloads and cache records
+  are all sorted-keys JSON, so a result is the *same parsed object*
+  whether it was computed serially, computed in a worker, or read back
+  from cache.  ``jobs=1`` vs ``jobs=N`` vs warm-cache rerun therefore
+  merge to ``==``-equal reports, which the batch tests assert.
 * **Retry with capped backoff** — a failed task (an exception in the
   worker, or a worker death breaking the pool) is retried in waves: each
   wave rebuilds the pool if it broke, sleeps an exponentially growing,
@@ -50,7 +50,7 @@ from ..obs.recorder import NullRecorder
 from ..obs.shard import WORKER_SHARD_SCHEMA_VERSION, ShardRecorder
 from ..obs.spans import span
 from ..trace.io import trace_digest
-from ..trace.store import StoreError, load_store, store_digest
+from ..trace.store import StoreError, store_digest
 from .cache import CacheEntry, ResultCache, cache_key, shard_path
 from .flows import run_flow
 from .spec import SweepTask, TraceSpec, shard_of
@@ -166,17 +166,6 @@ class SweepReport:
         )
 
 
-def _canonical(result: dict) -> dict:
-    """Round-trip ``result`` through canonical JSON.
-
-    This is the bit-identity normalizer: whatever path produced the dict
-    (inline call, pickled worker return, cache read), the merged object is
-    the parse of its sorted-keys JSON encoding — so equal computations
-    merge to ``==``-equal objects.
-    """
-    return json.loads(json.dumps(result, sort_keys=True))
-
-
 #: Per-process shard-recorder memo: (pid, root, sweep id) → ShardRecorder.
 #: One worker process must append every task it executes to one shard file,
 #: so the recorder has to outlive individual ``_execute_task`` calls.  The
@@ -238,14 +227,12 @@ def _load_task_trace(spec: TraceSpec, store_map: dict | None = None):
     trace = _TRACE_MEMO.get(key)
     if trace is not None:
         return trace
-    trace = None
     store_path = (store_map or {}).get(spec)
     if store_path is not None:
         try:
-            trace = load_store(store_path, verify=True).to_trace()
+            trace = TraceSpec.store(store_path).load()
         except StoreError:
-            # Corrupt spill == cache miss: fall through to the recipe.
-            trace = None
+            pass  # Corrupt spill == cache miss: fall through to the recipe.
     if trace is None:
         trace = spec.load()
     if len(_TRACE_MEMO) >= _TRACE_MEMO_CAP:
@@ -429,7 +416,7 @@ def run_sweep(
                     recorder.counter(BATCH_CACHE_HITS, 1, flow=task.flow)
                 outcomes[index] = TaskOutcome(
                     task=task,
-                    result=_canonical(entry.result),
+                    result=entry.result,
                     key=key,
                     shard=shard,
                     cached=True,
@@ -462,7 +449,7 @@ def run_sweep(
 
         def merge(item: _Pending, payload: str) -> None:
             nonlocal done_count
-            result = _canonical(json.loads(payload))
+            result = json.loads(payload)
             if cache is not None:
                 cache.store(
                     CacheEntry(

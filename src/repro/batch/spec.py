@@ -227,7 +227,7 @@ class TraceSpec:
         return description
 
     def load(self) -> Trace:
-        """Materialize the trace this spec describes."""
+        """Materialize the trace this spec describes; an invalid one raises."""
         if self.kind == "kernel":
             from ..isa import CPU, load_kernel
 
@@ -251,7 +251,7 @@ class TraceSpec:
         if self.kind == "synthetic":
             generator = _generators()[self.name]
             return generator(**self.params_dict).generate()
-        events = [
+        events = (
             MemoryAccess(
                 time=time,
                 address=address,
@@ -260,9 +260,14 @@ class TraceSpec:
                 space=AddressSpace.from_str(space),
                 value=value,
             )
-            for time, address, size, kind, space, value in (self.events or ())
-        ]
-        return Trace(events, name=self.name)
+            for time, address, size, kind, space, value in self.events
+        )
+        try:
+            trace = Trace(events, name=self.name)
+            trace.validate()
+        except (ValueError, OverflowError) as error:
+            raise ValueError(f"inline trace spec {self.name!r}: {error}") from error
+        return trace
 
 
 @dataclass(frozen=True)

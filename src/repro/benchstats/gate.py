@@ -75,7 +75,6 @@ class GateConfig:
     legacy_threshold_ratio: float = DEFAULT_LEGACY_THRESHOLD_RATIO
     min_samples: int = DEFAULT_MIN_SAMPLES
     seed: int = DEFAULT_BOOTSTRAP_SEED
-    legacy_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ class BenchComparison:
 
     ``mode`` is ``"ci"`` when the interval gate ran and ``"legacy"`` when
     the benchmark fell back to the bare median threshold (too few samples
-    on either side, or :attr:`GateConfig.legacy_only`).  ``ci`` is
-    ``None`` in legacy mode.
+    on either side).  ``ci`` is ``None`` in legacy mode.
     """
 
     name: str
@@ -149,8 +147,7 @@ def evaluate_benchmark(
         else 1.0
     )
     use_legacy = (
-        config.legacy_only
-        or baseline_median <= 0.0
+        baseline_median <= 0.0
         or len(baseline_samples) < config.min_samples
         or len(candidate_samples) < config.min_samples
     )
@@ -173,8 +170,7 @@ def evaluate_benchmark(
         )
         mode = "ci"
     tail_eligible = (
-        not config.legacy_only
-        and len(baseline_samples) >= config.min_samples
+        len(baseline_samples) >= config.min_samples
         and len(candidate_samples) >= config.min_samples
     )
     tail_regressed = (

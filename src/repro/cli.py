@@ -13,8 +13,9 @@ Subcommands
 ``disasm KERNEL``
     Disassemble a kernel back to assembler text.
 ``profile SOURCE``
-    Print the access-profile summary and the hottest blocks of a kernel name
-    or a saved ``.npz``/``.trc`` trace.
+    Print the access-profile summary and the hottest blocks of a trace
+    source.  Every SOURCE argument takes the same forms: a kernel name, a
+    saved ``.npz``/``.trc`` trace, a ``.tstore`` store or a ``synth:`` spec.
 ``optimize SOURCE``
     Run the clustering + partitioning flow (E1) and print the three-way
     energy comparison.  ``--obs-out run.jsonl`` records the run (spans,
@@ -75,11 +76,8 @@ from .report import bar_chart, histogram, render_table
 from .trace import (
     AccessProfile,
     PhaseDetector,
-    Trace,
     address_entropy,
     dominant_stride,
-    load_npz,
-    load_text,
     region_stickiness,
     save_npz,
 )
@@ -94,26 +92,23 @@ _CODECS = {
 }
 
 
-def _load_trace(source: str) -> Trace:
-    """Resolve a trace source: a kernel name, a trace file, or a ``.tstore``."""
-    path = Path(source)
-    if path.suffix == ".npz" and path.exists():
-        return load_npz(path)
-    if path.suffix == ".trc" and path.exists():
-        return load_text(path)
-    if path.suffix == ".tstore" and path.is_dir():
-        from .trace.store import StoreError, load_store
+def _load_trace(source: str, stream: bool = False):
+    """Load a trace source through :meth:`TraceSpec.from_source`; exit on a bad one.
 
-        try:
-            return load_store(path, verify=True).to_trace()
-        except StoreError as error:
-            raise SystemExit(f"error: {error} (cause: {error.__cause__})")
-    if source in kernel_names():
-        return CPU().run(load_kernel(source)).data_trace
-    raise SystemExit(
-        f"error: {source!r} is neither an existing trace file, a packed "
-        f".tstore store, nor a kernel (kernels: {', '.join(kernel_names())})"
-    )
+    ``stream=True`` opens a ``.tstore`` source as a chunked ``StreamedTrace``.
+    """
+    from .batch.spec import TraceSpec
+    from .trace.store import StoreError, open_store
+
+    try:
+        spec = TraceSpec.from_source(source)
+        if stream and spec.kind == "store":
+            return open_store(spec.name)
+        return spec.load()
+    except StoreError as error:
+        raise SystemExit(f"error: {error} (cause: {error.__cause__})")
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -188,19 +183,10 @@ def _cmd_optimize(args) -> int:
     recorder = JsonlRecorder(args.obs_out) if args.obs_out else None
     try:
         with span(recorder, "trace_load", source=args.source):
-            path = Path(args.source)
-            if path.suffix == ".tstore" and path.is_dir():
-                # Store-backed sources stream: the flow plays the trace
-                # chunk-by-chunk off the mmap'd columns, so peak memory is
-                # bounded by the chunk size, not the trace length.
-                from .trace.store import StoreError, open_store
-
-                try:
-                    trace = open_store(path)
-                except StoreError as error:
-                    raise SystemExit(f"error: {error} (cause: {error.__cause__})")
-            else:
-                trace = _load_trace(args.source)
+            # Store-backed sources stream: the flow plays the trace
+            # chunk-by-chunk off the mmap'd columns, so peak memory is
+            # bounded by the chunk size, not the trace length.
+            trace = _load_trace(args.source, stream=True)
         flow = optimize_memory_layout(
             trace,
             recorder=recorder,
@@ -575,14 +561,9 @@ def _cmd_phases(args) -> int:
 def _cmd_trace_pack(args) -> int:
     import json
 
-    from .batch.spec import TraceSpec
     from .trace.store import DEFAULT_CHUNK_EVENTS, STORE_SUFFIX, save_store
 
-    try:
-        spec = TraceSpec.from_source(args.source)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    trace = spec.load()
+    trace = _load_trace(args.source)
     out = Path(args.out)
     if out.suffix != STORE_SUFFIX:
         raise SystemExit(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["EnergyBreakdown"]
+__all__ = ["EnergyBreakdown", "check_report"]
 
 
 @dataclass
@@ -62,3 +62,16 @@ class EnergyBreakdown:
         if baseline.total == 0:
             return 0.0
         return 1.0 - self.total / baseline.total
+
+
+def check_report(report: str, breakdown: EnergyBreakdown, **counts) -> None:
+    """Postcondition of a platform report: energies and counts are ``>= 0``.
+
+    Checks every ``breakdown`` component and every keyword count (bytes,
+    accesses, cycles); the first negative or NaN one raises ``ValueError``
+    naming ``report`` and the field.
+    """
+    fields = {f"breakdown.{name}": pj for name, pj in breakdown.as_dict().items()}
+    for name, value in {**fields, **counts}.items():
+        if not value >= 0:
+            raise ValueError(f"{report}.{name} must be >= 0, got {value!r}")

@@ -41,7 +41,7 @@ from ..obs.counters import COMPRESS_OFFCHIP_BYTES, PLATFORM_ENERGY_PJ
 from ..obs.recorder import Recorder
 from ..obs.spans import span
 from ..trace.trace import Trace
-from .breakdown import EnergyBreakdown
+from .breakdown import EnergyBreakdown, check_report
 
 __all__ = [
     "PlatformConfig",
@@ -105,6 +105,23 @@ class PlatformReport:
     bytes_from_memory: int
     cycles: int = 0
     decompression_cycles: int = 0
+
+    def __post_init__(self) -> None:
+        check_report(
+            "PlatformReport",
+            self.breakdown,
+            icache_accesses=self.icache_stats.accesses,
+            dcache_accesses=self.dcache_stats.accesses,
+            bytes_to_memory=self.bytes_to_memory,
+            bytes_from_memory=self.bytes_from_memory,
+            cycles=self.cycles,
+            decompression_cycles=self.decompression_cycles,
+        )
+        if self.decompression_cycles > self.cycles:
+            raise ValueError(
+                f"PlatformReport.decompression_cycles ({self.decompression_cycles}) "
+                f"exceeds cycles ({self.cycles})"
+            )
 
     @property
     def offchip_bytes(self) -> int:

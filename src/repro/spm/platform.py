@@ -17,7 +17,7 @@ from ..bus.bus import Bus
 from ..cache.cache import Cache, CacheConfig, CacheStats
 from ..memory.energy import BusEnergyModel, DRAMEnergyModel, SRAMEnergyModel
 from ..memory.mainmem import MainMemory
-from ..platforms.breakdown import EnergyBreakdown
+from ..platforms.breakdown import EnergyBreakdown, check_report
 from ..trace.trace import Trace
 from .allocator import SPMAllocation
 
@@ -32,6 +32,15 @@ class SPMPlatformReport:
     spm_accesses: int
     cached_accesses: int
     dcache_stats: CacheStats
+
+    def __post_init__(self) -> None:
+        check_report(
+            "SPMPlatformReport",
+            self.breakdown,
+            spm_accesses=self.spm_accesses,
+            cached_accesses=self.cached_accesses,
+            dcache_accesses=self.dcache_stats.accesses,
+        )
 
     @property
     def spm_coverage(self) -> float:

@@ -120,8 +120,10 @@ class ColumnarTrace:
             ("kinds", self.kinds),
             ("sizes", self.sizes),
             ("spaces", self.spaces),
+            ("values", self.values),
+            ("value_mask", self.value_mask),
         ):
-            if len(column) != n:
+            if column is not None and len(column) != n:
                 raise ValueError(
                     f"column {label} has {len(column)} rows, expected {n}"
                 )
@@ -304,17 +306,26 @@ class ColumnarTrace:
         return int(self.timestamps[-1]) - int(self.timestamps[0]) + 1
 
     def validate(self) -> None:
-        """Check trace invariants; raise ``ValueError`` on violation."""
-        if len(self) and np.any(np.diff(self.timestamps) < 0):
-            index = int(np.flatnonzero(np.diff(self.timestamps) < 0)[0]) + 1
-            raise ValueError(
-                f"timestamps must be non-decreasing: {int(self.timestamps[index])} "
-                f"after {int(self.timestamps[index - 1])}"
-            )
-        if len(self) and int(self.addresses.min()) < 0:
-            raise ValueError(
-                f"addresses must be non-negative, got {int(self.addresses.min())}"
-            )
+        """Check the trace invariants, one vectorized pass per column.
+
+        Timestamps are non-negative and non-decreasing, addresses are
+        non-negative, sizes are positive, and kind and space codes are 0 or
+        1.  A violation raises ``ValueError`` naming the first offending
+        event's index and value.
+        """
+        times, addresses, sizes = self.timestamps, self.addresses, self.sizes
+        decreasing = np.diff(times, prepend=times[:1]) < 0
+        for field, column, bad, rule in (
+            ("timestamp", times, times < 0, "timestamps must be non-negative"),
+            ("timestamp", times, decreasing, "timestamps must be non-decreasing"),
+            ("address", addresses, addresses < 0, "addresses must be non-negative"),
+            ("size", sizes, sizes <= 0, "sizes must be positive"),
+            ("kind code", self.kinds, self.kinds > 1, "kind codes must be 0 or 1"),
+            ("space code", self.spaces, self.spaces > 1, "space codes must be 0 or 1"),
+        ):
+            if bad.any():
+                index = int(np.argmax(bad))
+                raise ValueError(f"event {index} has {field} {int(column[index])}, but {rule}")
 
 
 # -- vectorized kernels ----------------------------------------------------------

@@ -7,7 +7,8 @@ Two formats are supported:
   small fixtures and for eyeballing simulator output;
 * a compact NumPy ``.npz`` format for large traces.
 
-Both round-trip losslessly through :class:`~repro.trace.trace.Trace`.
+Both round-trip losslessly through :class:`~repro.trace.trace.Trace`, and
+both readers reject an invalid trace with a ``ValueError`` naming the file.
 
 :func:`trace_digest` hashes a trace's *content* (every field of every
 event, in order) into a stable hex string — the trace half of the
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .columnar import ColumnarTrace
 from .events import AccessKind, AddressSpace, MemoryAccess
 from .trace import Trace
 
@@ -30,8 +32,6 @@ __all__ = [
     "load_text",
     "save_npz",
     "load_npz",
-    "save_store",
-    "load_store",
     "trace_digest",
     "TRACE_DIGEST_VERSION",
 ]
@@ -41,10 +41,21 @@ __all__ = [
 #: fresh ones.
 TRACE_DIGEST_VERSION = 1
 
+#: Events digested per block: bounds the Python lists one block unpacks.
+_DIGEST_BLOCK = 65536
+
 _NO_VALUE = -1  # sentinel for "event carries no payload" in the npz format
 
-#: Arrays every npz trace archive carries (what :func:`save_npz` writes).
-_NPZ_KEYS = ("times", "addresses", "sizes", "kinds", "spaces", "values", "name")
+#: Numeric arrays every npz trace archive carries (what :func:`save_npz`
+#: writes, besides ``name``), and the dtype each loads as.
+_NPZ_COLUMNS = {
+    "times": np.int64,
+    "addresses": np.int64,
+    "sizes": np.int64,
+    "kinds": np.uint8,
+    "spaces": np.uint8,
+    "values": np.int64,
+}
 
 
 def save_text(trace: Trace, path: str | Path) -> None:
@@ -65,8 +76,8 @@ def save_text(trace: Trace, path: str | Path) -> None:
 def load_text(path: str | Path) -> Trace:
     """Read a text-format trace from ``path``.
 
-    A malformed line, or a timestamp lower than its predecessor's, raises
-    ``ValueError`` naming ``path:line``.
+    A malformed line, a number outside int64, or a timestamp lower than its
+    predecessor's raises ``ValueError`` naming ``path:line``.
     """
     path = Path(path)
     events = []
@@ -94,6 +105,9 @@ def load_text(path: str | Path) -> Trace:
                     space=AddressSpace.from_str(space),
                     value=value,
                 )
+                for integer in (event.time, event.address, event.size, value or 0):
+                    if not -(2**63) <= integer < 2**63:
+                        raise ValueError(f"{integer} does not fit in int64")
             except ValueError as error:
                 raise ValueError(
                     f"{path}:{number}: malformed trace line {line!r}: {error}"
@@ -108,115 +122,116 @@ def load_text(path: str | Path) -> Trace:
 
 
 def save_npz(trace: Trace, path: str | Path) -> None:
-    """Write ``trace`` to ``path`` as a compressed NumPy archive."""
-    n = len(trace)
-    times = np.empty(n, dtype=np.int64)
-    addresses = np.empty(n, dtype=np.int64)
-    sizes = np.empty(n, dtype=np.int32)
-    kinds = np.empty(n, dtype=np.uint8)
-    spaces = np.empty(n, dtype=np.uint8)
-    values = np.empty(n, dtype=np.int64)
-    for index, event in enumerate(trace):
-        times[index] = event.time
-        addresses[index] = event.address
-        sizes[index] = event.size
-        kinds[index] = 1 if event.is_write else 0
-        spaces[index] = 1 if event.space is AddressSpace.INSTRUCTION else 0
-        values[index] = event.value if event.value is not None else _NO_VALUE
+    """Write ``trace.columnar()``'s columns to ``path`` as a compressed archive.
+
+    ``sizes`` is stored as int32 and a ``values`` entry of -1 means "no
+    payload", so a size beyond int32 or a payload of -1 raises ``ValueError``
+    naming the event rather than change on reload.
+    """
+    columnar = trace.columnar()
+    oversized = np.flatnonzero(columnar.sizes > np.iinfo(np.int32).max)
+    if len(oversized):
+        index = int(oversized[0])
+        raise ValueError(
+            f"event {index} has size {int(columnar.sizes[index])}, beyond the "
+            f"npz format's int32 sizes"
+        )
+    values = np.full(len(columnar), _NO_VALUE, dtype=np.int64)
+    if columnar.values is not None and columnar.value_mask is not None:
+        mask = columnar.value_mask
+        collides = np.flatnonzero(mask & (columnar.values == _NO_VALUE))
+        if len(collides):
+            raise ValueError(
+                f"event {int(collides[0])} carries payload {_NO_VALUE}, which the "
+                f"npz format reserves for 'no payload'"
+            )
+        values[mask] = columnar.values[mask]
     np.savez_compressed(
         Path(path),
-        times=times,
-        addresses=addresses,
-        sizes=sizes,
-        kinds=kinds,
-        spaces=spaces,
+        times=columnar.timestamps,
+        addresses=columnar.addresses,
+        sizes=columnar.sizes.astype(np.int32),
+        kinds=columnar.kinds,
+        spaces=columnar.spaces,
         values=values,
         name=np.array(trace.name),
     )
 
 
-def save_store(trace: Trace, path: str | Path, chunk_size: int | None = None) -> Path:
-    """Pack ``trace`` into an on-disk columnar store directory.
-
-    Thin convenience over :func:`repro.trace.store.save_store` (imported
-    lazily; the store module depends on this one for the digest version).
-    """
-    from .store import DEFAULT_CHUNK_EVENTS
-    from .store import save_store as _save_store
-
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_EVENTS
-    return _save_store(trace, path, chunk_size=chunk_size)
-
-
-def load_store(path: str | Path, verify: bool = False) -> Trace:
-    """Load a store directory back as a scalar :class:`Trace`.
-
-    Materializes every event (one O(n) pass) — the symmetric counterpart
-    of :func:`save_store` for consumers that want event objects.  Use
-    :func:`repro.trace.store.load_store`/``open_store`` for the zero-copy
-    columnar and streamed views.
-    """
-    from .store import load_store as _load_store
-
-    return _load_store(path, verify=verify).to_trace()
-
-
-def trace_digest(trace: Trace) -> str:
+def trace_digest(trace) -> str:
     """Content digest of ``trace``: SHA-256 hex over the canonical event stream.
 
-    Every event contributes all of its fields (time, kind, space, address,
-    size, payload) in trace order; the trace *name* is deliberately excluded
-    so two identical event streams digest alike regardless of labelling —
-    the content-addressing property the batch result cache relies on.
+    One fold over ``trace.chunks()``, so a :class:`Trace`, a ``ColumnarTrace``
+    and a ``StreamedTrace`` of the same events digest alike.  Every event
+    contributes all of its fields (time, kind, space, address, size,
+    payload) in trace order; the trace *name* is deliberately excluded so
+    two identical event streams digest alike regardless of labelling — the
+    content-addressing property the batch result cache relies on.
     """
     hasher = hashlib.sha256()
     hasher.update(f"repro-trace-digest-v{TRACE_DIGEST_VERSION}\n".encode("ascii"))
-    for event in trace:
-        hasher.update(
-            (
-                f"{event.time} {event.kind.value} {event.space.value} "
-                f"{event.address:#x} {event.size} {event.value}\n"
-            ).encode("ascii")
-        )
+    kind_codes = (AccessKind.READ.value, AccessKind.WRITE.value)
+    space_codes = (AddressSpace.DATA.value, AddressSpace.INSTRUCTION.value)
+    for chunk in trace.chunks():
+        for start in range(0, len(chunk), _DIGEST_BLOCK):
+            block = slice(start, start + _DIGEST_BLOCK)
+            times = chunk.timestamps[block].tolist()
+            addresses = chunk.addresses[block].tolist()
+            sizes = chunk.sizes[block].tolist()
+            kinds = chunk.kinds[block].tolist()
+            spaces = chunk.spaces[block].tolist()
+            if chunk.values is not None and chunk.value_mask is not None:
+                raw = chunk.values[block].tolist()
+                mask = chunk.value_mask[block].tolist()
+                values = [value if has else None for value, has in zip(raw, mask)]
+            else:
+                values = [None] * len(times)
+            for index in range(len(times)):
+                hasher.update(
+                    (
+                        f"{times[index]} {kind_codes[kinds[index]]} "
+                        f"{space_codes[spaces[index]]} {addresses[index]:#x} "
+                        f"{sizes[index]} {values[index]}\n"
+                    ).encode("ascii")
+                )
     return hasher.hexdigest()
 
 
 def load_npz(path: str | Path) -> Trace:
     """Read an npz-format trace from ``path``.
 
-    A missing archive key, or a timestamp lower than its predecessor's,
-    raises ``ValueError`` naming the file (and the key or event index).
+    Each key :func:`save_npz` writes must be present, each numeric one a 1-D
+    integer array within its dtype; the columns then convert through one
+    ``ColumnarTrace`` that must pass ``validate()``.  A violation raises
+    ``ValueError`` naming the file (and the key or event index).
     """
+    columns = {}
     with np.load(Path(path)) as data:
-        missing = [key for key in _NPZ_KEYS if key not in data.files]
+        missing = [key for key in (*_NPZ_COLUMNS, "name") if key not in data.files]
         if missing:
             raise ValueError(f"{path}: npz trace archive is missing key {missing[0]!r}")
-        times = data["times"]
-        backwards = np.flatnonzero(np.diff(times) < 0)
-        if len(backwards):
-            index = int(backwards[0]) + 1
-            raise ValueError(
-                f"{path}: event {index} has timestamp {int(times[index])}, lower "
-                f"than the previous event's {int(times[index - 1])}"
-            )
-        events = [
-            MemoryAccess(
-                time=int(time),
-                address=int(address),
-                size=int(size),
-                kind=AccessKind.WRITE if kind else AccessKind.READ,
-                space=AddressSpace.INSTRUCTION if space else AddressSpace.DATA,
-                value=int(value) if value != _NO_VALUE else None,
-            )
-            for time, address, size, kind, space, value in zip(
-                times,
-                data["addresses"],
-                data["sizes"],
-                data["kinds"],
-                data["spaces"],
-                data["values"],
-            )
-        ]
+        for key, dtype in _NPZ_COLUMNS.items():
+            column = data[key]
+            columns[key] = column.astype(dtype, copy=False)
+            fits = np.array_equal(columns[key], column)
+            if column.ndim != 1 or column.dtype.kind not in "iu" or not fits:
+                raise ValueError(
+                    f"{path}: npz key {key!r} must be a 1-D integer array within "
+                    f"{np.dtype(dtype)}, got {column.ndim}-D {column.dtype}"
+                )
         name = str(data["name"])
-    return Trace(events, name=name)
+    try:
+        columnar = ColumnarTrace(
+            columns["addresses"],
+            columns["times"],
+            columns["kinds"],
+            columns["sizes"],
+            spaces=columns["spaces"],
+            values=columns["values"],
+            value_mask=columns["values"] != _NO_VALUE,
+            name=name,
+        )
+        columnar.validate()
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from error
+    return columnar.to_trace()

@@ -51,9 +51,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .columnar import ColumnarTrace
-from .events import AccessKind, AddressSpace
-from .io import TRACE_DIGEST_VERSION
-from .trace import Trace
+from .io import trace_digest
 
 __all__ = [
     "TRACE_STORE_SCHEMA_VERSION",
@@ -62,7 +60,6 @@ __all__ = [
     "StoreError",
     "StreamedTrace",
     "build_store_header",
-    "columnar_digest",
     "save_store",
     "read_store_header",
     "load_store",
@@ -97,9 +94,6 @@ _REQUIRED_COLUMNS = (
 #: Optional value-payload columns (present together or not at all).
 _VALUE_COLUMNS = (("values", "int64"), ("value_mask", "bool"))
 
-#: Events digested per block while hashing a columnar trace.
-_DIGEST_BLOCK = 65536
-
 
 class StoreError(RuntimeError):
     """A trace store failed validation (corrupt, truncated, or mismatched).
@@ -108,42 +102,6 @@ class StoreError(RuntimeError):
     NumPy load failure, or a :class:`ValueError` naming the violated
     invariant), so ``__cause__`` explains *why* the store was rejected.
     """
-
-
-def columnar_digest(columnar: ColumnarTrace) -> str:
-    """Content digest of a columnar trace, identical to :func:`~repro.trace.io.trace_digest`.
-
-    Hashes the same canonical per-event lines the scalar digest hashes
-    (time, kind, space, address, size, payload; name excluded), so a trace
-    digests alike whether it is held as events or as columns — the
-    property that lets the store header carry the batch-cache identity.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(f"repro-trace-digest-v{TRACE_DIGEST_VERSION}\n".encode("ascii"))
-    kind_codes = (AccessKind.READ.value, AccessKind.WRITE.value)
-    space_codes = (AddressSpace.DATA.value, AddressSpace.INSTRUCTION.value)
-    for start in range(0, len(columnar), _DIGEST_BLOCK):
-        block = slice(start, start + _DIGEST_BLOCK)
-        times = columnar.timestamps[block].tolist()
-        addresses = columnar.addresses[block].tolist()
-        sizes = columnar.sizes[block].tolist()
-        kinds = columnar.kinds[block].tolist()
-        spaces = columnar.spaces[block].tolist()
-        if columnar.values is not None and columnar.value_mask is not None:
-            raw = columnar.values[block].tolist()
-            mask = columnar.value_mask[block].tolist()
-            values = [value if has else None for value, has in zip(raw, mask)]
-        else:
-            values = [None] * len(times)
-        for index in range(len(times)):
-            hasher.update(
-                (
-                    f"{times[index]} {kind_codes[kinds[index]]} "
-                    f"{space_codes[spaces[index]]} {addresses[index]:#x} "
-                    f"{sizes[index]} {values[index]}\n"
-                ).encode("ascii")
-            )
-    return hasher.hexdigest()
 
 
 def _column_arrays(columnar: ColumnarTrace) -> dict:
@@ -175,10 +133,9 @@ def build_store_header(
     """Assemble the ``header.json`` payload for one trace.
 
     ``digest`` is the trace's content digest
-    (:func:`~repro.trace.io.trace_digest` /:func:`columnar_digest`); the
-    per-column SHA-256 digests and the self-describing ``header_digest``
-    are computed here.  Keys are emitted sorted (canonical JSON) by
-    :func:`save_store`.
+    (:func:`~repro.trace.io.trace_digest`); the per-column SHA-256 digests
+    and the self-describing ``header_digest`` are computed here.  Keys are
+    emitted sorted (canonical JSON) by :func:`save_store`.
     """
     columns = {
         name: {
@@ -205,15 +162,17 @@ def save_store(
     """Pack a trace into an on-disk store directory; return its path.
 
     ``trace`` may be a scalar :class:`~repro.trace.trace.Trace` or a
-    :class:`~repro.trace.columnar.ColumnarTrace`.  The store is assembled
-    in a scratch sibling directory and renamed into place, so a crash
-    mid-pack never leaves a half-written store under the target name.
+    :class:`~repro.trace.columnar.ColumnarTrace`; an invalid one raises
+    ``ValueError`` before anything is written.  The store is assembled in a
+    scratch sibling directory and renamed into place, so a crash mid-pack
+    never leaves a half-written store under the target name.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     columnar = trace if isinstance(trace, ColumnarTrace) else trace.columnar()
+    columnar.validate()
     path = Path(path)
-    header = build_store_header(columnar, chunk_size, columnar_digest(columnar))
+    header = build_store_header(columnar, chunk_size, trace_digest(columnar))
     scratch = path.with_name(f"{path.name}.packing-{os.getpid()}")
     if scratch.exists():
         shutil.rmtree(scratch)

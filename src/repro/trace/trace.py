@@ -96,18 +96,8 @@ class Trace:
     # -- validation ---------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check trace invariants; raise ``ValueError`` on violation.
-
-        Invariants: timestamps non-decreasing, all addresses non-negative
-        (already enforced per-event).
-        """
-        previous = -1
-        for event in self._events:
-            if event.time < previous:
-                raise ValueError(
-                    f"timestamps must be non-decreasing: {event.time} after {previous}"
-                )
-            previous = event.time
+        """Raise ``ValueError`` if ``ColumnarTrace.validate`` rejects :meth:`columnar`."""
+        self.columnar().validate()
 
     # -- filtering ----------------------------------------------------------------
 

@@ -13,6 +13,7 @@ test-sized traces only.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -24,6 +25,7 @@ from repro.partition.evaluate import build_memory
 from repro.reconfig import Application, DataSet, Kernel
 from repro.spm import SPMAllocation, SPMAllocator
 from repro.trace import AccessProfile, Trace
+from repro.trace.io import TRACE_DIGEST_VERSION
 
 __all__ = [
     "play",
@@ -37,6 +39,7 @@ __all__ = [
     "region_transition_matrix",
     "trace_to_application",
     "translate_rounded",
+    "trace_digest",
 ]
 
 
@@ -262,3 +265,17 @@ def translate_rounded(spec, trace: Trace) -> Trace:
         return physical_bases[low] + (address - exact_edges[low])
 
     return trace.remap(translate)
+
+
+def trace_digest(trace: Trace) -> str:
+    """:func:`repro.trace.io.trace_digest`: hash each event's canonical line in order."""
+    hasher = hashlib.sha256()
+    hasher.update(f"repro-trace-digest-v{TRACE_DIGEST_VERSION}\n".encode("ascii"))
+    for event in trace:
+        hasher.update(
+            (
+                f"{event.time} {event.kind.value} {event.space.value} "
+                f"{event.address:#x} {event.size} {event.value}\n"
+            ).encode("ascii")
+        )
+    return hasher.hexdigest()

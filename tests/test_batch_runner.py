@@ -116,6 +116,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="got -1"):
             run_sweep([], retries=-1)
 
+    @pytest.mark.parametrize("flow", ["e1_clustering", "e4_reconfig"])
+    def test_inline_trace_with_decreasing_timestamps_fails_loudly(self, flow):
+        events = tuple(
+            (time, 4 * index, 4, "R", "D", None)
+            for index, time in enumerate((500, 0, 1000))
+        )
+        spec = TraceSpec(kind="inline", name="travel", events=events)
+        with pytest.raises(ValueError, match="'travel': event 1 has timestamp 0"):
+            run_sweep([SweepTask.make(flow, spec)])
+
     def test_empty_sweep_is_a_noop(self):
         report = run_sweep([], jobs=2)
         assert report.outcomes == ()

@@ -50,6 +50,11 @@ class TestCommands:
         assert main(["profile", str(path)]) == 0
         assert "accesses" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["profile", "phases", "optimize"])
+    def test_trace_commands_accept_synth_specs(self, command, capsys):
+        assert main([command, "synth:hot_cold:accesses=2000,seed=7"]) == 0
+        assert capsys.readouterr().out
+
     def test_profile_unknown_source_exits(self):
         with pytest.raises(SystemExit, match="neither"):
             main(["profile", "no_such_thing"])

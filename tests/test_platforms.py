@@ -1,7 +1,10 @@
 """Unit and integration tests for the platform models (E2 substrate)."""
 
+import dataclasses
+
 import pytest
 
+from repro.cache import CacheStats
 from repro.compress import DifferentialCodec, ZeroRunCodec
 from repro.isa import load_kernel
 from repro.platforms import EnergyBreakdown, Platform, PlatformConfig, risc_platform, vliw_platform
@@ -54,6 +57,24 @@ class TestPlatformBasics:
     def test_presets_differ(self):
         assert risc_platform().config.icache.size < vliw_platform().config.icache.size
         assert vliw_platform().config.issue_width == 4
+
+
+class TestReportPostconditions:
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"breakdown": EnergyBreakdown(bus=-1.0)}, "breakdown.bus"),
+            ({"breakdown": EnergyBreakdown(dram=float("nan"))}, "breakdown.dram"),
+            ({"bytes_to_memory": -4}, "bytes_to_memory"),
+            ({"dcache_stats": CacheStats(accesses=-1)}, "dcache_accesses"),
+            ({"cycles": -1}, "cycles"),
+            ({"decompression_cycles": 10**9}, "decompression_cycles"),
+        ],
+    )
+    def test_bad_report_is_rejected(self, saxpy_run, change, field):
+        report = risc_platform().run_traces(saxpy_run.data_trace)
+        with pytest.raises(ValueError, match=f"PlatformReport.{field} "):
+            dataclasses.replace(report, **change)
 
 
 class TestCompressionOnPlatform:

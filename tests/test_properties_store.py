@@ -8,7 +8,8 @@ a ``Trace``, as its ``ColumnarTrace`` (one chunk), and packed into a
 result to equal the oracle's with ``==``: bit-identical floats, identical
 counts, identical dict order.  Chunk sizes are drawn past the maximum trace
 length (120), so one event per chunk, chunks straddling idle intervals and
-the whole trace in one chunk are all exercised.
+the whole trace in one chunk are all exercised.  The round-trip property
+pins ``trace_digest`` the same way: oracle == digest on all three forms.
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ def test_round_trip_is_bit_identical(tmp_path_factory, case, chunk_size):
     assert len(loaded) == len(trace)
     for want, got in zip(trace, loaded.to_trace()):
         assert want == got
-    assert store_digest(path) == trace_digest(trace)
+    reference = oracle.trace_digest(trace)
+    assert store_digest(path) == reference
+    for view in (trace, loaded, open_store(path)):
+        assert trace_digest(view) == reference
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,10 @@
 """Tests for the scratchpad allocation subsystem."""
 
+import dataclasses
+
 import pytest
 
+from repro.platforms import EnergyBreakdown
 from repro.spm import SPMAllocator, SPMConfig, SPMPlatform
 from repro.trace import AccessProfile, MemoryAccess, ScatteredHotGenerator, Trace
 
@@ -65,6 +68,19 @@ class TestAllocator:
 
 
 class TestSPMPlatform:
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"breakdown": EnergyBreakdown(spm=-1.0)}, "breakdown.spm"),
+            ({"spm_accesses": -1}, "spm_accesses"),
+            ({"cached_accesses": -1}, "cached_accesses"),
+        ],
+    )
+    def test_bad_report_is_rejected(self, scattered_trace, change, field):
+        report = SPMPlatform().run_traces(scattered_trace, allocation=None)
+        with pytest.raises(ValueError, match=f"SPMPlatformReport.{field} "):
+            dataclasses.replace(report, **change)
+
     def test_no_allocation_equals_pure_cache_path(self, scattered_trace):
         platform = SPMPlatform()
         report = platform.run_traces(scattered_trace, allocation=None)

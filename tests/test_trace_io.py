@@ -70,7 +70,15 @@ class TestTextFormat:
             load_text(path)
 
     @pytest.mark.parametrize(
-        "line", ["0 R D", "x R D 0x0 4", "0 Q D 0x0 4", "0 R D 0xzz 4", "0 R D 0x0 0"]
+        "line",
+        [
+            "0 R D",
+            "x R D 0x0 4",
+            "0 Q D 0x0 4",
+            "0 R D 0xzz 4",
+            "0 R D 0x0 0",
+            "0 R D 0x10000000000000000 4",
+        ],
     )
     def test_every_parse_error_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "bad.trc"
@@ -124,3 +132,41 @@ class TestNpzFormat:
         save_npz(Trace([MemoryAccess(time=t, address=4 * t) for t in times]), path)
         with pytest.raises(ValueError, match=r"travel\.npz: event 1 has timestamp 0"):
             load_npz(path)
+
+    @pytest.mark.parametrize(
+        "key, column, message",
+        [
+            ("values", np.array([-1]), "values has 1 rows, expected 2"),
+            ("times", np.array([0.5, 4.9]), "'times' must be a 1-D integer array"),
+            ("addresses", np.array([0.0, 4.0]), "'addresses' must be a 1-D integer"),
+            ("kinds", np.array([0, 3], dtype=np.uint8), "event 1 has kind code 3"),
+            ("kinds", np.array([0, 256]), "'kinds' must be a 1-D integer array within uint8"),
+        ],
+        ids=["short-values", "float-times", "float-addresses", "kind-3", "kind-256"],
+    )
+    def test_malformed_column_names_file(self, tmp_path, key, column, message):
+        path = tmp_path / "bad.npz"
+        events = [MemoryAccess(time=0, address=0), MemoryAccess(time=1, address=4)]
+        save_npz(Trace(events), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[key] = column
+        np.savez(path, **arrays)
+        pattern = re.escape(f"{path}: ") + ".*" + re.escape(message)
+        with pytest.raises(ValueError, match=pattern):
+            load_npz(path)
+
+    def test_payload_colliding_with_the_no_payload_sentinel_raises(self, tmp_path):
+        trace = Trace(
+            [
+                MemoryAccess(time=0, address=0, value=7),
+                MemoryAccess(time=1, address=4, value=-1),
+            ]
+        )
+        with pytest.raises(ValueError, match="event 1 carries payload -1"):
+            save_npz(trace, tmp_path / "collide.npz")
+
+    def test_size_beyond_int32_raises(self, tmp_path):
+        trace = Trace([MemoryAccess(time=0, address=0, size=2**31)])
+        with pytest.raises(ValueError, match="event 0 has size 2147483648"):
+            save_npz(trace, tmp_path / "wide.npz")

@@ -4,7 +4,8 @@ Covers the three contracts :mod:`repro.trace.store` makes:
 
 * **Round-trip bit-identity** — ``save_store``/``load_store`` reproduce
   every column and every event exactly, and the header's ``trace_digest``
-  equals the scalar :func:`repro.trace.io.trace_digest`.
+  equals :func:`repro.trace.io.trace_digest` of the packed trace; a trace
+  failing the column check is never packed.
 * **Loud corruption** — a truncated column, a flipped header byte, a
   wrong schema version, or tampered column data each raise
   :class:`~repro.trace.store.StoreError` chained onto a cause, never
@@ -24,10 +25,8 @@ import pytest
 
 from repro.batch import ResultCache, SweepTask, TraceSpec, run_sweep
 from repro.batch import runner as batch_runner
-from repro.trace import Trace
+from repro.trace import ColumnarTrace, Trace
 from repro.trace.io import trace_digest
-from repro.trace.io import load_store as io_load_store
-from repro.trace.io import save_store as io_save_store
 from repro.trace.store import (
     DEFAULT_CHUNK_EVENTS,
     TRACE_STORE_SCHEMA_VERSION,
@@ -103,13 +102,6 @@ class TestRoundTrip:
         columnar_header = read_store_header(from_columnar)
         assert scalar_header == columnar_header
 
-    def test_io_module_wrappers_round_trip_a_trace(self, tmp_path):
-        trace = hot_cold_trace(accesses=400, seed=3)
-        path = io_save_store(trace, tmp_path / "io.tstore", chunk_size=128)
-        loaded = io_load_store(path)
-        assert isinstance(loaded, Trace)
-        assert_traces_equal(trace, loaded)
-
     def test_repacking_over_an_existing_store_replaces_it(self, tmp_path):
         first = hot_cold_trace(accesses=300, seed=1)
         second = hot_cold_trace(accesses=500, seed=2)
@@ -118,6 +110,13 @@ class TestRoundTrip:
         save_store(second, path)
         assert read_store_header(path)["events"] == len(second)
         assert_traces_equal(second, load_store(path).to_trace())
+
+    def test_rejects_an_invalid_trace_before_writing(self, tmp_path):
+        travel = ColumnarTrace.from_arrays([0, 4, 8], [500, 0, 1000])
+        path = tmp_path / "travel.tstore"
+        with pytest.raises(ValueError, match="event 1 has timestamp 0"):
+            save_store(travel, path)
+        assert not path.exists()
 
     def test_rejects_nonpositive_chunk_size(self, tmp_path):
         with pytest.raises(ValueError, match="chunk_size"):
