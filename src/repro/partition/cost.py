@@ -57,6 +57,15 @@ class PartitionCostModel:
     def __post_init__(self) -> None:
         self.reads = np.asarray(self.reads, dtype=np.int64)
         self.writes = np.asarray(self.writes, dtype=np.int64)
+        for name, counts in (("reads", self.reads), ("writes", self.writes)):
+            if counts.ndim != 1 or not len(counts):
+                raise ValueError(
+                    f"{name} must be a non-empty 1-D count array, got shape {counts.shape}"
+                )
+            negative = np.flatnonzero(counts < 0)
+            if len(negative):
+                index = int(negative[0])
+                raise ValueError(f"{name}[{index}] is negative: {int(counts[index])}")
         if self.reads.shape != self.writes.shape:
             raise ValueError(
                 f"reads {self.reads.shape} and writes {self.writes.shape} "
@@ -64,6 +73,8 @@ class PartitionCostModel:
             )
         if self.block_size <= 0:
             raise ValueError(f"block_size must be positive, got {self.block_size}")
+        if self.leakage_cycles < 0:
+            raise ValueError(f"leakage_cycles must be non-negative, got {self.leakage_cycles}")
         self._read_prefix = np.concatenate([[0], np.cumsum(self.reads)])
         self._write_prefix = np.concatenate([[0], np.cumsum(self.writes)])
 
@@ -96,6 +107,38 @@ class PartitionCostModel:
         if self.leakage_cycles:
             dynamic_pj += self.sram_model.leakage_energy(capacity, self.leakage_cycles)
         return dynamic_pj
+
+    def segment_costs(self, edges: np.ndarray | list[int]) -> np.ndarray:
+        """Energy (pJ) of every segment between a set of block edges, at once.
+
+        ``edges`` is strictly increasing within ``[0, num_blocks]``.  Entry
+        ``[i, j]`` of the ``len(edges)``-square result is
+        ``segment_cost(edges[i], edges[j])`` bit for bit when ``i < j``, and
+        ``inf`` otherwise: each distinct segment length is priced once
+        through the same SRAM model calls, the counts are the same prefix
+        differences, and each entry sums in the same float64 order.
+        """
+        edges = np.asarray(edges, dtype=np.int64)
+        inside = np.all((edges >= 0) & (edges <= self.num_blocks))
+        if edges.ndim != 1 or not inside or np.any(np.diff(edges) <= 0):
+            raise ValueError(f"bad segment edges {edges.tolist()}")
+        lengths = edges[None, :] - edges[:, None]
+        upper = lengths > 0
+        distinct, which = np.unique(lengths[upper], return_inverse=True)
+        capacities = [self._bank_capacity(length) for length in distinct.tolist()]
+        read_pj = np.array([self.sram_model.read_energy(c) for c in capacities])
+        write_pj = np.array([self.sram_model.write_energy(c) for c in capacities])
+        reads = (self._read_prefix[edges][None, :] - self._read_prefix[edges][:, None])[upper]
+        writes = (self._write_prefix[edges][None, :] - self._write_prefix[edges][:, None])[upper]
+        priced = reads * read_pj[which] + writes * write_pj[which]
+        if self.leakage_cycles:
+            leakage_pj = np.array(
+                [self.sram_model.leakage_energy(c, self.leakage_cycles) for c in capacities]
+            )
+            priced += leakage_pj[which]
+        segment = np.full(lengths.shape, np.inf)
+        segment[upper] = priced
+        return segment
 
     def decoder_cost(self, num_banks: int) -> float:
         """Total decoder energy (pJ): every access pays the selection overhead."""

@@ -5,12 +5,16 @@ per-block access counts in layout order, find the division into at most ``k``
 contiguous segments that minimizes total memory energy (bank access energy +
 bank-select decoder energy).
 
-The DP is exact over a chosen granularity: ``cost[j][m]`` = cheapest energy of
-serving blocks ``[0, j)`` with exactly ``m`` banks, with the classic
-O(n²·k) recurrence.  For large footprints the block array is first coalesced
-into at most ``max_dp_cells`` contiguous cells (adjacent blocks merged), which
-keeps runtime bounded while preserving the hot/cold structure — the papers do
-the same by partitioning at page rather than word granularity.
+The DP is exact over a chosen granularity: ``dp[m][j]`` = cheapest energy of
+serving cells ``[0, j)`` with exactly ``m`` banks, with the classic O(n²·k)
+recurrence ``dp[m][j] = min_i dp[m-1][i] + segment[i][j]``.  The cost model
+prices the whole ``segment`` matrix at once, and each bank count ``m`` is one
+``argmin`` over ``dp[m-1][:, None] + segment``.  For large footprints the block
+array is first coalesced into at most ``max_dp_cells`` contiguous cells
+(adjacent blocks merged), which keeps runtime bounded while preserving the
+hot/cold structure — the papers do the same by partitioning at page rather
+than word granularity.  The per-cell loop version of the DP is the test
+oracle (``tests/partition_oracle.py``).
 """
 
 from __future__ import annotations
@@ -77,15 +81,12 @@ class OptimalPartitioner:
         count; otherwise every count in ``[1, max_banks]`` is tried and the
         cheapest (including decoder overhead) wins.
         """
+        if num_banks is not None and num_banks < 1:
+            raise ValueError(f"num_banks must be positive, got {num_banks}")
         cells = _coalesce(cost_model.num_blocks, self.max_dp_cells)
         cell_edges = np.concatenate([[0], np.cumsum(cells)])
         n = len(cells)
-
-        # Pre-compute segment costs between every pair of cell boundaries.
-        segment = np.empty((n + 1, n + 1))
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                segment[i][j] = cost_model.segment_cost(int(cell_edges[i]), int(cell_edges[j]))
+        segment = cost_model.segment_costs(cell_edges)
 
         bank_counts = [num_banks] if num_banks is not None else list(range(1, self.max_banks + 1))
         max_k = max(bank_counts)
@@ -101,14 +102,11 @@ class OptimalPartitioner:
         choice = np.zeros((max_k + 1, n + 1), dtype=np.int64)
         dp[0][0] = 0.0
         for m in range(1, max_k + 1):
-            for j in range(m, n + 1):
-                best, best_i = INF, m - 1
-                for i in range(m - 1, j):
-                    candidate = dp[m - 1][i] + segment[i][j]
-                    if candidate < best:
-                        best, best_i = candidate, i
-                dp[m][j] = best
-                choice[m][j] = best_i
+            # Column j >= m always has a finite candidate (i = m - 1), and
+            # argmin keeps the first minimum, as a strict-< scan over i does.
+            candidate = dp[m - 1][:, None] + segment[:, m:]
+            choice[m, m:] = np.argmin(candidate, axis=0)
+            dp[m, m:] = np.min(candidate, axis=0)
 
         best_result: PartitionResult | None = None
         for k in bank_counts:

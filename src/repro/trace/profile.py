@@ -62,7 +62,14 @@ def reuse_distances(block_sequence: list[int]) -> list[int]:
     distance ``-1`` (conventionally "infinite").
 
     Implemented with an ordered LRU stack; O(n·d) where ``d`` is the mean
-    stack depth — adequate for the trace sizes used in this package.
+    stack depth — adequate for the trace sizes used in this package.  Two
+    array kernels were measured against this walk: a bottom-up merge count
+    of nested reuse intervals and an MSB-first radix split.  Both matched it
+    exactly and were faster on low-locality traces, but 2–3× slower on
+    high-locality ones (a 200k-event Markov trace at 256-byte blocks: 54–65
+    ms for the walk, 160–210 ms for the kernels, on a 2-vCPU Linux VM).
+    Choosing between them by trace size would be a second code path with a
+    threshold, so the walk stays.
     """
     stack: OrderedDict[int, None] = OrderedDict()
     distances: list[int] = []
@@ -244,7 +251,10 @@ class AccessProfile:
 
         Co-occurring pairs are enumerated one window *offset* at a time —
         ``window - 1`` array passes instead of a Python inner loop per
-        event.  Pair counts are exact, and the result dict is populated in
+        event.  Each offset's ``(key, count, first rank)`` arrays fold into
+        a running triple kept sorted by key (one stable merge, then
+        ``reduceat`` sums the counts and keeps the lowest rank).  Pair
+        counts are exact, and the result dict is populated in
         first-encounter order (clustering breaks affinity ties on dict
         order, so the order is part of the contract).
         """
@@ -253,11 +263,11 @@ class AccessProfile:
         sequence = np.asarray(self._sequence, dtype=np.int64)
         compact, dense = np.unique(sequence, return_inverse=True)
         span = len(compact)
-        # pair key -> [count, first-encounter rank]; the rank reproduces the
-        # per-event insertion order: at event i the window pairs oldest-first,
-        # so rank (i * window - offset) orders first by event, then by
-        # descending offset.
-        merged: dict[int, list[int]] = {}
+        # Running (pair key, count, first-encounter rank), sorted by key.  The
+        # rank reproduces the per-event insertion order: at event i the window
+        # pairs oldest-first, so rank (i * window - offset) orders first by
+        # event, then by descending offset.
+        keys = counts = ranks = np.empty(0, dtype=np.int64)
         for offset in range(1, window):
             if offset >= len(dense):
                 break
@@ -268,28 +278,23 @@ class AccessProfile:
                 continue
             low = np.minimum(current[mask], previous[mask])
             high = np.maximum(current[mask], previous[mask])
-            keys = low * span + high
-            unique_keys, first_index, counts = np.unique(
-                keys, return_index=True, return_counts=True
+            offset_keys, first_index, offset_counts = np.unique(
+                low * span + high, return_index=True, return_counts=True
             )
             event_index = np.flatnonzero(mask)[first_index] + offset
-            ranks = event_index * window - offset
-            for key, count, rank in zip(
-                unique_keys.tolist(), counts.tolist(), ranks.tolist()
-            ):
-                entry = merged.get(key)
-                if entry is None:
-                    merged[key] = [count, rank]
-                elif rank < entry[1]:
-                    entry[0] += count
-                    entry[1] = rank
-                else:
-                    entry[0] += count
-        affinity: dict[tuple[int, int], int] = {}
-        for key, (count, _rank) in sorted(merged.items(), key=lambda item: item[1][1]):
-            pair = (int(compact[key // span]), int(compact[key % span]))
-            affinity[pair] = count
-        return affinity
+            merged = np.concatenate([keys, offset_keys])
+            order = np.argsort(merged, kind="stable")
+            merged = merged[order]
+            starts = np.flatnonzero(np.concatenate([[True], merged[1:] != merged[:-1]]))
+            keys = merged[starts]
+            counts = np.add.reduceat(np.concatenate([counts, offset_counts])[order], starts)
+            ranks = np.minimum.reduceat(
+                np.concatenate([ranks, event_index * window - offset])[order], starts
+            )
+        order = np.argsort(ranks)
+        keys, counts = keys[order], counts[order]
+        pairs = zip(compact[keys // span].tolist(), compact[keys % span].tolist())
+        return dict(zip(pairs, counts.tolist()))
 
     def summary(self) -> dict[str, float]:
         """Dictionary of headline profile metrics, handy for reports/tests."""

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest
+
 _COMPARE_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "compare.py"
 _spec = importlib.util.spec_from_file_location("bench_compare", _COMPARE_PATH)
 compare_module = importlib.util.module_from_spec(_spec)
@@ -402,4 +404,6 @@ class TestManifestDrift:
     def test_committed_baseline_carries_a_manifest(self):
         manifest = compare_module.load_manifest(compare_module.DEFAULT_BASELINE)
         assert manifest is not None
-        assert manifest["engine"].get("columnar_threshold") == 4096
+        # Exactly a current run manifest: no stale keys survive a refresh.
+        assert manifest["schema"] == MANIFEST_SCHEMA_VERSION
+        assert RunManifest.from_dict(manifest).to_dict() == manifest

@@ -92,6 +92,12 @@ class TestOptimalPartitioner:
         with pytest.raises(ValueError):
             OptimalPartitioner(max_banks=8, max_dp_cells=4)
 
+    @pytest.mark.parametrize("num_banks", [0, -1])
+    def test_num_banks_must_be_positive(self, num_banks):
+        model = model_from_counts([5, 1, 5])
+        with pytest.raises(ValueError, match=f"num_banks must be positive, got {num_banks}"):
+            OptimalPartitioner(max_banks=4).partition(model, num_banks=num_banks)
+
 
 class TestGreedyPartitioner:
     def test_never_worse_than_single_bank(self):

@@ -100,6 +100,49 @@ class TestCostModel:
                 reads=np.array([1, 2]), writes=np.array([1]), block_size=32
             )
 
+    @pytest.mark.parametrize(
+        "reads, writes, message",
+        [
+            ([-5, 3], [0, 0], r"reads\[0\] is negative: -5"),
+            ([1, 2, 3], [0, 0, -1], r"writes\[2\] is negative: -1"),
+            ([[1, 2]], [[0, 0]], r"reads must be a non-empty 1-D count array, got shape \(1, 2\)"),
+            ([], [], r"reads must be a non-empty 1-D count array, got shape \(0,\)"),
+        ],
+        ids=["negative-read", "negative-write", "two-dimensional", "empty"],
+    )
+    def test_bad_counts_rejected(self, reads, writes, message):
+        with pytest.raises(ValueError, match=message):
+            PartitionCostModel(reads=reads, writes=writes, block_size=32)
+
+    def test_negative_leakage_cycles_rejected(self):
+        with pytest.raises(ValueError, match="leakage_cycles must be non-negative, got -10"):
+            self.make_model([1, 2], leakage_cycles=-10)
+
+    @pytest.mark.parametrize("round_pow2", [False, True])
+    @pytest.mark.parametrize("leakage_cycles", [0, 5000])
+    @pytest.mark.parametrize("edges", [list(range(38)), [0, 3, 5, 6, 11, 20, 37], [4, 9]])
+    def test_segment_matrix_equals_segment_cost_bit_for_bit(self, round_pow2, leakage_cycles, edges):
+        rng = np.random.default_rng(7)
+        reads = rng.integers(0, 10**6, size=37)
+        writes = rng.integers(0, 10**4, size=37)
+        model = self.make_model(
+            reads, writes, round_pow2=round_pow2, leakage_cycles=leakage_cycles
+        )
+        segment = model.segment_costs(edges)
+        assert segment.shape == (len(edges), len(edges))
+        for i, start in enumerate(edges):
+            for j, end in enumerate(edges):
+                if i < j:
+                    assert float(segment[i, j]).hex() == model.segment_cost(start, end).hex()
+                else:
+                    assert segment[i, j] == np.inf
+
+    @pytest.mark.parametrize("edges", [[0, 0, 2], [2, 1], [-1, 2], [0, 3], [[0, 1]]])
+    def test_segment_matrix_edges_checked(self, edges):
+        model = self.make_model([1, 1])
+        with pytest.raises(ValueError, match="bad segment edges"):
+            model.segment_costs(edges)
+
     def test_round_pow2_increases_or_keeps_cost(self):
         reads = [10, 10, 10]
         exact = self.make_model(reads)

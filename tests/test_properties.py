@@ -6,13 +6,14 @@ These cover the properties that unit tests can only sample:
 * every bus encoder is exactly invertible over any stream;
 * block layouts induce bijective address remappings;
 * the DP partitioner is never beaten by any enumerated partition;
+* the array DP equals the loop DP oracle (``tests/partition_oracle.py``);
 * reuse distances behave like LRU stack distances;
 * the cache simulator agrees with a brute-force reference model.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import Cache, CacheConfig, ReplacementPolicy
@@ -28,6 +29,8 @@ from repro.encoding import (
 )
 from repro.partition import OptimalPartitioner, PartitionCostModel, PartitionSpec
 from repro.trace import reuse_distances
+
+from . import partition_oracle
 
 # ---------------------------------------------------------------------------
 # codecs
@@ -146,6 +149,52 @@ def test_dp_never_beaten_by_random_partition(counts, cut):
     blocks = tuple(edges[i + 1] - edges[i] for i in range(len(edges) - 1))
     spec = PartitionSpec(block_size=32, bank_blocks=blocks)
     assert best.predicted_energy <= model.partition_cost(spec) + 1e-9
+
+
+# Runs of equal (reads, writes) blocks: zeros and equal runs make cost ties.
+count_runs = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=1000)),
+        st.one_of(st.just(0), st.integers(min_value=0, max_value=300)),
+        st.integers(min_value=1, max_value=40),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(
+    runs=count_runs,
+    max_banks=st.integers(min_value=1, max_value=8),
+    extra_cells=st.integers(min_value=0, max_value=79),
+    num_banks=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+    round_pow2=st.booleans(),
+    leakage_cycles=st.one_of(st.just(0), st.integers(min_value=1, max_value=10**6)),
+)
+@example(runs=[(5, 2, 1)], max_banks=8, extra_cells=0, num_banks=None, round_pow2=False, leakage_cycles=0)
+@example(runs=[(0, 0, 1)], max_banks=1, extra_cells=0, num_banks=10, round_pow2=True, leakage_cycles=7)
+@settings(max_examples=150, deadline=None)
+def test_array_dp_equals_loop_oracle(
+    runs, max_banks, extra_cells, num_banks, round_pow2, leakage_cycles
+):
+    """Same spec, bank count and predicted energy bits as the loop DP."""
+    reads = [r for r, _w, length in runs for _ in range(length)]
+    writes = [w for _r, w, length in runs for _ in range(length)]
+    model = PartitionCostModel(
+        reads=reads,
+        writes=writes,
+        block_size=32,
+        round_pow2=round_pow2,
+        leakage_cycles=leakage_cycles,
+    )
+    partitioner = OptimalPartitioner(
+        max_banks=max_banks, max_dp_cells=min(max_banks + extra_cells, 80)
+    )
+    result = partitioner.partition(model, num_banks=num_banks)
+    expected = partition_oracle.partition(partitioner, model, num_banks=num_banks)
+    assert result.spec == expected.spec
+    assert result.num_banks == expected.num_banks
+    assert float(result.predicted_energy).hex() == float(expected.predicted_energy).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ pins ``trace_digest`` the same way: oracle == digest on all three forms.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.batch.flows import trace_to_application
@@ -33,6 +34,7 @@ from repro.trace import (
     region_transition_matrix,
     stride_histogram,
 )
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import trace_digest
 from repro.trace.profile import AccessProfile
 from repro.trace.store import load_store, open_store, save_store, store_digest
@@ -151,6 +153,44 @@ def test_profile_three_way_identical(tmp_path_factory, case, chunk_size, window)
             for block, s in profile._stats.items()
         ] == list(stats.items())
         assert list(profile.affinity_matrix(window).items()) == list(affinity.items())
+
+
+def skewed_sequence(num_blocks: int, length: int, seed: int) -> list[int]:
+    """``length`` block ids below ``num_blocks``, skewed towards low ids."""
+    rng = np.random.default_rng(seed)
+    return (rng.random(length) ** 2 * num_blocks).astype(np.int64).tolist()
+
+
+#: Long block sequences, so one pair recurs at many window offsets; and a
+#: permutation of distinct blocks, whose pairs all count 1 at every window,
+#: so only first-encounter order separates them (clustering ties).
+affinity_sequence_strategy = st.one_of(
+    st.builds(
+        skewed_sequence,
+        st.integers(min_value=2, max_value=300),
+        st.integers(min_value=200, max_value=3000),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    st.integers(min_value=200, max_value=300).flatmap(lambda n: st.permutations(range(n))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(affinity_sequence_strategy)
+@example(list(range(300)))
+def test_affinity_matches_oracle_at_flow_windows(sequence):
+    """Window 16 (``AffinityClustering``'s) and 32 merge 15 and 31 offsets."""
+    blocks = np.asarray(sequence, dtype=np.int64)
+    trace = ColumnarTrace(
+        addresses=blocks * 32,
+        timestamps=np.arange(len(blocks)),
+        kinds=np.zeros(len(blocks)),
+        sizes=np.full(len(blocks), 4),
+    )
+    profile = AccessProfile(trace, block_size=32)
+    for window in (2, 16, 32):
+        expected = oracle.affinity_matrix(sequence, window)
+        assert list(profile.affinity_matrix(window).items()) == list(expected.items())
 
 
 @settings(max_examples=60, deadline=None)
