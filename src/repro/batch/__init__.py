@@ -17,7 +17,7 @@ The CLI front-end is ``repro sweep``.
 """
 
 from .cache import CacheEntry, ResultCache, cache_key, shard_path, sweep_obs_dir
-from .flows import FLOW_NAMES, flow_names, run_flow, trace_to_application
+from .flows import FLOW_NAMES, run_flow, trace_to_application
 from .runner import (
     ShardConfig,
     SweepEvent,
@@ -38,7 +38,6 @@ __all__ = [
     "CacheEntry",
     "ResultCache",
     "FLOW_NAMES",
-    "flow_names",
     "run_flow",
     "trace_to_application",
     "run_sweep",

@@ -33,7 +33,6 @@ from ..trace.trace import Trace
 
 __all__ = [
     "FLOW_NAMES",
-    "flow_names",
     "run_flow",
     "trace_to_application",
 ]
@@ -42,9 +41,22 @@ __all__ = [
 FLOW_NAMES = ("e1_clustering", "e2_compression", "e3_encoding", "e4_reconfig")
 
 
-def flow_names() -> tuple:
-    """The public flow names accepted by :func:`run_flow`."""
-    return FLOW_NAMES
+def _config_value(config: dict, key: str, default):
+    """``config[key]`` (``default`` when absent), typed like ``default``.
+
+    A value of another type raises a ``ValueError`` naming the key and the
+    value instead of being cast, so ``width=32.9`` or
+    ``include_functional=no`` fails rather than running as ``32`` or
+    ``True``.  A float key accepts an int.
+    """
+    value = config.get(key, default)
+    if type(value) is type(default):
+        return value
+    if type(default) is float and type(value) is int:
+        return float(value)
+    raise ValueError(
+        f"config key {key!r} must be {type(default).__name__}, got {value!r}"
+    )
 
 
 # -- E1: memory-optimization pipeline -----------------------------------------------
@@ -129,9 +141,9 @@ def _run_e3(trace: Trace, config: dict, recorder) -> dict:
             f"flow needs a value stream to select over"
         )
     selector = TransformSelector(
-        width=int(config.get("width", 32)),
-        include_functional=bool(config.get("include_functional", True)),
-        train_fraction=float(config.get("train_fraction", 0.5)),
+        width=_config_value(config, "width", 32),
+        include_functional=_config_value(config, "include_functional", True),
+        train_fraction=_config_value(config, "train_fraction", 0.5),
     )
     selection = selector.select(words)
     best = selection.best_report
@@ -263,13 +275,13 @@ def _run_e4(trace: Trace, config: dict, recorder) -> dict:
         )
     application = trace_to_application(
         trace,
-        window_events=int(config.get("window_events", 4096)),
-        region_bytes=int(config.get("region_bytes", 4096)),
-        num_contexts=int(config.get("num_contexts", 4)),
+        window_events=_config_value(config, "window_events", 4096),
+        region_bytes=_config_value(config, "region_bytes", 4096),
+        num_contexts=_config_value(config, "num_contexts", 4),
     )
     architecture = ReconfigArchitecture(
-        l0_size=int(config.get("l0_size", 2048)),
-        context_slots=int(config.get("context_slots", 2)),
+        l0_size=_config_value(config, "l0_size", 2048),
+        context_slots=_config_value(config, "context_slots", 2),
     )
     schedule = schedulers[scheduler_name]().schedule(
         application, architecture, recorder=recorder
@@ -302,7 +314,7 @@ def _run_flaky(trace: Trace, config: dict, recorder) -> dict:
     # fails softly inside the worker; mode "exit" kills the worker process
     # outright, exercising the BrokenProcessPool path.
     marker_dir = Path(config["marker_dir"])
-    fail_times = int(config.get("fail_times", 1))
+    fail_times = _config_value(config, "fail_times", 1)
     mode = config.get("mode", "raise")
     # The marker writes are this flow's entire purpose: it *injects* the
     # cross-process filesystem race PAR003 exists to catch, so the retry

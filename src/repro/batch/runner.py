@@ -14,11 +14,13 @@ cache.  The invariants, in the order they are enforced:
   whether it was computed serially, computed in a worker, or read back
   from cache.  ``jobs=1`` vs ``jobs=N`` vs warm-cache rerun therefore
   merge to ``==``-equal reports, which the batch tests assert.
-* **Retry with capped backoff** — a failed task (an exception in the
-  worker, or a worker death breaking the pool) is retried in waves: each
-  wave rebuilds the pool if it broke, sleeps an exponentially growing,
-  capped delay, and re-submits only the still-failing tasks, up to
-  ``retries`` extra attempts per task.
+* **One retry loop** — every ``jobs`` value runs the same wave loop.  A
+  wave executes its tasks (inline in this process, in wave order, at
+  ``jobs=1``; on a fresh process pool at ``jobs>1``) and merges each
+  result or records each failure (an exception in the task, or a worker
+  death breaking the pool).  After the wave, a task that has run out of
+  ``retries`` extra attempts fails the sweep; otherwise the failed tasks
+  form the next wave after one exponentially growing, capped delay.
 * **Deterministic sharding** — each outcome records the task's shard
   (pure function of the task fingerprint), so a distributed caller can
   partition the same sweep identically on every host.
@@ -35,8 +37,8 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from ..obs.clock import Clock, WallClock
 from ..obs.counters import (
@@ -85,9 +87,10 @@ class SweepEvent:
     """One parent-side progress event, emitted as the sweep advances.
 
     ``kind`` is ``"cache_hit"``, ``"task_done"``, ``"task_failed"``, or
-    ``"retry_wave"``; the counts are cumulative snapshots, so any single
-    event suffices to render a progress line.  This callback surface is
-    the seam a future ``repro serve`` subscriber stream plugs into.
+    ``"retry_wave"`` (one per task re-queued for the next wave), and
+    ``label`` names the task; the counts are cumulative snapshots, so any
+    single event suffices to render a progress line.  This callback surface
+    is the seam a future ``repro serve`` subscriber stream plugs into.
     """
 
     kind: str
@@ -289,7 +292,7 @@ class _Pending:
     shard: int
     attempts: int = 0
     started_seconds: float = 0.0
-    failures: list = field(default_factory=list)
+    error: Exception | None = None
 
 
 def run_sweep(
@@ -305,15 +308,16 @@ def run_sweep(
     shard_clock: type | None = None,
     on_event=None,
 ) -> SweepReport:
-    """Run every task, via cache / serial inline / process fan-out, and merge.
+    """Run every task, via cache or the retry-wave loop, and merge.
 
     Parameters
     ----------
     tasks:
         The sweep, in the order results should be merged.
     jobs:
-        ``1`` runs tasks inline in this process (no pool, no pickling);
-        ``>1`` fans misses over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+        ``1`` runs each wave's tasks inline in this process, in wave order
+        (no pool, no pickling); ``>1`` fans each wave over a fresh
+        :class:`~concurrent.futures.ProcessPoolExecutor`.
     cache:
         Optional :class:`~repro.batch.cache.ResultCache`; hits skip
         execution entirely and fresh results are stored back.
@@ -321,7 +325,9 @@ def run_sweep(
         Optional obs recorder: gets a ``sweep`` span, per-task spans, and
         the ``batch.*`` counters.
     retries:
-        Extra attempts per failing task before the sweep raises.
+        Extra attempts per failing task.  A failed attempt is retried in
+        the next wave; a task still failing after ``retries`` retries
+        fails the sweep once its wave has finished.
     backoff_seconds / max_backoff_seconds:
         Delay before retry wave *n* is ``backoff_seconds * 2**(n-1)``,
         capped at ``max_backoff_seconds``.
@@ -481,159 +487,60 @@ def run_sweep(
                 )
             _notify("task_done", item.task.label())
 
-        if jobs == 1:
-            for item in pending:
-                last_error: BaseException | None = None
-                while item.attempts <= retries:
-                    item.attempts += 1
-                    item.started_seconds = clock.now_seconds()
+        def submitted(item: _Pending) -> None:
+            item.attempts += 1
+            item.started_seconds = clock.now_seconds()
+            if parent_shard is not None:
+                parent_shard.task_event(
+                    "submitted",
+                    item.task.spec_fingerprint(),
+                    label=item.task.label(),
+                    attempt=item.attempts,
+                )
+
+        wave, wave_number = pending, 0
+        while wave:
+            failed: list = []
+            for item, outcome in _run_wave(
+                wave, jobs, shard_config, store_map, submitted
+            ):
+                try:
+                    with span(
+                        recorder,
+                        "sweep.task",
+                        label=item.task.label(),
+                        shard=item.shard,
+                        attempt=item.attempts,
+                    ):
+                        merge(item, outcome())
+                except Exception as error:  # noqa: BLE001 - retried below
+                    item.error = error
+                    failed.append(item)
+                    fail_count += 1
                     if parent_shard is not None:
                         parent_shard.task_event(
-                            "submitted",
+                            "failed",
                             item.task.spec_fingerprint(),
                             label=item.task.label(),
                             attempt=item.attempts,
+                            error=type(error).__name__,
                         )
-                    try:
-                        with span(
-                            recorder,
-                            "sweep.task",
-                            label=item.task.label(),
-                            shard=item.shard,
-                            attempt=item.attempts,
-                        ):
-                            merge(
-                                item,
-                                _execute_task(item.task, shard_config, store_map),
-                            )
-                        last_error = None
-                        break
-                    except Exception as error:  # noqa: BLE001 - retried below
-                        last_error = error
-                        fail_count += 1
-                        if parent_shard is not None:
-                            parent_shard.task_event(
-                                "failed",
-                                item.task.spec_fingerprint(),
-                                label=item.task.label(),
-                                attempt=item.attempts,
-                                error=type(error).__name__,
-                            )
-                        _notify("task_failed", item.task.label())
-                        if item.attempts <= retries:
-                            retry_count += 1
-                            if recorder is not None:
-                                recorder.counter(
-                                    BATCH_RETRIES, 1, flow=item.task.flow
-                                )
-                            if parent_shard is not None:
-                                parent_shard.task_event(
-                                    "retry",
-                                    item.task.spec_fingerprint(),
-                                    label=item.task.label(),
-                                    attempt=item.attempts,
-                                )
-                            _notify("retry_wave", item.task.label())
-                            _sleep_backoff(
-                                item.attempts, backoff_seconds, max_backoff_seconds
-                            )
-                if last_error is not None:
-                    raise RuntimeError(
-                        f"sweep task {item.task.label()} failed after "
-                        f"{item.attempts} attempts"
-                    ) from last_error
-        elif pending:
-            wave: list = list(pending)
-            wave_number = 0
-            while wave:
-                failed: list = []
-                with ProcessPoolExecutor(
-                    max_workers=jobs, mp_context=_pool_context()
-                ) as pool:
-                    futures = {}
-                    for item in wave:
-                        item.attempts += 1
-                        item.started_seconds = clock.now_seconds()
-                        if parent_shard is not None:
-                            parent_shard.task_event(
-                                "submitted",
-                                item.task.spec_fingerprint(),
-                                label=item.task.label(),
-                                attempt=item.attempts,
-                            )
-                        futures[
-                            pool.submit(
-                                _execute_task, item.task, shard_config, store_map
-                            )
-                        ] = item
-                    remaining = set(futures)
-                    broken = False
-                    while remaining and not broken:
-                        done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                        done = list(done)
-                        for position, future in enumerate(done):
-                            item = futures[future]
-                            try:
-                                payload = future.result()
-                            except BrokenProcessPool:
-                                # The pool died; every not-yet-merged future
-                                # (the rest of this done batch included) is
-                                # doomed with it.  Collect them all as
-                                # failures and rebuild in the next wave —
-                                # recomputation is deterministic, so retrying
-                                # an already-finished task is merely wasted
-                                # work, never a different answer.
-                                broken = True
-                                failed.append(item)
-                                failed.extend(
-                                    futures[other]
-                                    for other in done[position + 1 :]
-                                )
-                                failed.extend(
-                                    futures[other] for other in remaining
-                                )
-                                remaining = set()
-                                break
-                            except Exception as error:  # noqa: BLE001
-                                item.failures.append(error)
-                                failed.append(item)
-                                fail_count += 1
-                                if parent_shard is not None:
-                                    parent_shard.task_event(
-                                        "failed",
-                                        item.task.spec_fingerprint(),
-                                        label=item.task.label(),
-                                        attempt=item.attempts,
-                                        error=type(error).__name__,
-                                    )
-                                _notify("task_failed", item.task.label())
-                            else:
-                                with span(
-                                    recorder,
-                                    "sweep.task",
-                                    label=item.task.label(),
-                                    shard=item.shard,
-                                    attempt=item.attempts,
-                                ):
-                                    merge(item, payload)
-                if not failed:
-                    break
-                exhausted = [item for item in failed if item.attempts > retries]
-                if exhausted:
-                    worst = exhausted[0]
-                    cause = worst.failures[-1] if worst.failures else None
-                    raise RuntimeError(
-                        f"sweep task {worst.task.label()} failed after "
-                        f"{worst.attempts} attempts ({len(exhausted)} of "
-                        f"{len(tasks)} tasks exhausted retries)"
-                    ) from cause
-                retry_count += len(failed)
-                if recorder is not None:
-                    for item in failed:
-                        recorder.counter(BATCH_RETRIES, 1, flow=item.task.flow)
+                    _notify("task_failed", item.task.label())
+            exhausted = [item for item in failed if item.attempts > retries]
+            if exhausted:
+                worst = exhausted[0]
+                raise RuntimeError(
+                    f"sweep task {worst.task.label()} failed after "
+                    f"{worst.attempts} attempts ({len(exhausted)} of "
+                    f"{len(tasks)} tasks exhausted retries)"
+                ) from worst.error
+            if failed:
                 wave_number += 1
-                if parent_shard is not None:
-                    for item in failed:
+                retry_count += len(failed)
+                for item in failed:
+                    if recorder is not None:
+                        recorder.counter(BATCH_RETRIES, 1, flow=item.task.flow)
+                    if parent_shard is not None:
                         parent_shard.task_event(
                             "retry",
                             item.task.spec_fingerprint(),
@@ -641,9 +548,9 @@ def run_sweep(
                             attempt=item.attempts,
                             wave=wave_number,
                         )
-                _notify("retry_wave")
+                    _notify("retry_wave", item.task.label())
                 _sleep_backoff(wave_number, backoff_seconds, max_backoff_seconds)
-                wave = failed
+            wave = failed
 
     return SweepReport(
         outcomes=tuple(outcomes),
@@ -654,6 +561,40 @@ def run_sweep(
         elapsed_seconds=clock.now_seconds() - sweep_started,
         sweep_id=sweep_id,
     )
+
+
+def _run_wave(wave, jobs, shard, store_map, submitted):
+    """Execute one retry wave, yielding ``(item, outcome)`` per task.
+
+    ``outcome()`` returns the task's canonical-JSON payload or raises the
+    attempt's failure; ``submitted(item)`` is called as each attempt
+    starts.  This generator is the only code that decides how a wave runs:
+
+    * ``jobs=1`` — each task runs inline in this process, in wave order,
+      when its ``outcome`` is called: no pool, no pickling, and the
+      per-process trace memo is the parent's own.
+    * ``jobs>1`` — the whole wave goes to a fresh pool, and pairs come
+      back in completion order.  A worker death breaks the pool, and every
+      task still in flight then comes back with an ``outcome`` that raises
+      :class:`~concurrent.futures.process.BrokenProcessPool`; the next wave
+      gets a new pool.  Recomputation is deterministic, so a retried task
+      can waste work but never change an answer.
+    """
+    if jobs == 1:
+        for item in wave:
+            submitted(item)
+            yield item, partial(_execute_task, item.task, shard, store_map)
+        return
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=_pool_context()) as pool:
+        futures = {}
+        for item in wave:
+            submitted(item)
+            futures[pool.submit(_execute_task, item.task, shard, store_map)] = item
+        remaining = set(futures)
+        while remaining:
+            done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+            for future in done:
+                yield futures[future], future.result
 
 
 def _pool_context():

@@ -9,7 +9,6 @@ from .cache import (
     ReplacementPolicy,
     WritePolicy,
 )
-from .hierarchy import CacheHierarchy, HierarchyStats
 from .image import MemoryImage
 
 __all__ = [
@@ -21,6 +20,4 @@ __all__ = [
     "ReplacementPolicy",
     "WritePolicy",
     "MemoryImage",
-    "CacheHierarchy",
-    "HierarchyStats",
 ]

@@ -92,6 +92,17 @@ _CODECS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for counts and sizes: a bad value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: rejected below, like zero
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _load_trace(source: str, stream: bool = False):
     """Load a trace source through :meth:`TraceSpec.from_source`; exit on a bad one.
 
@@ -796,15 +807,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = subparsers.add_parser("profile", help="profile a kernel or trace file")
     profile.add_argument("source")
-    profile.add_argument("--block-size", type=int, default=32)
-    profile.add_argument("--top", type=int, default=10)
+    profile.add_argument("--block-size", type=_positive_int, default=32)
+    profile.add_argument("--top", type=_positive_int, default=10)
     profile.add_argument("--chart", action="store_true", help="render bar charts")
     profile.set_defaults(func=_cmd_profile)
 
     optimize = subparsers.add_parser("optimize", help="run the E1 clustering flow")
     optimize.add_argument("source")
-    optimize.add_argument("--block-size", type=int, default=32)
-    optimize.add_argument("--banks", type=int, default=4)
+    optimize.add_argument("--block-size", type=_positive_int, default=32)
+    optimize.add_argument("--banks", type=_positive_int, default=4)
     optimize.add_argument(
         "--strategy", choices=["identity", "frequency", "affinity", "random"],
         default="affinity",
@@ -903,9 +914,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     phases = subparsers.add_parser("phases", help="detect program phases in a trace")
     phases.add_argument("source")
-    phases.add_argument("--window", type=int, default=512)
-    phases.add_argument("--clusters", type=int, default=3)
-    phases.add_argument("--block-size", type=int, default=32)
+    phases.add_argument("--window", type=_positive_int, default=512)
+    phases.add_argument("--clusters", type=_positive_int, default=3)
+    phases.add_argument("--block-size", type=_positive_int, default=32)
     phases.set_defaults(func=_cmd_phases)
 
     trace = subparsers.add_parser(

@@ -30,7 +30,12 @@ from ..partition.optimal import OptimalPartitioner, PartitionResult
 from ..partition.spec import PartitionSpec
 from ..trace.profile import AccessProfile
 from ..trace.trace import Trace
-from .clustering import ClusteringStrategy, IdentityClustering, get_strategy
+from .clustering import (
+    _STRATEGIES,
+    ClusteringStrategy,
+    IdentityClustering,
+    get_strategy,
+)
 from .layout import BlockLayout
 
 __all__ = [
@@ -44,6 +49,14 @@ __all__ = [
 #: Version of the :meth:`FlowResult.to_dict` payload layout (pinned by the
 #: schema registry; bump when keys are renamed or removed).
 FLOW_RESULT_SCHEMA_VERSION = 1
+
+#: Partitioners by :attr:`FlowConfig.partitioner` name; each takes the bank
+#: budget as its first argument.
+_PARTITIONERS = {
+    "optimal": OptimalPartitioner,
+    "greedy": GreedyPartitioner,
+    "even": EvenPartitioner,
+}
 
 
 @dataclass
@@ -80,6 +93,33 @@ class FlowConfig:
     decoder_model: DecoderEnergyModel = field(default_factory=DecoderEnergyModel)
     strategy_options: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Configs arrive from ``--set`` strings and sweep specs: a value of
+        # the wrong type must fail here, not be cast or read as truthy.
+        for name in ("block_size", "max_banks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ValueError(
+                    f"FlowConfig.{name} must be a positive int, got {value!r}"
+                )
+        for name in ("round_pow2", "include_leakage"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"FlowConfig.{name} must be a bool, got {value!r}")
+        if self.partitioner not in _PARTITIONERS:
+            raise ValueError(
+                f"FlowConfig.partitioner must be one of {sorted(_PARTITIONERS)}, "
+                f"got {self.partitioner!r}"
+            )
+        if (
+            not isinstance(self.strategy, ClusteringStrategy)
+            and self.strategy not in _STRATEGIES
+        ):
+            raise ValueError(
+                f"FlowConfig.strategy must be a ClusteringStrategy or one of "
+                f"{sorted(_STRATEGIES)}, got {self.strategy!r}"
+            )
+
     def make_strategy(self) -> ClusteringStrategy:
         """Resolve the configured clustering strategy."""
         if isinstance(self.strategy, ClusteringStrategy):
@@ -88,13 +128,7 @@ class FlowConfig:
 
     def make_partitioner(self):
         """Resolve the configured partitioner."""
-        if self.partitioner == "optimal":
-            return OptimalPartitioner(max_banks=self.max_banks)
-        if self.partitioner == "greedy":
-            return GreedyPartitioner(max_banks=self.max_banks)
-        if self.partitioner == "even":
-            return EvenPartitioner(num_banks=self.max_banks)
-        raise KeyError(f"unknown partitioner {self.partitioner!r}")
+        return _PARTITIONERS[self.partitioner](self.max_banks)
 
     def describe(self) -> dict:
         """Deterministic, fingerprintable view of this configuration.

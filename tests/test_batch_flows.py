@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.batch.flows import FLOW_NAMES, flow_names, run_flow, trace_to_application
+from repro.batch.flows import FLOW_NAMES, run_flow, trace_to_application
 from repro.trace import Trace
 from repro.trace.synthetic import ScatteredHotGenerator, ValueTraceGenerator
 
@@ -54,8 +54,38 @@ class TestContract:
             run_flow("e9_nope", address_trace, {})
 
     def test_flow_names_exported(self):
-        assert flow_names() == FLOW_NAMES
+        from repro import batch
+
+        assert batch.FLOW_NAMES == FLOW_NAMES
         assert "_flaky" not in FLOW_NAMES
+
+    @pytest.mark.parametrize(
+        ("flow", "key", "value"),
+        [
+            ("e3_encoding", "width", 32.9),
+            ("e3_encoding", "width", True),
+            ("e3_encoding", "include_functional", "no"),
+            ("e3_encoding", "include_functional", 0),
+            ("e3_encoding", "train_fraction", "half"),
+            ("e4_reconfig", "window_events", 512.0),
+            ("e4_reconfig", "region_bytes", "4096"),
+            ("e4_reconfig", "num_contexts", False),
+            ("e4_reconfig", "l0_size", 2048.5),
+            ("e4_reconfig", "context_slots", "two"),
+            ("_flaky", "fail_times", 1.5),
+        ],
+    )
+    def test_mistyped_config_value_rejected(
+        self, flow, key, value, value_trace, tmp_path
+    ):
+        config = {key: value, "marker_dir": str(tmp_path)}
+        with pytest.raises(ValueError, match=f"config key '{key}'.*{value!r}"):
+            run_flow(flow, value_trace, config)
+
+    def test_float_key_accepts_an_int(self, value_trace):
+        as_int = run_flow("e3_encoding", value_trace, {"train_fraction": 1})
+        as_float = run_flow("e3_encoding", value_trace, {"train_fraction": 1.0})
+        assert as_int == as_float
 
 
 class TestE2Compression:

@@ -166,6 +166,41 @@ class TestRetries:
         with pytest.raises(RuntimeError, match="exhausted retries"):
             run_sweep([task], jobs=2, retries=1, backoff_seconds=0.01)
 
+    def test_exhausted_task_raises_after_its_wave(self, tmp_path):
+        # jobs=1 runs the whole wave before raising, so a healthy task
+        # queued behind a doomed one still runs and reaches the cache.
+        cache = ResultCache(tmp_path / "cache")
+        doomed = flaky_task(tmp_path, "doomed-first", fail_times=99)
+        healthy = small_sweep()[0]
+        with pytest.raises(RuntimeError, match="1 of 2 tasks exhausted retries"):
+            run_sweep(
+                [doomed, healthy], jobs=1, cache=cache, retries=1, backoff_seconds=0.01
+            )
+        assert run_sweep([healthy], jobs=1, cache=cache).hits == 1
+
+    def test_flaky_and_healthy_sweep_agrees_across_jobs(self, tmp_path):
+        from repro.obs import load_shards
+
+        reports = {}
+        for jobs in (1, 2):
+            tasks = [flaky_task(tmp_path, f"mixed-{jobs}"), small_sweep()[0]]
+            obs_dir = tmp_path / f"obs-{jobs}"
+            reports[jobs] = run_sweep(
+                tasks, jobs=jobs, shard_dir=obs_dir, backoff_seconds=0.01
+            )
+            (parent,) = [
+                shard
+                for shard in load_shards(obs_dir, sweep=reports[jobs].sweep_id)
+                if shard.role == "parent"
+            ]
+            retries = [e["attrs"] for e in parent.lifecycle if e["event"] == "retry"]
+            assert [attrs["wave"] for attrs in retries] == [1]
+        serial, pooled = reports[1], reports[2]
+        assert serial.results == pooled.results
+        assert [o.attempts for o in serial.outcomes] == [2, 1]
+        assert [o.attempts for o in pooled.outcomes] == [2, 1]
+        assert serial.retries == pooled.retries == 1
+
     def test_retried_task_result_still_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         task = flaky_task(tmp_path, "cached-flaky", fail_times=1)
@@ -289,16 +324,14 @@ class TestProgressEvents:
         assert all(event.total == 4 for event in events)
         assert all(event.elapsed_seconds >= 0 for event in events)
 
-    def test_retry_wave_events_carry_labels(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retry_wave_events_carry_labels(self, tmp_path, jobs):
         events = []
         task = flaky_task(tmp_path, "event-flaky", fail_times=1)
-        run_sweep([task], jobs=1, backoff_seconds=0.01, on_event=events.append)
+        run_sweep([task], jobs=jobs, backoff_seconds=0.01, on_event=events.append)
         kinds = [event.kind for event in events]
-        assert "task_failed" in kinds
-        assert "retry_wave" in kinds
-        assert kinds[-1] == "task_done"
-        failed = next(event for event in events if event.kind == "task_failed")
-        assert failed.label == task.label()
+        assert kinds == ["task_failed", "retry_wave", "task_done"]
+        assert all(event.label == task.label() for event in events)
 
 
 class TestSharding:

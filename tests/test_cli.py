@@ -55,6 +55,27 @@ class TestCommands:
         assert main([command, "synth:hot_cold:accesses=2000,seed=7"]) == 0
         assert capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"),
+        [
+            ("optimize", "--banks", "0"),
+            ("optimize", "--block-size", "-32"),
+            ("profile", "--block-size", "0"),
+            ("profile", "--top", "-1"),
+            ("phases", "--window", "0"),
+            ("phases", "--clusters", "0"),
+            ("phases", "--block-size", "zero"),
+        ],
+    )
+    def test_nonpositive_numeric_flag_is_a_usage_error(
+        self, command, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "histogram", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be a positive integer" in err
+
     def test_profile_unknown_source_exits(self):
         with pytest.raises(SystemExit, match="neither"):
             main(["profile", "no_such_thing"])

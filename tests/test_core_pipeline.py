@@ -60,8 +60,28 @@ class TestFlowConfig:
         assert result.clustered.layout.name == "frequency"
 
     def test_unknown_partitioner_rejected(self):
-        with pytest.raises(KeyError):
-            FlowConfig(partitioner="quantum").make_partitioner()
+        with pytest.raises(ValueError, match="partitioner.*'quantum'"):
+            FlowConfig(partitioner="quantum")
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("block_size", 0),
+            ("block_size", -32),
+            ("block_size", 32.5),
+            ("block_size", True),
+            ("max_banks", 1.5),
+            ("max_banks", "4"),
+            ("round_pow2", "no"),
+            ("round_pow2", 1),
+            ("include_leakage", "no"),
+            ("include_leakage", 0),
+            ("strategy", "affinty"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"FlowConfig.{field}.*{value!r}"):
+            FlowConfig(**{field: value})
 
     def test_even_partitioner_usable(self, scattered_trace):
         result = MemoryOptimizationFlow(
