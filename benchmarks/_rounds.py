@@ -10,8 +10,8 @@ as long to read a table.
 Benchmarks whose measured callable is *stateful across rounds* (e.g. the
 batch-sweep cache warm-up in ``test_batch_scaling.py``, which asserts on
 cold-vs-warm behavior) must stay at a literal ``rounds=1`` rather than
-use this knob; the gate treats their single sample as a legacy-mode
-benchmark.
+use this knob; the gate judges their single sample by its 25% median
+fallback threshold.
 """
 
 from __future__ import annotations

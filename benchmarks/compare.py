@@ -1,30 +1,24 @@
 """Benchmark-regression gate for CI (distribution-aware).
 
 Compares a fresh pytest-benchmark JSON export against the committed
-``benchmarks/baseline.json`` and exits non-zero when any benchmark
-regressed.  Since baseline schema v2 the gate is *distribution-aware*
-(Kalibera & Jones, ISMM 2013): the baseline stores suite-normalized
-per-iteration samples, and a benchmark fails the gate only when the
-bootstrap confidence interval on its ``candidate/baseline`` median ratio
-sits entirely above 1 **and** the observed slowdown exceeds a minimum
-practical effect (``--min-effect``).  A separate, deliberately looser
-tail gate fails benchmarks whose p99 blew up while the median stayed
-flat (by more than ``GateConfig.tail_threshold_ratio``).
+schema-v2 ``benchmarks/baseline.json`` and exits non-zero when any
+benchmark regressed.  Every benchmark goes through one verdict path,
+:func:`repro.benchstats.evaluate_benchmark`, and its sample counts alone
+pick how it is judged (Kalibera & Jones, ISMM 2013):
+
+* with at least ``GateConfig.min_samples`` per-iteration samples on each
+  side, a benchmark fails when the bootstrap confidence interval on its
+  ``candidate/baseline`` median ratio sits entirely above 1 **and** the
+  observed slowdown exceeds a minimum practical effect
+  (``--min-effect``), or when its p99 blew up while the median stayed
+  flat (by more than ``GateConfig.tail_threshold_ratio``);
+* with fewer (the single-round benchmarks), it fails when its median
+  ratio exceeds the 25% fallback threshold.
 
 Raw wall-clock times do not transfer between machines, so each
 benchmark's samples are *normalized by the suite median* of their own
 run: the gate compares each benchmark's share of the suite, which is
 stable across hardware generations as long as the suite composition is.
-Pass ``--absolute`` to compare raw medians instead (only meaningful when
-baseline and candidate ran on the same machine), or ``--legacy-median``
-to reproduce the historic median-threshold verdict exactly.
-
-v1 baselines (medians only) are still readable: every benchmark then
-falls back to the legacy median threshold, and one refresh with
-``--update-baseline`` migrates the file to schema v2 with samples.
-``--update-baseline --dry-run`` prints the would-be refresh instead of
-writing it (the scheduled baseline-refresh workflow uploads that diff
-for manual review).
 
 Runs may carry a provenance *manifest* (the ``repro.obs`` run manifest):
 environment keys that differ are printed as warning notes — drift
@@ -32,10 +26,11 @@ explains a slowdown but never fails the gate on its own.
 
 Usage::
 
-    pytest benchmarks/ --benchmark-only --benchmark-json=bench.json
+    REPRO_BENCH_ROUNDS=5 pytest benchmarks/ --benchmark-only \\
+        --benchmark-json=bench.json --benchmark-save-data
     python benchmarks/compare.py bench.json                    # gate
+    python benchmarks/compare.py bench.json --select '*play*'  # gate a subset
     python benchmarks/compare.py bench.json --update-baseline  # refresh
-    python benchmarks/compare.py bench.json --select '*play_1m*' --legacy-median --threshold 0.03
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ except ImportError:  # bare checkout, package not installed
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     import repro.benchstats as benchstats
 
-DEFAULT_THRESHOLD = 0.25
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 #: Manifest keys that legitimately differ between two comparable runs
@@ -62,66 +56,9 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 _RUN_SPECIFIC_KEYS = frozenset({"seed", "config_hash", "extra", "schema"})
 
 
-def load_medians(path: Path) -> dict[str, float]:
-    """Benchmark name -> median seconds from a pytest-benchmark JSON export."""
-    data = json.loads(path.read_text())
-    return benchstats.extract_run(data).raw_medians()
-
-
 def load_run(path: Path) -> "benchstats.BenchRun":
     """Full run (per-iteration samples, suite-normalized) from an export."""
     return benchstats.extract_run(json.loads(path.read_text()))
-
-
-def normalize(medians: dict[str, float]) -> dict[str, float]:
-    """Scale each median by the suite median (machine-speed normalization)."""
-    if not medians:
-        return {}
-    suite_median = benchstats.median(list(medians.values()))
-    if suite_median <= 0:
-        return dict(medians)
-    return {name: value / suite_median for name, value in medians.items()}
-
-
-def compare(
-    baseline: dict[str, float],
-    candidate: dict[str, float],
-    threshold: float,
-    absolute: bool = False,
-) -> tuple[list[str], list[str], list[str]]:
-    """Legacy median gate: ``(regressions, warnings, notes)`` for a candidate.
-
-    A regression is a benchmark whose (normalized) median exceeds the
-    baseline's by more than ``threshold``.  A baseline benchmark absent
-    from the candidate run is a *warning*: the gate did not check it, which
-    must be visible (a silently skipped benchmark reads as a pass).  A
-    candidate benchmark with no baseline yet is an informational note, so
-    adding a benchmark does not require touching the baseline in the same
-    commit.  Neither fails the gate by itself — but a candidate missing
-    *every* baseline benchmark does, in :func:`main`.
-    """
-    base = dict(baseline) if absolute else normalize(baseline)
-    cand = dict(candidate) if absolute else normalize(candidate)
-    regressions: list[str] = []
-    warnings: list[str] = []
-    notes: list[str] = []
-    for name in sorted(base):
-        if name not in cand:
-            warnings.append(f"missing from candidate run (not gated): {name}")
-            continue
-        reference = base[name]
-        measured = cand[name]
-        if reference <= 0:
-            continue
-        change = measured / reference - 1.0
-        if change > threshold:
-            regressions.append(
-                f"{name}: {change:+.1%} (baseline {reference:.4g}, "
-                f"measured {measured:.4g})"
-            )
-    for name in sorted(set(cand) - set(base)):
-        notes.append(f"new benchmark (no baseline yet): {name}")
-    return regressions, warnings, notes
 
 
 def compare_distributions(
@@ -129,16 +66,21 @@ def compare_distributions(
     candidate: "benchstats.BenchRun",
     config: "benchstats.GateConfig",
 ) -> tuple[list[str], list[str], list[str]]:
-    """Distribution gate: CI overlap on the median ratio plus the p99 tail.
+    """Gate every baseline benchmark: ``(regressions, warnings, notes)``.
 
-    Same ``(regressions, warnings, notes)`` contract as :func:`compare`;
-    benchmarks whose sample sets are too small for a meaningful interval
-    fall back to the legacy threshold and are counted in one note.
+    A baseline benchmark absent from the candidate run is a *warning*: the
+    gate did not check it, which must be visible (a silently skipped
+    benchmark reads as a pass).  A candidate benchmark with no baseline yet
+    is an informational note, so adding a benchmark does not require
+    touching the baseline in the same commit.  Neither fails the gate by
+    itself — but a candidate missing *every* baseline benchmark does, in
+    :func:`main`.  The benchmarks judged by the median fallback (too few
+    samples on one side) are named in one note.
     """
     regressions: list[str] = []
     warnings: list[str] = []
     notes: list[str] = []
-    legacy_fallbacks = 0
+    fallbacks: list[str] = []
     for name in sorted(baseline.records):
         if name not in candidate.records:
             warnings.append(f"missing from candidate run (not gated): {name}")
@@ -150,30 +92,19 @@ def compare_distributions(
             config,
         )
         if comparison.mode == "legacy":
-            legacy_fallbacks += 1
+            fallbacks.append(name)
         if comparison.regressed:
-            regressions.append(comparison.describe(config))
-    if legacy_fallbacks:
+            regressions.append(comparison.describe())
+    if fallbacks:
         notes.append(
-            f"{legacy_fallbacks} benchmark(s) gated by the legacy median "
+            f"{len(fallbacks)} benchmark(s) gated by the "
+            f"{benchstats.gate.DEFAULT_LEGACY_THRESHOLD_RATIO:.0%} median "
             f"threshold (fewer than {config.min_samples} samples on one "
-            f"side); refresh the baseline from a multi-round run to enable "
-            f"the CI gate"
+            f"side): {', '.join(fallbacks)}"
         )
     for name in sorted(set(candidate.records) - set(baseline.records)):
         notes.append(f"new benchmark (no baseline yet): {name}")
     return regressions, warnings, notes
-
-
-def select_medians(medians: dict[str, float], pattern: str | None) -> dict[str, float]:
-    """Restrict to benchmarks whose name matches the shell-style ``pattern``."""
-    if pattern is None:
-        return medians
-    return {
-        name: value
-        for name, value in medians.items()
-        if fnmatch.fnmatch(name, pattern)
-    }
 
 
 def select_run(
@@ -182,9 +113,12 @@ def select_run(
     """Restrict a run to benchmarks matching the shell-style ``pattern``."""
     if pattern is None:
         return run
-    return dataclasses.replace(
-        run, records=select_medians(dict(run.records), pattern)
-    )
+    records = {
+        name: record
+        for name, record in run.records.items()
+        if fnmatch.fnmatch(name, pattern)
+    }
+    return dataclasses.replace(run, records=records)
 
 
 def load_manifest(path: Path) -> dict | None:
@@ -238,57 +172,18 @@ def manifest_drift(baseline: dict | None, candidate: dict | None) -> list[str]:
     return notes
 
 
-def build_refreshed_baseline(candidate_path: Path) -> dict:
-    """The would-be v2 baseline payload for a candidate run.
+def update_baseline(candidate_path: Path, baseline_path: Path) -> None:
+    """Write the candidate run's distribution as the new committed baseline.
 
-    The current environment's manifest is embedded when available, so later
-    runs can flag environment drift against this baseline.
+    The current environment's manifest is embedded when the run carries
+    none, so later runs can flag environment drift against this baseline.
     """
     run = load_run(candidate_path)
     if run.manifest is None:
         manifest = current_manifest()
         if manifest is not None:
             run = dataclasses.replace(run, manifest=manifest)
-    return benchstats.build_baseline_payload(run)
-
-
-def update_baseline(candidate_path: Path, baseline_path: Path) -> None:
-    """Write the candidate run's distribution as the new committed baseline."""
-    benchstats.save_baseline(build_refreshed_baseline(candidate_path), baseline_path)
-
-
-def describe_refresh(payload: dict, baseline_path: Path) -> list[str]:
-    """Human-readable diff lines: would-be baseline vs the committed one."""
-    new_medians = {
-        name: entry["median_seconds"]
-        for name, entry in payload["benchmarks"].items()
-    }
-    if not baseline_path.exists():
-        return [f"new baseline ({len(new_medians)} benchmarks); none committed yet"]
-    old = benchstats.parse_baseline(json.loads(baseline_path.read_text()))
-    old_medians = old.raw_medians()
-    lines = [
-        f"committed baseline: schema v{old.schema}, {len(old_medians)} "
-        f"benchmarks; refresh: schema v{payload['schema']}, "
-        f"{len(new_medians)} benchmarks"
-    ]
-    for name in sorted(set(old_medians) | set(new_medians)):
-        if name not in old_medians:
-            lines.append(f"  added: {name} ({new_medians[name]:.4g}s)")
-        elif name not in new_medians:
-            lines.append(f"  removed: {name}")
-        elif old_medians[name] > 0:
-            change = new_medians[name] / old_medians[name] - 1.0
-            lines.append(
-                f"  {name}: {old_medians[name]:.4g}s -> "
-                f"{new_medians[name]:.4g}s ({change:+.1%})"
-            )
-    return lines
-
-
-def load_baseline(path: Path) -> dict[str, float]:
-    """Raw medians stored in a committed baseline document (v1 or v2)."""
-    return benchstats.parse_baseline(json.loads(path.read_text())).raw_medians()
+    benchstats.save_baseline(benchstats.build_baseline_payload(run), baseline_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,36 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("candidate", type=Path, help="pytest-benchmark JSON export")
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     parser.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
-        help="legacy-mode allowed fractional slowdown (default 0.25); used "
-        "by --legacy-median/--absolute and by small-sample fallbacks",
-    )
-    parser.add_argument(
         "--min-effect", type=float, default=benchstats.GateConfig().min_effect_ratio,
         help="minimum practical median slowdown before a clear CI counts "
         "as a regression (default 0.05)",
     )
     parser.add_argument(
-        "--legacy-median", action="store_true",
-        help="gate on suite-normalized medians against --threshold only "
-        "(the pre-v2 behavior; no intervals, no tail gate)",
-    )
-    parser.add_argument(
-        "--absolute", action="store_true",
-        help="compare raw medians instead of suite-normalized ones",
-    )
-    parser.add_argument(
         "--update-baseline", action="store_true",
         help="overwrite the baseline with the candidate run and exit",
-    )
-    parser.add_argument(
-        "--dry-run", action="store_true",
-        help="with --update-baseline: print the would-be refresh (and "
-        "write it to --dry-run-out) without touching the baseline",
-    )
-    parser.add_argument(
-        "--dry-run-out", type=Path, default=None, metavar="FILE",
-        help="where --dry-run writes the would-be baseline document",
     )
     parser.add_argument(
         "--select", metavar="GLOB", default=None,
@@ -340,16 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.update_baseline:
-        payload = build_refreshed_baseline(args.candidate)
-        if args.dry_run:
-            for line in describe_refresh(payload, args.baseline):
-                print(line)
-            if args.dry_run_out is not None:
-                benchstats.save_baseline(payload, args.dry_run_out)
-                print(f"would-be baseline written to {args.dry_run_out}")
-            print(f"dry run: baseline {args.baseline} left untouched")
-            return 0
-        benchstats.save_baseline(payload, args.baseline)
+        update_baseline(args.candidate, args.baseline)
         print(f"baseline refreshed: {args.baseline}")
         return 0
 
@@ -383,27 +246,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    if args.legacy_median or args.absolute:
-        regressions, warnings, notes = compare(
-            baseline_run.raw_medians(),
-            candidate_run.raw_medians(),
-            args.threshold,
-            absolute=args.absolute,
-        )
-        gate_label = f"median threshold {args.threshold:.0%}"
-    else:
-        config = benchstats.GateConfig(
-            min_effect_ratio=args.min_effect,
-            legacy_threshold_ratio=args.threshold,
-        )
-        regressions, warnings, notes = compare_distributions(
-            baseline_run, candidate_run, config
-        )
-        notes = list(baseline_run.notes) + notes
-        gate_label = (
-            f"CI overlap @{config.confidence:.0%} (min effect "
-            f"{config.min_effect_ratio:.0%}, tail {config.tail_threshold_ratio:.0%})"
-        )
+    config = benchstats.GateConfig(min_effect_ratio=args.min_effect)
+    regressions, warnings, notes = compare_distributions(
+        baseline_run, candidate_run, config
+    )
+    gate_label = (
+        f"CI overlap @{config.confidence:.0%} (min effect "
+        f"{config.min_effect_ratio:.0%}, tail {config.tail_threshold_ratio:.0%})"
+    )
     drift = manifest_drift(
         load_manifest(args.baseline),
         load_manifest(args.candidate) or current_manifest(),

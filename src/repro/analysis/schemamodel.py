@@ -456,13 +456,6 @@ REPRO_SCHEMA_MODEL = SchemaModel(
                     "baseline.json; the gate never parses it",
                 ),
             ),
-            read_only=(
-                (
-                    "medians",
-                    "schema v1 compatibility: the pre-v2 median-only layout "
-                    "is still readable until the baseline is refreshed",
-                ),
-            ),
         ),
         SchemaSpec(
             name="bench-report",

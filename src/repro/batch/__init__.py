@@ -17,7 +17,7 @@ The CLI front-end is ``repro sweep``.
 """
 
 from .cache import CacheEntry, ResultCache, cache_key, shard_path, sweep_obs_dir
-from .flows import FLOW_NAMES, run_flow, trace_to_application
+from .flows import FLOW_NAMES, check_config, run_flow, trace_to_application
 from .runner import (
     ShardConfig,
     SweepEvent,
@@ -26,18 +26,27 @@ from .runner import (
     run_sweep,
     sweep_fingerprint,
 )
-from .spec import SweepTask, TraceSpec, assign_shards, parse_scalar, shard_of
+from .spec import (
+    SweepTask,
+    TraceSpec,
+    assign_shards,
+    parse_assignments,
+    parse_scalar,
+    shard_of,
+)
 
 __all__ = [
     "TraceSpec",
     "SweepTask",
     "shard_of",
     "assign_shards",
+    "parse_assignments",
     "parse_scalar",
     "cache_key",
     "CacheEntry",
     "ResultCache",
     "FLOW_NAMES",
+    "check_config",
     "run_flow",
     "trace_to_application",
     "run_sweep",

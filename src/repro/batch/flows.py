@@ -1,9 +1,11 @@
 """Flow adapters: the sweepable entry points of the four benchmark flows.
 
-Each adapter takes ``(trace, config, recorder)`` and returns a
+Each adapter takes ``(trace, recorder)`` plus its config and returns a
 JSON-serializable dict of plain builtins — the contract the batch cache
 and the golden corpus both rely on: results must survive a round-trip
-through canonical JSON and compare ``==`` afterwards.
+through canonical JSON and compare ``==`` afterwards.  Each flow declares
+its config keys once (see :func:`check_config`), and one check turns a
+config mapping into the adapter's arguments or rejects it.
 
 The four public flows mirror the E1–E4 benchmark suites:
 
@@ -25,7 +27,10 @@ before succeeding, coordinating attempts through marker files.
 from __future__ import annotations
 
 import os
+from dataclasses import fields
+from inspect import Parameter, signature
 from pathlib import Path
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from ..trace.trace import Trace
 
 __all__ = [
     "FLOW_NAMES",
+    "check_config",
     "run_flow",
     "trace_to_application",
 ]
@@ -41,31 +47,12 @@ __all__ = [
 FLOW_NAMES = ("e1_clustering", "e2_compression", "e3_encoding", "e4_reconfig")
 
 
-def _config_value(config: dict, key: str, default):
-    """``config[key]`` (``default`` when absent), typed like ``default``.
-
-    A value of another type raises a ``ValueError`` naming the key and the
-    value instead of being cast, so ``width=32.9`` or
-    ``include_functional=no`` fails rather than running as ``32`` or
-    ``True``.  A float key accepts an int.
-    """
-    value = config.get(key, default)
-    if type(value) is type(default):
-        return value
-    if type(default) is float and type(value) is int:
-        return float(value)
-    raise ValueError(
-        f"config key {key!r} must be {type(default).__name__}, got {value!r}"
-    )
-
-
 # -- E1: memory-optimization pipeline -----------------------------------------------
 
 
-def _run_e1(trace: Trace, config: dict, recorder) -> dict:
-    from ..core.pipeline import FlowConfig, MemoryOptimizationFlow
+def _run_e1(trace: Trace, recorder, *, flow_config) -> dict:
+    from ..core.pipeline import MemoryOptimizationFlow
 
-    flow_config = FlowConfig(**config)
     result = MemoryOptimizationFlow(flow_config, recorder=recorder).run(trace)
     return result.to_dict()
 
@@ -85,29 +72,26 @@ def _codec_registry() -> dict:
     }
 
 
-def _run_e2(trace: Trace, config: dict, recorder) -> dict:
+def _run_e2(
+    trace: Trace, recorder, *, platform: str = "risc", codec: str = "none"
+) -> dict:
     from ..platforms.system import risc_platform, vliw_platform
 
-    platform_name = config.get("platform", "risc")
     factories = {"risc": risc_platform, "vliw": vliw_platform}
-    if platform_name not in factories:
+    if platform not in factories:
         raise ValueError(
-            f"unknown platform {platform_name!r}; expected one of "
-            f"{sorted(factories)}"
+            f"unknown platform {platform!r}; expected one of {sorted(factories)}"
         )
-    codec_name = config.get("codec", "none")
     codecs = _codec_registry()
-    if codec_name not in codecs:
-        raise ValueError(
-            f"unknown codec {codec_name!r}; expected one of {sorted(codecs)}"
-        )
-    codec_cls = codecs[codec_name]
-    platform = factories[platform_name](codec_cls() if codec_cls else None)
-    report = platform.run_traces(trace.data_accesses(), recorder=recorder)
+    if codec not in codecs:
+        raise ValueError(f"unknown codec {codec!r}; expected one of {sorted(codecs)}")
+    codec_cls = codecs[codec]
+    system = factories[platform](codec_cls() if codec_cls else None)
+    report = system.run_traces(trace.data_accesses(), recorder=recorder)
     result = {
         "trace_name": trace.name,
-        "platform": platform_name,
-        "codec": codec_name,
+        "platform": platform,
+        "codec": codec,
         "energy_breakdown": {
             key: float(value) for key, value in report.breakdown.as_dict().items()
         },
@@ -124,7 +108,14 @@ def _run_e2(trace: Trace, config: dict, recorder) -> dict:
 # -- E3: bus-encoding transform selection -------------------------------------------
 
 
-def _run_e3(trace: Trace, config: dict, recorder) -> dict:
+def _run_e3(
+    trace: Trace,
+    recorder,
+    *,
+    width: int = 32,
+    include_functional: bool = True,
+    train_fraction: float = 0.5,
+) -> dict:
     from ..encoding.selector import TransformSelector
 
     instruction_words = [
@@ -141,9 +132,9 @@ def _run_e3(trace: Trace, config: dict, recorder) -> dict:
             f"flow needs a value stream to select over"
         )
     selector = TransformSelector(
-        width=_config_value(config, "width", 32),
-        include_functional=_config_value(config, "include_functional", True),
-        train_fraction=_config_value(config, "train_fraction", 0.5),
+        width=width,
+        include_functional=include_functional,
+        train_fraction=train_fraction,
     )
     selection = selector.select(words)
     best = selection.best_report
@@ -258,7 +249,17 @@ def trace_to_application(
     return Application(name=trace.name, kernels=tuple(kernels))
 
 
-def _run_e4(trace: Trace, config: dict, recorder) -> dict:
+def _run_e4(
+    trace: Trace,
+    recorder,
+    *,
+    scheduler: str = "energy",
+    window_events: int = 4096,
+    region_bytes: int = 4096,
+    num_contexts: int = 4,
+    l0_size: int = 2048,
+    context_slots: int = 2,
+) -> dict:
     from ..reconfig import (
         EnergyAwareScheduler,
         NaiveScheduler,
@@ -266,30 +267,25 @@ def _run_e4(trace: Trace, config: dict, recorder) -> dict:
         evaluate_schedule,
     )
 
-    scheduler_name = config.get("scheduler", "energy")
     schedulers = {"naive": NaiveScheduler, "energy": EnergyAwareScheduler}
-    if scheduler_name not in schedulers:
+    if scheduler not in schedulers:
         raise ValueError(
-            f"unknown scheduler {scheduler_name!r}; expected one of "
-            f"{sorted(schedulers)}"
+            f"unknown scheduler {scheduler!r}; expected one of {sorted(schedulers)}"
         )
     application = trace_to_application(
         trace,
-        window_events=_config_value(config, "window_events", 4096),
-        region_bytes=_config_value(config, "region_bytes", 4096),
-        num_contexts=_config_value(config, "num_contexts", 4),
+        window_events=window_events,
+        region_bytes=region_bytes,
+        num_contexts=num_contexts,
     )
-    architecture = ReconfigArchitecture(
-        l0_size=_config_value(config, "l0_size", 2048),
-        context_slots=_config_value(config, "context_slots", 2),
-    )
-    schedule = schedulers[scheduler_name]().schedule(
+    architecture = ReconfigArchitecture(l0_size=l0_size, context_slots=context_slots)
+    schedule = schedulers[scheduler]().schedule(
         application, architecture, recorder=recorder
     )
     energy = evaluate_schedule(application, architecture, schedule)
     return {
         "trace_name": trace.name,
-        "scheduler": scheduler_name,
+        "scheduler": scheduler,
         "kernels": len(application.kernels),
         "order": [int(index) for index in schedule.order],
         "l0_placements": [
@@ -308,20 +304,20 @@ def _run_e4(trace: Trace, config: dict, recorder) -> dict:
 # -- fault-injection flow for retry tests -------------------------------------------
 
 
-def _run_flaky(trace: Trace, config: dict, recorder) -> dict:
+def _run_flaky(
+    trace: Trace, recorder, *, marker_dir: str, fail_times: int = 1, mode: str = "raise"
+) -> dict:
     # Fails `fail_times` attempts before succeeding, counting attempts via
     # marker files so the count survives worker-process death.  mode "raise"
     # fails softly inside the worker; mode "exit" kills the worker process
     # outright, exercising the BrokenProcessPool path.
-    marker_dir = Path(config["marker_dir"])
-    fail_times = _config_value(config, "fail_times", 1)
-    mode = config.get("mode", "raise")
+    markers = Path(marker_dir)
     # The marker writes are this flow's entire purpose: it *injects* the
     # cross-process filesystem race PAR003 exists to catch, so the retry
     # tests can watch the runner survive it.  Never dispatched outside tests.
-    marker_dir.mkdir(parents=True, exist_ok=True)  # repro: lint-ignore[PAR003]
-    attempt = len(list(marker_dir.glob("attempt-*")))
-    (marker_dir / f"attempt-{attempt}-{os.getpid()}").touch()  # repro: lint-ignore[PAR003]
+    markers.mkdir(parents=True, exist_ok=True)  # repro: lint-ignore[PAR003]
+    attempt = len(list(markers.glob("attempt-*")))
+    (markers / f"attempt-{attempt}-{os.getpid()}").touch()  # repro: lint-ignore[PAR003]
     if attempt < fail_times:
         if mode == "exit":
             os._exit(3)
@@ -340,15 +336,74 @@ _FLOWS = {
 }
 
 
-def run_flow(flow: str, trace: Trace, config: dict, recorder=None) -> dict:
-    """Run ``flow`` on ``trace`` under ``config``; returns a JSON-safe dict.
+def check_config(flow: str, config: Mapping) -> dict:
+    """Check ``config`` against ``flow``'s declared keys; return its arguments.
 
-    The returned dict contains only builtins and is deterministic for a
-    given (flow, trace content, config) triple — the property the batch
-    cache's content addressing depends on.
+    Each flow declares its config keys once: ``e1_clustering`` as the
+    fields of :class:`~repro.core.pipeline.FlowConfig`, which this builds,
+    and the other flows as their adapter's keyword-only parameters, each
+    with a type and (except ``_flaky``'s ``marker_dir``) a default.  An
+    unknown key, a missing required key or a value of the wrong type raises
+    a ``ValueError`` naming the flow, the key and the value or the accepted
+    keys; a float key accepts an int.  Value checks that need the worker's
+    registries (the e2 platform and codec names, the e4 scheduler name)
+    stay in the adapters.
     """
     if flow not in _FLOWS:
         raise ValueError(
             f"unknown flow {flow!r}; expected one of {sorted(FLOW_NAMES)}"
         )
-    return _FLOWS[flow](trace, dict(config), recorder)
+    if flow == "e1_clustering":
+        from ..core.pipeline import FlowConfig
+
+        _reject_unknown_keys(flow, config, [field.name for field in fields(FlowConfig)])
+        try:
+            return {"flow_config": FlowConfig(**config)}
+        except ValueError as error:
+            raise ValueError(f"flow {flow!r}: {error}") from None
+    adapter = _FLOWS[flow]
+    parameters = {
+        name: parameter
+        for name, parameter in signature(adapter).parameters.items()
+        if parameter.kind is Parameter.KEYWORD_ONLY
+    }
+    _reject_unknown_keys(flow, config, parameters)
+    types = get_type_hints(adapter)
+    arguments = {}
+    for name, parameter in parameters.items():
+        if name not in config:
+            if parameter.default is Parameter.empty:
+                raise ValueError(f"flow {flow!r}: config key {name!r} is required")
+            continue
+        value, expected = config[name], types[name]
+        if expected is float and type(value) is int:
+            value = float(value)
+        if type(value) is not expected:
+            raise ValueError(
+                f"flow {flow!r}: config key {name!r} must be "
+                f"{expected.__name__}, got {value!r}"
+            )
+        arguments[name] = value
+    return arguments
+
+
+def _reject_unknown_keys(flow: str, config: Mapping, keys) -> None:
+    """Raise a ``ValueError`` for the first key of ``config`` not in ``keys``."""
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"flow {flow!r}: unknown config key {unknown[0]!r}; accepted "
+            f"keys: {', '.join(sorted(keys))}"
+        )
+
+
+def run_flow(flow: str, trace: Trace, config: Mapping, recorder=None) -> dict:
+    """Run ``flow`` on ``trace`` under ``config``; returns a JSON-safe dict.
+
+    ``config`` goes through :func:`check_config` first.  The returned dict
+    contains only builtins and is deterministic for a given (flow, trace
+    content, config) triple — the property the batch cache's content
+    addressing depends on.
+    """
+    arguments = check_config(flow, config)
+    return _FLOWS[flow](trace, recorder, **arguments)

@@ -5,6 +5,9 @@ produces one :class:`TaskOutcome` per task **in submission order**,
 regardless of worker count, completion timing, or which tasks hit the
 cache.  The invariants, in the order they are enforced:
 
+* **Configs fail once, in the parent** — every task's config goes
+  through :func:`~repro.batch.flows.check_config` before anything runs,
+  so a bad key or value fails the sweep once, without retries.
 * **Content-addressed skip** — the parent loads each distinct trace spec
   once, digests it, and looks the (flow, config fingerprint, trace
   digest) key up in the :class:`~repro.batch.cache.ResultCache`.  A hit
@@ -54,7 +57,7 @@ from ..obs.spans import span
 from ..trace.io import trace_digest
 from ..trace.store import StoreError, store_digest
 from .cache import CacheEntry, ResultCache, cache_key, shard_path
-from .flows import run_flow
+from .flows import check_config, run_flow
 from .spec import SweepTask, TraceSpec, shard_of
 
 __all__ = [
@@ -356,6 +359,8 @@ def run_sweep(
         raise ValueError(f"jobs must be positive, got {jobs}")
     if retries < 0:
         raise ValueError(f"retries must be non-negative, got {retries}")
+    for task in tasks:
+        check_config(task.flow, task.config_dict)
     clock = clock or WallClock()
     sweep_started = clock.now_seconds()
 

@@ -12,7 +12,7 @@ assignment depend only on the task, never on worker timing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -26,6 +26,7 @@ __all__ = [
     "SweepTask",
     "shard_of",
     "assign_shards",
+    "parse_assignments",
     "parse_scalar",
 ]
 
@@ -42,6 +43,23 @@ def parse_scalar(raw: str):
     if raw in ("false", "False"):
         return False
     return raw
+
+
+def parse_assignments(text: str) -> dict:
+    """Parse ``key=value[,key=value...]``; values go through :func:`parse_scalar`.
+
+    The one parser for ``repro sweep --set`` and ``synth:`` parameters.
+    Keys and values are stripped, and empty pairs are skipped; a pair
+    without ``=`` raises a ``ValueError`` naming it.
+    """
+    assignments = {}
+    for pair in filter(None, text.split(",")):
+        key, sep, raw = pair.partition("=")
+        if not sep:
+            raise ValueError(f"malformed pair {pair!r}; expected key=value")
+        assignments[key.strip()] = parse_scalar(raw.strip())
+    return assignments
+
 
 #: Synthetic-generator registry: spec name → generator class.  Names are
 #: part of the spec vocabulary (and therefore of sweep reproducibility), so
@@ -145,12 +163,22 @@ class TraceSpec:
 
     @classmethod
     def synthetic(cls, generator: str, **params) -> "TraceSpec":
-        """Spec for a registered synthetic generator with the given arguments."""
+        """Spec for a registered synthetic generator with the given arguments.
+
+        Each argument name must be a field of the generator's dataclass.
+        """
         if generator not in _generators():
             raise ValueError(
                 f"unknown generator {generator!r}; registered: "
                 f"{sorted(_generators())}"
             )
+        accepted = [item.name for item in fields(_generators()[generator])]
+        for key in sorted(params):
+            if key not in accepted:
+                raise ValueError(
+                    f"generator {generator!r} has no parameter {key!r}; "
+                    f"accepted: {', '.join(accepted)}"
+                )
         return cls(
             kind="synthetic", name=generator, params=tuple(sorted(params.items()))
         )
@@ -178,21 +206,12 @@ class TraceSpec:
         Accepted forms: a ``.npz``/``.trc`` trace file path, a packed
         ``.tstore`` trace-store directory, a bundled kernel name, or
         ``synth:GENERATOR[:key=value,...]`` for a registered synthetic
-        generator (values parse as int, float, or string, in that order).
+        generator (parsed by :func:`parse_assignments`).
         """
         if source.startswith("synth:"):
             _, _, rest = source.partition(":")
             name, _, arg_text = rest.partition(":")
-            params = {}
-            for pair in filter(None, arg_text.split(",")):
-                key, sep, raw = pair.partition("=")
-                if not sep:
-                    raise ValueError(
-                        f"malformed synthetic parameter {pair!r} in {source!r}; "
-                        f"expected key=value"
-                    )
-                params[key] = parse_scalar(raw)
-            return cls.synthetic(name, **params)
+            return cls.synthetic(name, **parse_assignments(arg_text))
         path = Path(source)
         if path.suffix == ".tstore" and path.is_dir():
             return cls.store(path)

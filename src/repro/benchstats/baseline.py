@@ -6,17 +6,14 @@ resamples.  Suite normalization (divide by the run's suite median — the
 median of the per-benchmark medians) is what makes samples comparable
 across machines: each benchmark is measured as a share of its own suite.
 
-Schema history
---------------
-* **v1** (implicit, no ``schema`` key): ``{"medians": {name: seconds}}``.
-  Still readable — :func:`parse_baseline` migrates it into a
-  :class:`BenchRun` whose records carry a single synthesized sample, so
-  the gate degrades to the legacy median threshold per benchmark.  The
-  documented migration is a one-time ``compare.py <run.json>
-  --update-baseline``, which rewrites the file as v2.
-* **v2**: ``{"schema": 2, "suite_median_seconds": s, "benchmarks":
-  {name: {"median_seconds": m, "samples": [...]}}}`` plus the optional
-  environment ``manifest`` and a human-facing ``note``.
+The document
+------------
+``{"schema": 2, "suite_median_seconds": s, "benchmarks": {name:
+{"median_seconds": m, "samples": [...]}}}`` plus the optional environment
+``manifest`` and a human-facing ``note``.  :func:`parse_baseline` reads
+schema 2 only; any other document (the median-only v1 layout had no
+``schema`` key) is rejected with the refresh command,
+``compare.py <run.json> --update-baseline``.
 
 The payload shape is registered in
 :data:`repro.analysis.schemamodel.REPRO_SCHEMA_MODEL` (schema
@@ -27,7 +24,7 @@ The payload shape is registered in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -45,7 +42,7 @@ __all__ = [
 
 #: Version of the committed ``benchmarks/baseline.json`` document.  v1 was
 #: the median-only layout (no ``schema`` key); v2 adds suite-normalized
-#: per-iteration samples for the CI-overlap gate.
+#: per-iteration samples for the CI-overlap gate and is the only one read.
 BENCH_BASELINE_SCHEMA_VERSION = 2
 
 
@@ -55,16 +52,12 @@ class BenchRecord:
 
     ``samples`` are suite-normalized per-iteration times (dimensionless
     shares of the suite median); ``median_seconds`` keeps the raw median
-    for ``--absolute`` comparisons and for humans.
+    for the report and for humans.
     """
 
     name: str
     median_seconds: float
     samples: tuple
-
-    def normalized_median(self) -> float:
-        """Median of the suite-normalized samples."""
-        return median(self.samples)
 
 
 @dataclass(frozen=True)
@@ -73,26 +66,11 @@ class BenchRun:
 
     records: Mapping[str, BenchRecord]
     suite_median_seconds: float
-    schema: int = BENCH_BASELINE_SCHEMA_VERSION
     manifest: "dict | None" = None
-    notes: tuple = field(default=())
 
     def names(self) -> list:
         """Sorted benchmark names present in this run."""
         return sorted(self.records)
-
-    def raw_medians(self) -> dict:
-        """Benchmark name -> raw median seconds."""
-        return {
-            name: record.median_seconds for name, record in self.records.items()
-        }
-
-    def normalized_medians(self) -> dict:
-        """Benchmark name -> suite-normalized median."""
-        return {
-            name: record.normalized_median()
-            for name, record in self.records.items()
-        }
 
 
 def _suite_median_seconds(medians: Mapping[str, float]) -> float:
@@ -107,8 +85,8 @@ def extract_run(data: dict) -> BenchRun:
 
     Uses each benchmark's raw per-iteration data when the export carries
     it (``--benchmark-save-data``); otherwise falls back to the single
-    median, which the gate later treats as a degenerate (legacy-mode)
-    sample set.  All samples are normalized by the run's suite median.
+    median, which the gate judges by its median fallback threshold.  All
+    samples are normalized by the run's suite median.
     """
     raw_samples: dict = {}
     medians: dict = {}
@@ -140,67 +118,37 @@ def extract_run(data: dict) -> BenchRun:
 
 
 def parse_baseline(data: dict) -> BenchRun:
-    """Parse a committed baseline document (schema v1 or v2).
+    """Parse a committed schema-v2 baseline document.
 
-    v1 documents (median-only, no ``schema`` key) are migrated in memory:
-    each record gets one synthesized suite-normalized sample, putting the
-    gate into its legacy fallback until the baseline is refreshed with
-    ``--update-baseline``.  A document newer than
-    :data:`BENCH_BASELINE_SCHEMA_VERSION` is rejected rather than
-    misread.
+    Any other schema raises a ``ValueError`` naming it and the refresh
+    command rather than being misread; a document without a ``schema`` key
+    is the median-only v1 layout.  A benchmark stored without samples gets
+    its suite-normalized median as its one sample.
     """
     schema = data.get("schema", 1)
-    if not isinstance(schema, int) or schema > BENCH_BASELINE_SCHEMA_VERSION:
+    if schema != BENCH_BASELINE_SCHEMA_VERSION:
         raise ValueError(
             f"baseline schema {schema!r} is unsupported (this reader "
-            f"understands <= {BENCH_BASELINE_SCHEMA_VERSION})"
+            f"understands schema {BENCH_BASELINE_SCHEMA_VERSION} only); "
+            f"regenerate it with `python benchmarks/compare.py <run.json> "
+            f"--update-baseline`"
         )
     manifest = data.get("manifest")
-    manifest = manifest if isinstance(manifest, dict) else None
-    notes: tuple = ()
-    if schema < 2:
-        medians = {
-            name: float(value) for name, value in data["medians"].items()
-        }
-        suite_median = _suite_median_seconds(medians)
-        scale = suite_median if suite_median > 0.0 else 1.0
-        records = {
-            name: BenchRecord(
-                name=name,
-                median_seconds=value,
-                samples=(value / scale,),
-            )
-            for name, value in medians.items()
-        }
-        notes = (
-            "baseline is schema v1 (medians only); the CI-overlap gate "
-            "degrades to the legacy median threshold until it is "
-            "refreshed with --update-baseline",
-        )
-        return BenchRun(
-            records=records,
-            suite_median_seconds=suite_median,
-            schema=schema,
-            manifest=manifest,
-            notes=notes,
-        )
     suite_median = float(data["suite_median_seconds"])
+    scale = suite_median if suite_median > 0.0 else 1.0
     records = {}
     for name, entry in data["benchmarks"].items():
-        samples = tuple(float(value) for value in entry.get("samples") or ())
         median_seconds = float(entry["median_seconds"])
-        if not samples:
-            scale = suite_median if suite_median > 0.0 else 1.0
-            samples = (median_seconds / scale,)
+        samples = tuple(float(value) for value in entry.get("samples") or ())
         records[name] = BenchRecord(
-            name=name, median_seconds=median_seconds, samples=samples
+            name=name,
+            median_seconds=median_seconds,
+            samples=samples or (median_seconds / scale,),
         )
     return BenchRun(
         records=records,
         suite_median_seconds=suite_median,
-        schema=schema,
-        manifest=manifest,
-        notes=notes,
+        manifest=manifest if isinstance(manifest, dict) else None,
     )
 
 

@@ -16,9 +16,9 @@ grounded questions per benchmark:
   median-only gate is structurally blind to.
 
 When either side has fewer than :attr:`GateConfig.min_samples` iterations
-(a single-round run, or a v1 baseline migrated without samples) the gate
-falls back to the legacy median threshold for that benchmark and says so
-in the verdict — a degraded but never crashing mode.
+(a single-round benchmark) the gate falls back to the
+:data:`DEFAULT_LEGACY_THRESHOLD_RATIO` median threshold for that benchmark
+and says so in the verdict — the sample counts alone pick the mode.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ DEFAULT_MIN_EFFECT_RATIO = 0.05
 DEFAULT_TAIL_THRESHOLD_RATIO = 0.5
 
 #: Fallback threshold on the bare median ratio, used when either side has
-#: too few samples for a meaningful interval (matches the historic gate).
+#: too few samples for a meaningful interval.
 DEFAULT_LEGACY_THRESHOLD_RATIO = 0.25
 
 #: Fewer per-iteration samples than this on either side and the CI gate
@@ -72,7 +72,6 @@ class GateConfig:
     resamples: int = DEFAULT_RESAMPLES
     min_effect_ratio: float = DEFAULT_MIN_EFFECT_RATIO
     tail_threshold_ratio: float = DEFAULT_TAIL_THRESHOLD_RATIO
-    legacy_threshold_ratio: float = DEFAULT_LEGACY_THRESHOLD_RATIO
     min_samples: int = DEFAULT_MIN_SAMPLES
     seed: int = DEFAULT_BOOTSTRAP_SEED
 
@@ -101,7 +100,7 @@ class BenchComparison:
         """Whether either the median gate or the tail gate fired."""
         return self.median_regressed or self.tail_regressed
 
-    def describe(self, config: GateConfig) -> str:
+    def describe(self) -> str:
         """One human-readable gate line for this benchmark."""
         parts = [f"{self.name}: median {self.median_ratio - 1.0:+.1%}"]
         if self.ci is not None:
@@ -110,7 +109,7 @@ class BenchComparison:
                 f"@{self.ci.confidence:.0%}"
             )
         else:
-            parts.append(f"legacy threshold {config.legacy_threshold_ratio:.0%}")
+            parts.append(f"legacy threshold {DEFAULT_LEGACY_THRESHOLD_RATIO:.0%}")
         if self.tail_regressed:
             parts.append(f"p99 {self.p99_ratio - 1.0:+.1%} (tail gate)")
         return ", ".join(parts)
@@ -153,7 +152,7 @@ def evaluate_benchmark(
     )
     if use_legacy:
         ci = None
-        median_regressed = median_ratio - 1.0 > config.legacy_threshold_ratio
+        median_regressed = median_ratio - 1.0 > DEFAULT_LEGACY_THRESHOLD_RATIO
         mode = "legacy"
     else:
         ci = bootstrap_median_ratio_ci(

@@ -617,28 +617,15 @@ def _cmd_sweep(args) -> int:
     import io
     import json
 
-    from .batch import ResultCache, SweepTask, TraceSpec, parse_scalar, run_sweep
+    from .batch import ResultCache, SweepTask, TraceSpec, parse_assignments, run_sweep
     from .obs import JsonlRecorder
 
     try:
         specs = [TraceSpec.from_source(source) for source in args.sources]
+        configs = [parse_assignments(assignment) for assignment in args.set or []]
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-
-    configs: list[dict] = []
-    for assignment in args.set or []:
-        config = {}
-        for pair in filter(None, assignment.split(",")):
-            key, sep, raw = pair.partition("=")
-            if not sep:
-                print(
-                    f"error: malformed --set entry {pair!r}; expected key=value",
-                    file=sys.stderr,
-                )
-                return 2
-            config[key.strip()] = parse_scalar(raw.strip())
-        configs.append(config)
     if not configs:
         configs = [{}]
 

@@ -106,6 +106,16 @@ class FlowConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ValueError(f"FlowConfig.{name} must be a bool, got {value!r}")
+        for name, kind in (
+            ("sram_model", SRAMEnergyModel),
+            ("decoder_model", DecoderEnergyModel),
+            ("strategy_options", dict),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(
+                    f"FlowConfig.{name} must be a {kind.__name__}, got {value!r}"
+                )
         if self.partitioner not in _PARTITIONERS:
             raise ValueError(
                 f"FlowConfig.partitioner must be one of {sorted(_PARTITIONERS)}, "

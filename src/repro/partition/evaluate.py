@@ -69,49 +69,22 @@ def simulate_partition(
     :class:`repro.core.layout.BlockLayout`.  ``recorder`` is forwarded to
     :meth:`~repro.memory.partitioned.PartitionedMemory.play`.
 
-    Note: when ``spec.round_pow2`` is set the physical banks are larger than
-    the block extents, so accesses are routed by *physical* capacity.  To keep
-    routing faithful to the spec we route by exact extents and only price
-    energy with the rounded capacities — which is what the exact-extent
-    memory below does, because :func:`build_memory` places banks back-to-back
-    using the rounded sizes.  For routing fidelity, prefer unrounded specs
-    when simulating (the cost model treats rounding identically either way).
+    When ``spec.round_pow2`` is set the physical banks are larger than the
+    block extents, and :func:`build_memory` places them back-to-back at
+    their rounded sizes.  Each address is then translated from its exact
+    extent into its physical bank before the same play, so routing follows
+    the spec's extents and energy is priced with the rounded capacities.
     """
+    memory = build_memory(spec, sram_model, decoder_model)
     if spec.round_pow2:
-        # Simulate with exact extents for routing but rounded capacities for
-        # energy: construct banks of rounded size, then translate addresses
-        # from exact-extent space to the physical layout.
-        return _simulate_rounded(
-            spec, layout_trace, sram_model, decoder_model, include_leakage, recorder
+        exact_edges = [0]
+        for blocks in spec.bank_blocks:
+            exact_edges.append(exact_edges[-1] + blocks * spec.block_size)
+        physical_bases = [bank.base for bank in memory.banks]
+        layout_trace = layout_trace.map_chunks(
+            lambda chunk: _translate_columnar(chunk, exact_edges, physical_bases)
         )
-    memory = build_memory(spec, sram_model, decoder_model)
     report = memory.play(layout_trace, include_leakage=include_leakage, recorder=recorder)
-    return SimulatedPartitionEnergy(
-        bank_energy=report.bank_energy,
-        decoder_energy=report.decoder_energy,
-        leakage_energy=report.leakage_energy,
-        accesses=report.accesses,
-        bank_access_counts=tuple(memory.bank_access_counts()),
-    )
-
-
-def _simulate_rounded(
-    spec: PartitionSpec,
-    layout_trace: Union[Trace, ColumnarTrace],
-    sram_model: SRAMEnergyModel | None,
-    decoder_model: DecoderEnergyModel | None,
-    include_leakage: bool,
-    recorder: Recorder | None = None,
-) -> SimulatedPartitionEnergy:
-    memory = build_memory(spec, sram_model, decoder_model)
-    exact_edges = [0]
-    for blocks in spec.bank_blocks:
-        exact_edges.append(exact_edges[-1] + blocks * spec.block_size)
-    physical_bases = [bank.base for bank in memory.banks]
-    translated = layout_trace.map_chunks(
-        lambda chunk: _translate_columnar(chunk, exact_edges, physical_bases)
-    )
-    report = memory.play(translated, include_leakage=include_leakage, recorder=recorder)
     return SimulatedPartitionEnergy(
         bank_energy=report.bank_energy,
         decoder_energy=report.decoder_energy,

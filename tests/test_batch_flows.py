@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.batch.flows import FLOW_NAMES, run_flow, trace_to_application
+from repro.batch.flows import FLOW_NAMES, check_config, run_flow, trace_to_application
 from repro.trace import Trace
 from repro.trace.synthetic import ScatteredHotGenerator, ValueTraceGenerator
 
@@ -78,9 +78,27 @@ class TestContract:
     def test_mistyped_config_value_rejected(
         self, flow, key, value, value_trace, tmp_path
     ):
-        config = {key: value, "marker_dir": str(tmp_path)}
+        config = {key: value}
+        if flow == "_flaky":
+            config["marker_dir"] = str(tmp_path)
         with pytest.raises(ValueError, match=f"config key '{key}'.*{value!r}"):
             run_flow(flow, value_trace, config)
+
+    @pytest.mark.parametrize("flow", [*FLOW_NAMES, "_flaky"])
+    def test_unknown_config_key_rejected(self, flow):
+        with pytest.raises(
+            ValueError, match=f"flow '{flow}': unknown config key 'bogus'; accepted keys: "
+        ):
+            check_config(flow, {"bogus": 1})
+
+    def test_required_config_key_rejected_when_missing(self):
+        with pytest.raises(ValueError, match="'_flaky': config key 'marker_dir' is required"):
+            check_config("_flaky", {})
+
+    def test_e1_config_is_built_and_its_errors_name_the_flow(self):
+        assert check_config("e1_clustering", {"max_banks": 2})["flow_config"].max_banks == 2
+        with pytest.raises(ValueError, match="'e1_clustering': FlowConfig.max_banks.*1.5"):
+            check_config("e1_clustering", {"max_banks": 1.5})
 
     def test_float_key_accepts_an_int(self, value_trace):
         as_int = run_flow("e3_encoding", value_trace, {"train_fraction": 1})

@@ -126,6 +126,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="'travel': event 1 has timestamp 0"):
             run_sweep([SweepTask.make(flow, spec)])
 
+    def test_bad_config_fails_once_before_any_task_runs(self, tmp_path):
+        events = []
+        tasks = [
+            flaky_task(tmp_path, "never-run"),
+            SweepTask.make(
+                "e3_encoding", TraceSpec.synthetic("value", lines=16), {"widht": 16}
+            ),
+        ]
+        with pytest.raises(ValueError, match="'e3_encoding': unknown config key 'widht'"):
+            run_sweep(tasks, retries=2, on_event=events.append)
+        assert events == []
+        assert not (tmp_path / "never-run").exists()
+
     def test_empty_sweep_is_a_noop(self):
         report = run_sweep([], jobs=2)
         assert report.outcomes == ()

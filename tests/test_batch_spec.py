@@ -11,7 +11,14 @@ import pickle
 
 import pytest
 
-from repro.batch.spec import SweepTask, TraceSpec, assign_shards, parse_scalar, shard_of
+from repro.batch.spec import (
+    SweepTask,
+    TraceSpec,
+    assign_shards,
+    parse_assignments,
+    parse_scalar,
+    shard_of,
+)
 from repro.trace import Trace, trace_digest
 from repro.trace.synthetic import StridedSweepGenerator
 
@@ -81,6 +88,13 @@ class TestTraceSpec:
         with pytest.raises(ValueError, match="expected key=value"):
             TraceSpec.from_source("synth:strided_sweep:sweeps")
 
+    def test_from_source_rejects_unknown_synth_param(self):
+        with pytest.raises(
+            ValueError,
+            match="generator 'hot_cold' has no parameter 'bogus'; accepted: .*accesses",
+        ):
+            TraceSpec.from_source("synth:hot_cold:accesses=500,seed=1,bogus=3")
+
     def test_from_source_resolves_kernel(self):
         assert TraceSpec.from_source("fir") == TraceSpec.kernel("fir")
 
@@ -97,6 +111,18 @@ class TestParseScalar:
     def test_parses_in_priority_order(self, raw, expected):
         assert parse_scalar(raw) == expected
         assert type(parse_scalar(raw)) is type(expected)
+
+
+class TestParseAssignments:
+    def test_strips_and_parses_each_pair(self):
+        assert parse_assignments(" max_banks = 4 ,strategy=affinity,") == {
+            "max_banks": 4,
+            "strategy": "affinity",
+        }
+
+    def test_malformed_pair_is_named(self):
+        with pytest.raises(ValueError, match="malformed pair 'sweeps'; expected key=value"):
+            parse_assignments("seed=1,sweeps")
 
 
 class TestSweepTask:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.benchstats import BenchRecord, BenchRun, GateConfig, parse_baseline
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, RunManifest
 
 _COMPARE_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "compare.py"
@@ -81,13 +82,6 @@ def test_uniformly_slower_machine_passes_normalized(tmp_path, baseline_file):
     # 3x slower across the board: raw medians regress, normalized shape doesn't.
     run = write_run(tmp_path / "cand.json", {"suite::a": 3.0, "suite::b": 6.0, "suite::c": 12.0})
     assert compare_module.main([str(run), "--baseline", str(baseline_file)]) == 0
-    # The same run fails an absolute comparison.
-    assert (
-        compare_module.main(
-            [str(run), "--baseline", str(baseline_file), "--absolute"]
-        )
-        == 1
-    )
 
 
 def test_synthetic_regression_fails_the_gate(tmp_path, baseline_file, capsys):
@@ -100,16 +94,6 @@ def test_synthetic_regression_fails_the_gate(tmp_path, baseline_file, capsys):
     assert "regression" in out
 
 
-def test_threshold_is_respected(tmp_path, baseline_file):
-    run = write_run(tmp_path / "cand.json", {"suite::a": 3.0, "suite::b": 2.0, "suite::c": 4.0})
-    assert (
-        compare_module.main(
-            [str(run), "--baseline", str(baseline_file), "--threshold", "2.0"]
-        )
-        == 0
-    )
-
-
 def test_new_and_missing_benchmarks_do_not_fail_the_gate(
     tmp_path, baseline_file, capsys
 ):
@@ -120,15 +104,25 @@ def test_new_and_missing_benchmarks_do_not_fail_the_gate(
     assert "note: new benchmark (no baseline yet): suite::d" in out
 
 
+def bench_run(samples: dict[str, list]) -> BenchRun:
+    """A run whose records carry ``samples`` as already-normalized data."""
+    return BenchRun(
+        records={
+            name: BenchRecord(name=name, median_seconds=1.0, samples=tuple(values))
+            for name, values in samples.items()
+        },
+        suite_median_seconds=1.0,
+    )
+
+
 def test_missing_baseline_benchmark_is_a_warning_not_a_note():
     # Regression test: a baseline entry absent from the candidate run used
     # to surface as an easily-overlooked informational note; it must be
     # reported on the warning channel so a partially-run suite is visible.
-    regressions, warnings, notes = compare_module.compare(
-        {"suite::a": 1.0, "suite::b": 2.0, "suite::c": 4.0},
-        {"suite::a": 1.0, "suite::b": 2.0},
-        threshold=0.25,
-        absolute=True,
+    regressions, warnings, notes = compare_module.compare_distributions(
+        bench_run({"suite::a": [1.0] * 5, "suite::b": [2.0] * 5, "suite::c": [4.0] * 5}),
+        bench_run({"suite::a": [1.0] * 5, "suite::b": [2.0] * 5}),
+        GateConfig(),
     )
     assert regressions == []
     assert warnings == ["missing from candidate run (not gated): suite::c"]
@@ -155,9 +149,21 @@ def test_missing_baseline_is_a_hard_error(tmp_path):
 
 def test_committed_baseline_matches_the_benchmark_suite():
     """The repo's committed baseline must parse and cover the engine benchmark."""
-    baseline = compare_module.load_baseline(compare_module.DEFAULT_BASELINE)
-    assert any("test_columnar_play_1m" in name for name in baseline)
-    assert all(median > 0 for median in baseline.values())
+    baseline = parse_baseline(json.loads(compare_module.DEFAULT_BASELINE.read_text()))
+    assert any("test_columnar_play_1m" in name for name in baseline.records)
+    assert all(record.median_seconds > 0 for record in baseline.records.values())
+
+
+def test_fallback_note_names_its_benchmarks(tmp_path, baseline_file, capsys):
+    # Single-sample benchmarks (single-round by design) are judged by the
+    # median threshold; the note says which ones.
+    run = write_run(tmp_path / "cand.json", {"suite::a": 1.0, "suite::b": 2.0, "suite::c": 4.0})
+    assert compare_module.main([str(run), "--baseline", str(baseline_file)]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "note: 3 benchmark(s) gated by the 25% median threshold (fewer than 4 "
+        "samples on one side): suite::a, suite::b, suite::c"
+    ) in out
 
 
 class TestSelect:
@@ -166,7 +172,7 @@ class TestSelect:
         run = write_run(
             tmp_path / "cand.json", {"suite::a": 5.0, "suite::b": 2.0, "suite::c": 4.0}
         )
-        args = [str(run), "--baseline", str(baseline_file), "--absolute"]
+        args = [str(run), "--baseline", str(baseline_file)]
         assert compare_module.main(args) == 1
         assert compare_module.main(args + ["--select", "*::b"]) == 0
 
@@ -180,11 +186,9 @@ class TestSelect:
         )
 
     def test_select_medians_filters_by_glob(self):
-        medians = {"suite::play_1m": 1.0, "suite::sleep_1m": 2.0, "other": 3.0}
-        assert compare_module.select_medians(medians, "*play*") == {
-            "suite::play_1m": 1.0
-        }
-        assert compare_module.select_medians(medians, None) == medians
+        run = bench_run({"suite::play_1m": [1.0], "suite::sleep_1m": [2.0], "other": [3.0]})
+        assert compare_module.select_run(run, "*play*").names() == ["suite::play_1m"]
+        assert compare_module.select_run(run, None) == run
 
 
 #: Deterministic per-iteration jitter patterns (fractional deviations from
@@ -219,7 +223,7 @@ def _suite_run(path: Path, jitter, scale=None, tail=None) -> Path:
 
 
 class TestDistributionGate:
-    """The PR's pinned acceptance triple plus schema-migration behavior."""
+    """The pinned acceptance triple plus baseline-schema handling."""
 
     @pytest.fixture
     def v2_baseline(self, tmp_path):
@@ -252,13 +256,6 @@ class TestDistributionGate:
         out = capsys.readouterr().out
         assert "tail gate" in out
 
-    def test_tail_only_regression_passes_legacy_mode(self, tmp_path, v2_baseline):
-        # The same run exits 0 under --legacy-median: exactly the blind
-        # spot the tail gate exists for.
-        run = _suite_run(tmp_path / "cand.json", _JITTER_NOISE, tail="s::a")
-        args = [str(run), "--baseline", str(v2_baseline), "--legacy-median"]
-        assert compare_module.main(args) == 0
-
     def test_gate_verdict_is_deterministic(self, tmp_path, v2_baseline, capsys):
         run = _suite_run(
             tmp_path / "cand.json", _JITTER_NOISE, scale={"s::a": 1.3}
@@ -271,18 +268,16 @@ class TestDistributionGate:
         # Seeded resampling: byte-identical verdicts, intervals included.
         assert text_a == text_b
 
-    def test_v1_baseline_still_readable_and_degrades_to_legacy(
-        self, tmp_path, capsys
-    ):
+    def test_v1_baseline_is_rejected_naming_the_refresh(self, tmp_path):
         v1 = tmp_path / "baseline.json"
         v1.write_text(
             json.dumps({"note": "old", "medians": {"s::a": 1.0, "s::b": 2.0}})
         )
         run = write_run(tmp_path / "cand.json", {"s::a": 1.0, "s::b": 2.0})
-        assert compare_module.main([str(run), "--baseline", str(v1)]) == 0
-        out = capsys.readouterr().out
-        assert "schema v1" in out
-        assert "--update-baseline" in out
+        with pytest.raises(
+            ValueError, match=r"schema 1 is unsupported.*compare\.py <run\.json> --update-baseline"
+        ):
+            compare_module.main([str(run), "--baseline", str(v1)])
 
     def test_update_baseline_migrates_v1_to_v2(self, tmp_path):
         v1 = tmp_path / "baseline.json"
@@ -299,34 +294,6 @@ class TestDistributionGate:
         run = write_run(tmp_path / "cand.json", {"s::a": 1.0})
         with pytest.raises(ValueError, match="unsupported"):
             compare_module.main([str(run), "--baseline", str(futuristic)])
-
-    def test_dry_run_refresh_leaves_baseline_untouched(
-        self, tmp_path, v2_baseline, capsys
-    ):
-        before = v2_baseline.read_text()
-        run = _suite_run(
-            tmp_path / "cand.json", _JITTER_NOISE, scale={"s::a": 1.3}
-        )
-        out_file = tmp_path / "would-be-baseline.json"
-        assert (
-            compare_module.main(
-                [
-                    str(run),
-                    "--baseline",
-                    str(v2_baseline),
-                    "--update-baseline",
-                    "--dry-run",
-                    "--dry-run-out",
-                    str(out_file),
-                ]
-            )
-            == 0
-        )
-        assert v2_baseline.read_text() == before
-        assert json.loads(out_file.read_text())["schema"] == 2
-        out = capsys.readouterr().out
-        assert "dry run" in out
-        assert "s::a" in out  # the per-benchmark diff names the mover
 
 
 def manifest_payload(**overrides) -> dict:

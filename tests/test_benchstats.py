@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.benchstats import (
     BenchComparison,
-    GateConfig,
     RatioCI,
     bootstrap_median_ci,
     bootstrap_median_ratio_ci,
@@ -161,7 +160,7 @@ class TestGateSemantics:
     def test_clear_regression_fires_the_median_gate(self):
         comparison = evaluate_benchmark("slow", [1.0] * 8, [1.4] * 8)
         assert comparison.median_regressed
-        assert "ratio CI" in comparison.describe(GateConfig())
+        assert "ratio CI" in comparison.describe()
 
     def test_tail_blowup_fires_only_the_tail_gate(self):
         base = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01]
@@ -169,7 +168,7 @@ class TestGateSemantics:
         comparison = evaluate_benchmark("tail", base, cand)
         assert comparison.tail_regressed
         assert not comparison.median_regressed
-        assert "tail gate" in comparison.describe(GateConfig())
+        assert "tail gate" in comparison.describe()
 
     def test_empty_samples_raise_with_counts(self):
         with pytest.raises(ValueError, match="baseline 0"):

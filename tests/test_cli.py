@@ -237,17 +237,16 @@ class TestSweep:
         assert main(["obs", str(log)]) == 0
 
     def test_sweep_failed_task_reports_cause_chain(self, tmp_path, capsys):
-        # A task that fails (here: a config key FlowConfig rejects) must
-        # surface the underlying exception, not just "failed after N attempts".
+        # A task that fails inside the worker (here: the encoding flow on a
+        # trace with no value payloads) must surface the underlying
+        # exception, not just "failed after N attempts".
         assert (
             main(
                 [
                     "sweep",
                     self.SOURCE,
                     "--flow",
-                    "e1_clustering",
-                    "--set",
-                    "bogus_knob=1",
+                    "e3_encoding",
                     "--retries",
                     "0",
                     "--no-cache",
@@ -259,8 +258,38 @@ class TestSweep:
         )
         err = capsys.readouterr().err
         assert "failed after 1 attempts" in err
-        assert "caused by: TypeError" in err
-        assert "bogus_knob" in err
+        assert "caused by: ValueError" in err
+        assert "no value payloads" in err
+
+    @pytest.mark.parametrize(
+        ("flow", "assignment", "key"),
+        [
+            ("e1_clustering", "bogus_key=3", "bogus_key"),
+            ("e1_clustering", "max_banks=1.5", "max_banks"),
+            ("e1_clustering", "strategy=affinty", "strategy"),
+            ("e2_compression", "codex=bdi", "codex"),
+            ("e3_encoding", "widht=16", "widht"),
+            ("e4_reconfig", "schedular=naive", "schedular"),
+        ],
+    )
+    def test_sweep_bad_config_fails_once_naming_the_key(
+        self, tmp_path, capsys, flow, assignment, key
+    ):
+        # A config error is deterministic: the parent rejects it before any
+        # task runs, so it is never retried.
+        argv = ["sweep", self.SOURCE, "--flow", flow, "--set", assignment]
+        assert main(argv + ["--no-cache", "--cache-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: flow {flow!r}" in err
+        assert key in err
+        assert "failed after" not in err
+
+    def test_sweep_unknown_synth_parameter_exits_2(self, tmp_path, capsys):
+        source = "synth:hot_cold:accesses=500,seed=1,bogus=3"
+        assert main(["sweep", source, "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "generator 'hot_cold' has no parameter 'bogus'" in err
+        assert "accesses" in err
 
     def test_sweep_bad_source_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "no_such_kernel", "--cache-dir", str(tmp_path)]) == 2

@@ -77,6 +77,9 @@ class TestFlowConfig:
             ("include_leakage", "no"),
             ("include_leakage", 0),
             ("strategy", "affinty"),
+            ("sram_model", 3),
+            ("decoder_model", "fast"),
+            ("strategy_options", 16),
         ],
     )
     def test_mistyped_field_rejected(self, field, value):
