@@ -8,9 +8,10 @@ Two pins for the out-of-core trace store (``repro.trace.store``):
   work the batch runner's spill cache saves on every warm task.
 * **Bounded peak RSS** — streaming a hot-skewed synthetic trace ~18×
   the configured chunk budget through ``repro optimize`` must hold the
-  process's peak RSS below the materializing scalar run on the same
-  events *and* below an absolute ceiling, proving playback memory is
-  bounded by the chunk size rather than the trace length.
+  process's peak RSS below the in-memory ``.npz`` run on the same events
+  (every column of the whole trace resident at once) *and* below an
+  absolute ceiling, proving playback memory is bounded by the chunk size
+  rather than the trace length.
 
 Both wall-clock measurements are exported through pytest-benchmark so
 ``compare.py --select '*store*'`` tracks them distribution-aware.
@@ -43,9 +44,9 @@ MIN_SPEEDUP = 3.0
 STREAM_EVENTS = 600_000
 STREAM_CHUNK = 32_768
 #: Absolute peak-RSS ceiling for the streamed run, in KiB (VmHWM on
-#: Linux).  A materialized 600k-event scalar trace alone costs several
-#: hundred MiB of event objects; the streamed run must stay near the
-#: interpreter+numpy floor.
+#: Linux).  The ``.npz`` run holds the whole 600k-event trace and the flow's
+#: per-event working arrays in memory at once; the streamed run must stay
+#: near the interpreter+numpy floor.
 STREAM_RSS_CEILING_KB = 400_000
 
 #: Child snippet: run one CLI invocation, then report this process's peak
@@ -148,7 +149,7 @@ def _child_rss_kb(cli_args: list, cwd: Path) -> int:
 
 
 def measure_streaming_rss(work: Path) -> dict:
-    """Pack a >>chunk-budget trace; compare streamed vs materialized RSS."""
+    """Pack a >>chunk-budget trace; compare streamed vs in-memory ``.npz`` RSS."""
     trace = TraceSpec.synthetic(
         "hot_cold", accesses=STREAM_EVENTS, seed=42
     ).load()
@@ -158,17 +159,17 @@ def measure_streaming_rss(work: Path) -> dict:
     del trace
 
     streamed_kb = _child_rss_kb(["optimize", str(store), "--banks", "4"], work)
-    scalar_kb = _child_rss_kb(["optimize", str(npz), "--banks", "4"], work)
+    npz_kb = _child_rss_kb(["optimize", str(npz), "--banks", "4"], work)
     return {
         "chunks": -(-STREAM_EVENTS // STREAM_CHUNK),
         "streamed_kb": streamed_kb,
-        "scalar_kb": scalar_kb,
-        "ratio": scalar_kb / max(streamed_kb, 1),
+        "npz_kb": npz_kb,
+        "ratio": npz_kb / max(streamed_kb, 1),
     }
 
 
 def test_trace_store_streaming_peak_rss(benchmark, tmp_path):
-    """Streamed optimize must hold peak RSS under the scalar run + ceiling."""
+    """Streamed optimize must hold peak RSS under the ``.npz`` run + ceiling."""
     # Stateful across rounds (packs + spawns children): legacy single round.
     result = benchmark.pedantic(
         measure_streaming_rss, args=(tmp_path,), rounds=1, iterations=1
@@ -179,8 +180,8 @@ def test_trace_store_streaming_peak_rss(benchmark, tmp_path):
             [
                 ["streamed .tstore optimize", f"{result['streamed_kb']}", "-"],
                 [
-                    "materialized .npz optimize",
-                    f"{result['scalar_kb']}",
+                    "in-memory .npz optimize",
+                    f"{result['npz_kb']}",
                     f"{result['ratio']:.1f}x",
                 ],
             ],
@@ -189,9 +190,9 @@ def test_trace_store_streaming_peak_rss(benchmark, tmp_path):
         )
     )
     print(json.dumps({"trace_store_rss": result}, sort_keys=True))
-    assert result["streamed_kb"] < result["scalar_kb"], (
-        f"streamed run used {result['streamed_kb']} KiB, materialized run "
-        f"{result['scalar_kb']} KiB — streaming saved nothing"
+    assert result["streamed_kb"] < result["npz_kb"], (
+        f"streamed run used {result['streamed_kb']} KiB, in-memory .npz run "
+        f"{result['npz_kb']} KiB — streaming saved nothing"
     )
     assert result["streamed_kb"] < STREAM_RSS_CEILING_KB, (
         f"streamed optimize peaked at {result['streamed_kb']} KiB "

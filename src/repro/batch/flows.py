@@ -30,7 +30,7 @@ import os
 from dataclasses import fields
 from inspect import Parameter, signature
 from pathlib import Path
-from typing import Mapping, get_type_hints
+from typing import Literal, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "check_config",
     "run_flow",
     "trace_to_application",
+    "typed_config",
 ]
 
 #: The sweepable public flows, in benchmark-suite order.
@@ -73,19 +74,16 @@ def _codec_registry() -> dict:
 
 
 def _run_e2(
-    trace: Trace, recorder, *, platform: str = "risc", codec: str = "none"
+    trace: Trace,
+    recorder,
+    *,
+    platform: Literal["risc", "vliw"] = "risc",
+    codec: Literal["differential", "zero_run", "lzw", "bdi", "none"] = "none",
 ) -> dict:
     from ..platforms.system import risc_platform, vliw_platform
 
     factories = {"risc": risc_platform, "vliw": vliw_platform}
-    if platform not in factories:
-        raise ValueError(
-            f"unknown platform {platform!r}; expected one of {sorted(factories)}"
-        )
-    codecs = _codec_registry()
-    if codec not in codecs:
-        raise ValueError(f"unknown codec {codec!r}; expected one of {sorted(codecs)}")
-    codec_cls = codecs[codec]
+    codec_cls = _codec_registry()[codec]
     system = factories[platform](codec_cls() if codec_cls else None)
     report = system.run_traces(trace.data_accesses(), recorder=recorder)
     result = {
@@ -253,7 +251,7 @@ def _run_e4(
     trace: Trace,
     recorder,
     *,
-    scheduler: str = "energy",
+    scheduler: Literal["naive", "energy"] = "energy",
     window_events: int = 4096,
     region_bytes: int = 4096,
     num_contexts: int = 4,
@@ -268,10 +266,6 @@ def _run_e4(
     )
 
     schedulers = {"naive": NaiveScheduler, "energy": EnergyAwareScheduler}
-    if scheduler not in schedulers:
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; expected one of {sorted(schedulers)}"
-        )
     application = trace_to_application(
         trace,
         window_events=window_events,
@@ -342,12 +336,13 @@ def check_config(flow: str, config: Mapping) -> dict:
     Each flow declares its config keys once: ``e1_clustering`` as the
     fields of :class:`~repro.core.pipeline.FlowConfig`, which this builds,
     and the other flows as their adapter's keyword-only parameters, each
-    with a type and (except ``_flaky``'s ``marker_dir``) a default.  An
-    unknown key, a missing required key or a value of the wrong type raises
-    a ``ValueError`` naming the flow, the key and the value or the accepted
-    keys; a float key accepts an int.  Value checks that need the worker's
-    registries (the e2 platform and codec names, the e4 scheduler name)
-    stay in the adapters.
+    with a type and (except ``_flaky``'s ``marker_dir``) a default.  A
+    registry name (the e2 platform and codec, the e4 scheduler) is typed as
+    a ``Literal`` of the names its adapter accepts.  An unknown key, a
+    missing required key, a value of the wrong type or an unknown name
+    raises a ``ValueError`` naming the flow, the key and the value, and the
+    accepted keys or names; a float key accepts an int and holds it as a
+    float.
     """
     if flow not in _FLOWS:
         raise ValueError(
@@ -378,12 +373,32 @@ def check_config(flow: str, config: Mapping) -> dict:
         value, expected = config[name], types[name]
         if expected is float and type(value) is int:
             value = float(value)
-        if type(value) is not expected:
+        if get_origin(expected) is Literal:
+            names = get_args(expected)
+            if value not in names:
+                raise ValueError(
+                    f"flow {flow!r}: unknown {name} {value!r} for config key "
+                    f"{name!r}; accepted: {', '.join(map(repr, names))}"
+                )
+        elif type(value) is not expected:
             raise ValueError(
                 f"flow {flow!r}: config key {name!r} must be "
                 f"{expected.__name__}, got {value!r}"
             )
         arguments[name] = value
+    return arguments
+
+
+def typed_config(flow: str, config: Mapping) -> dict:
+    """``config``'s keys with the values :func:`check_config` passes on.
+
+    A float key given an int holds the float, so equal configs compare and
+    fingerprint alike, and a config already in its declared types is
+    returned unchanged.  An invalid config raises as in :func:`check_config`.
+    """
+    arguments = check_config(flow, config)
+    if flow == "e1_clustering":
+        return {key: getattr(arguments["flow_config"], key) for key in config}
     return arguments
 
 

@@ -203,8 +203,8 @@ def _worker_shard_recorder(shard: ShardConfig) -> ShardRecorder:
     return recorder
 
 
-#: Per-process trace memo: (pid, trace spec) → loaded Trace.  A sweep fans
-#: many configs over few traces, so a worker that just parsed a trace for
+#: Per-process trace memo: (pid, trace spec) → loaded trace.  A sweep fans
+#: many configs over few traces, so a worker that just loaded a trace for
 #: one task will almost always need the identical trace for its next task.
 #: The pid in the key defuses fork inheritance; the cap bounds resident
 #: traces so a long heterogeneous sweep cannot accumulate every input.
@@ -218,12 +218,14 @@ def _load_task_trace(spec: TraceSpec, store_map: dict | None = None):
     """Load (or reuse) the trace for ``spec`` in this process.
 
     Loads are memoized per (pid, spec): a 16-task sweep over one trace
-    parses it once per process, not once per task.  When ``store_map``
+    loads it once per process, not once per task.  When ``store_map``
     offers a packed spill for the spec, the trace is read from the store
-    (mmap + one O(n) materialization — no re-parse of the original recipe);
-    a store that fails verification is treated as a cache miss and the
-    spec's own recipe re-derives the trace, so corruption can never
-    produce wrong results.
+    as its memory-mapped, digest-verified columns (no event is built and
+    the original recipe is not re-run); a store that fails verification is
+    treated as a cache miss and the spec's own recipe re-derives the trace,
+    so corruption can never produce wrong results.  A flow that walks
+    events builds the memoized trace's per-event view once
+    (``ColumnarTrace.__iter__`` keeps it), not once per task.
 
     The memo is deterministic shared state: every process computes the
     identical trace from the identical spec, so reuse is observable only

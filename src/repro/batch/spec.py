@@ -17,8 +17,10 @@ from pathlib import Path
 from typing import Mapping
 
 from ..obs.manifest import config_fingerprint
+from ..trace.columnar import ColumnarTrace
 from ..trace.events import AccessKind, AddressSpace, MemoryAccess
 from ..trace.trace import Trace
+from .flows import typed_config
 
 __all__ = [
     "GENERATORS",
@@ -165,7 +167,9 @@ class TraceSpec:
     def synthetic(cls, generator: str, **params) -> "TraceSpec":
         """Spec for a registered synthetic generator with the given arguments.
 
-        Each argument name must be a field of the generator's dataclass.
+        Each argument name must be a field of the generator's dataclass, and
+        the generator is built once (not run) so that its own checks reject
+        a bad value here, naming the generator, the field and the value.
         """
         if generator not in _generators():
             raise ValueError(
@@ -179,12 +183,13 @@ class TraceSpec:
                     f"generator {generator!r} has no parameter {key!r}; "
                     f"accepted: {', '.join(accepted)}"
                 )
+        _generators()[generator](**params)
         return cls(
             kind="synthetic", name=generator, params=tuple(sorted(params.items()))
         )
 
     @classmethod
-    def inline(cls, trace: Trace) -> "TraceSpec":
+    def inline(cls, trace: Trace | ColumnarTrace) -> "TraceSpec":
         """Spec embedding ``trace``'s events directly (for arbitrary traces)."""
         events = tuple(
             (
@@ -245,8 +250,15 @@ class TraceSpec:
             description["events"] = len(self.events)
         return description
 
-    def load(self) -> Trace:
-        """Materialize the trace this spec describes; an invalid one raises."""
+    def load(self) -> Trace | ColumnarTrace:
+        """Materialize the trace this spec describes; an invalid one raises.
+
+        File-backed traces load as columns: a ``.tstore`` as the
+        memory-mapped, digest-verified ``ColumnarTrace`` of
+        :func:`~repro.trace.store.load_store` and an ``.npz`` as the validated
+        one of :func:`~repro.trace.io.load_npz`.  Kernel, ``.trc``,
+        synthetic and inline specs return a :class:`Trace`.
+        """
         if self.kind == "kernel":
             from ..isa import CPU, load_kernel
 
@@ -266,7 +278,7 @@ class TraceSpec:
 
             # verify=True: a corrupt store must fail loudly here rather
             # than replay wrong events into a flow.
-            return load_store(self.name, verify=True).to_trace()
+            return load_store(self.name, verify=True)
         if self.kind == "synthetic":
             generator = _generators()[self.name]
             return generator(**self.params_dict).generate()
@@ -317,13 +329,17 @@ class SweepTask:
 
     @property
     def config_hash(self) -> str:
-        """Fingerprint of (flow name + flow configuration).
+        """Fingerprint of (flow name + typed flow configuration).
 
-        This is the config half of the result-cache key; the trace half is
-        the content digest of the loaded trace
-        (:func:`repro.trace.io.trace_digest`).
+        Taken over :func:`~repro.batch.flows.typed_config`, so configs that
+        run alike (``train_fraction=1`` and ``train_fraction=1.0``) share
+        one hash; a config already in its declared types hashes as its raw
+        mapping does.  An invalid config raises ``ValueError``.  This is the
+        config half of the result-cache key; the trace half is the content
+        digest of the loaded trace (:func:`repro.trace.io.trace_digest`).
         """
-        return config_fingerprint({"flow": self.flow, "config": self.config_dict})
+        typed = typed_config(self.flow, self.config_dict)
+        return config_fingerprint({"flow": self.flow, "config": typed})
 
     def spec_fingerprint(self) -> str:
         """Fingerprint of the *whole task description* (flow, config, trace spec).

@@ -13,7 +13,9 @@ access counts are one :func:`numpy.bincount`, idle-interval detection is one
 Conversion contract
 -------------------
 ``from_arrays`` is zero-copy (the arrays are kept by reference, only dtype
-coerced); ``from_trace``/``to_trace`` are single O(n) passes.  A round trip
+coerced); ``from_trace`` is one O(n) pass.  Iteration yields one
+:class:`MemoryAccess` per row, built on the first pass and kept, and
+``to_trace`` copies those events into a fresh ``Trace``.  A round trip
 through ``from_trace``/``to_trace`` reproduces every event field, including
 optional value payloads.
 
@@ -114,6 +116,7 @@ class ColumnarTrace:
             None if value_mask is None else np.asarray(value_mask, dtype=bool)
         )
         self.name = name
+        self._events: list[MemoryAccess] | None = None
         n = len(self.addresses)
         for label, column in (
             ("timestamps", self.timestamps),
@@ -196,10 +199,42 @@ class ColumnarTrace:
             sizes = np.full(len(addresses), 4, dtype=np.int64)
         return cls(addresses, timestamps, kinds, sizes, name=name)
 
+    def to_trace(self) -> Trace:
+        """A fresh scalar :class:`Trace` of this trace's events (see ``__iter__``)."""
+        return Trace(self, name=self.name)
+
     # -- container protocol -------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.addresses)
+
+    def __iter__(self) -> Iterator[MemoryAccess]:
+        """One :class:`MemoryAccess` per row: the only code building events.
+
+        The event list is built on the first pass and kept, so every later
+        pass yields the same objects.
+        """
+        if self._events is None:
+            kinds = (AccessKind.READ, AccessKind.WRITE)
+            spaces = (AddressSpace.DATA, AddressSpace.INSTRUCTION)
+            self._events = [
+                MemoryAccess(time, address, size, kinds[kind], spaces[space], value)
+                for time, address, size, kind, space, value in self.rows()
+            ]
+        return iter(self._events)
+
+    def rows(self) -> Iterator[tuple]:
+        """``(time, address, size, kind code, space code, payload or None)`` per row."""
+        values = [None] * len(self)
+        if self.values is not None and self.value_mask is not None:
+            mask = self.value_mask.tolist()
+            values = [value if has else None for value, has in zip(self.values.tolist(), mask)]
+        columns = (self.timestamps, self.addresses, self.sizes, self.kinds, self.spaces)
+        return zip(*(column.tolist() for column in columns), values)
+
+    def __getitem__(self, index: slice) -> "ColumnarTrace":
+        """The rows of a slice, as a ``ColumnarTrace`` (events: iterate)."""
+        return self._masked(index)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarTrace(name={self.name!r}, events={len(self)})"
@@ -216,41 +251,11 @@ class ColumnarTrace:
         """``transform`` applied to the trace's only chunk."""
         return transform(self)
 
-    # -- conversion ---------------------------------------------------------------
-
-    def to_trace(self) -> Trace:
-        """Materialize back into a scalar :class:`Trace` (one O(n) pass)."""
-        addresses = self.addresses.tolist()
-        timestamps = self.timestamps.tolist()
-        kinds = self.kinds.tolist()
-        sizes = self.sizes.tolist()
-        spaces = self.spaces.tolist()
-        if self.values is not None and self.value_mask is not None:
-            raw_values = self.values.tolist()
-            mask = self.value_mask.tolist()
-            values = [raw if has else None for raw, has in zip(raw_values, mask)]
-        else:
-            values = [None] * len(addresses)
-        events = [
-            MemoryAccess(
-                time=timestamps[i],
-                address=addresses[i],
-                size=sizes[i],
-                kind=AccessKind.WRITE if kinds[i] == KIND_WRITE else AccessKind.READ,
-                space=(
-                    AddressSpace.INSTRUCTION
-                    if spaces[i] == SPACE_INSTRUCTION
-                    else AddressSpace.DATA
-                ),
-                value=values[i],
-            )
-            for i in range(len(addresses))
-        ]
-        return Trace(events, name=self.name)
-
     # -- views --------------------------------------------------------------------
 
-    def _masked(self, mask: np.ndarray, name: str | None = None) -> "ColumnarTrace":
+    def _masked(self, mask: "np.ndarray | slice") -> "ColumnarTrace":
+        if isinstance(mask, np.ndarray) and mask.all():
+            return self  # every row kept: share the columns and the kept events
         return ColumnarTrace(
             self.addresses[mask],
             self.timestamps[mask],
@@ -259,7 +264,7 @@ class ColumnarTrace:
             spaces=self.spaces[mask],
             values=None if self.values is None else self.values[mask],
             value_mask=None if self.value_mask is None else self.value_mask[mask],
-            name=self.name if name is None else name,
+            name=self.name,
         )
 
     def data_accesses(self) -> "ColumnarTrace":

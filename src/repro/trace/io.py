@@ -7,8 +7,9 @@ Two formats are supported:
   small fixtures and for eyeballing simulator output;
 * a compact NumPy ``.npz`` format for large traces.
 
-Both round-trip losslessly through :class:`~repro.trace.trace.Trace`, and
-both readers reject an invalid trace with a ``ValueError`` naming the file.
+Both round-trip losslessly (:func:`load_npz` returns the archive's validated
+:class:`~repro.trace.columnar.ColumnarTrace`), and both readers reject an
+invalid trace with a ``ValueError`` naming the file.
 
 :func:`trace_digest` hashes a trace's *content* (every field of every
 event, in order) into a stable hex string — the trace half of the
@@ -58,7 +59,7 @@ _NPZ_COLUMNS = {
 }
 
 
-def save_text(trace: Trace, path: str | Path) -> None:
+def save_text(trace: Trace | ColumnarTrace, path: str | Path) -> None:
     """Write ``trace`` to ``path`` in the text format."""
     path = Path(path)
     with path.open("w") as handle:
@@ -121,14 +122,14 @@ def load_text(path: str | Path) -> Trace:
     return Trace(events, name=name)
 
 
-def save_npz(trace: Trace, path: str | Path) -> None:
-    """Write ``trace.columnar()``'s columns to ``path`` as a compressed archive.
+def save_npz(trace: Trace | ColumnarTrace, path: str | Path) -> None:
+    """Write the trace's columns to ``path`` as a compressed archive.
 
     ``sizes`` is stored as int32 and a ``values`` entry of -1 means "no
     payload", so a size beyond int32 or a payload of -1 raises ``ValueError``
     naming the event rather than change on reload.
     """
-    columnar = trace.columnar()
+    columnar = trace if isinstance(trace, ColumnarTrace) else trace.columnar()
     oversized = np.flatnonzero(columnar.sizes > np.iinfo(np.int32).max)
     if len(oversized):
         index = int(oversized[0])
@@ -154,7 +155,7 @@ def save_npz(trace: Trace, path: str | Path) -> None:
         kinds=columnar.kinds,
         spaces=columnar.spaces,
         values=values,
-        name=np.array(trace.name),
+        name=np.array(columnar.name),
     )
 
 
@@ -174,36 +175,22 @@ def trace_digest(trace) -> str:
     space_codes = (AddressSpace.DATA.value, AddressSpace.INSTRUCTION.value)
     for chunk in trace.chunks():
         for start in range(0, len(chunk), _DIGEST_BLOCK):
-            block = slice(start, start + _DIGEST_BLOCK)
-            times = chunk.timestamps[block].tolist()
-            addresses = chunk.addresses[block].tolist()
-            sizes = chunk.sizes[block].tolist()
-            kinds = chunk.kinds[block].tolist()
-            spaces = chunk.spaces[block].tolist()
-            if chunk.values is not None and chunk.value_mask is not None:
-                raw = chunk.values[block].tolist()
-                mask = chunk.value_mask[block].tolist()
-                values = [value if has else None for value, has in zip(raw, mask)]
-            else:
-                values = [None] * len(times)
-            for index in range(len(times)):
+            block = chunk[start : start + _DIGEST_BLOCK]
+            for time, address, size, kind, space, value in block.rows():
                 hasher.update(
-                    (
-                        f"{times[index]} {kind_codes[kinds[index]]} "
-                        f"{space_codes[spaces[index]]} {addresses[index]:#x} "
-                        f"{sizes[index]} {values[index]}\n"
-                    ).encode("ascii")
+                    f"{time} {kind_codes[kind]} {space_codes[space]} {address:#x} "
+                    f"{size} {value}\n".encode("ascii")
                 )
     return hasher.hexdigest()
 
 
-def load_npz(path: str | Path) -> Trace:
-    """Read an npz-format trace from ``path``.
+def load_npz(path: str | Path) -> ColumnarTrace:
+    """Read an npz-format trace from ``path`` as a :class:`ColumnarTrace`.
 
     Each key :func:`save_npz` writes must be present, each numeric one a 1-D
-    integer array within its dtype; the columns then convert through one
-    ``ColumnarTrace`` that must pass ``validate()``.  A violation raises
-    ``ValueError`` naming the file (and the key or event index).
+    integer array within its dtype, and the columns must pass
+    ``ColumnarTrace.validate()``.  A violation raises ``ValueError`` naming
+    the file (and the key or event index).
     """
     columns = {}
     with np.load(Path(path)) as data:
@@ -234,4 +221,4 @@ def load_npz(path: str | Path) -> Trace:
         columnar.validate()
     except ValueError as error:
         raise ValueError(f"{path}: {error}") from error
-    return columnar.to_trace()
+    return columnar

@@ -389,7 +389,7 @@ def open_store(
 
     def _chunks() -> Iterator[ColumnarTrace]:
         for start in range(0, events, chunk_size):
-            yield base._masked(slice(start, start + chunk_size))
+            yield base[start : start + chunk_size]
 
     return StreamedTrace(
         _chunks,

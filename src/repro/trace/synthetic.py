@@ -16,12 +16,15 @@ with controlled structural properties:
 * :class:`ValueTraceGenerator` — write traces carrying data payloads with a
   tunable entropy/smoothness level (the 1B-2 compression workload class).
 
-All generators are deterministic given their ``seed``.
+All generators are deterministic given their ``seed``, and each checks its
+parameter values when constructed: a ``ValueError`` names the generator,
+the field and the value, before any event is generated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,6 +39,41 @@ __all__ = [
     "MarkovRegionGenerator",
     "ValueTraceGenerator",
 ]
+
+
+def _check(generator, fields, rule: str, accept) -> None:
+    """Raise ``ValueError`` for the first of ``fields`` whose value fails ``accept``."""
+    for name in fields:
+        value = getattr(generator, name)
+        if not accept(value):
+            raise ValueError(
+                f"{type(generator).__name__}: {name} must be {rule}, got {value!r}"
+            )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_ints(generator, minimum: int, *fields: str) -> None:
+    """Each of ``fields`` is an integer of at least ``minimum``."""
+    _check(
+        generator,
+        fields,
+        f"an integer >= {minimum}",
+        lambda value: _is_int(value) and value >= minimum,
+    )
+
+
+def _check_fractions(generator, *fields: str) -> None:
+    """Each of ``fields`` is a number in [0, 1]."""
+    _check(
+        generator, fields, "a number in [0, 1]", lambda value: _is_real(value) and 0 <= value <= 1
+    )
 
 
 @dataclass
@@ -64,6 +102,11 @@ class StridedSweepGenerator:
     sweeps: int = 4
     write_fraction: float = 0.2
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_ints(self, 0, "base", "seed")
+        _check_ints(self, 1, "length", "stride", "sweeps")
+        _check_fractions(self, "write_fraction")
 
     def generate(self) -> Trace:
         """Produce the trace."""
@@ -109,6 +152,12 @@ class HotColdGenerator:
     write_fraction: float = 0.3
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        _check_ints(self, 0, "hot_base", "cold_base", "seed")
+        _check_ints(self, 4, "hot_size", "cold_size")  # at least one word
+        _check_ints(self, 1, "accesses")
+        _check_fractions(self, "hot_fraction", "write_fraction")
+
     def generate(self) -> Trace:
         """Produce the trace."""
         rng = np.random.default_rng(self.seed)
@@ -149,6 +198,19 @@ class LoopNestGenerator:
     element_size: int = 4
     write_last: bool = True
     seed: int = 2
+
+    def __post_init__(self) -> None:
+        _check(
+            self,
+            ("array_sizes",),
+            "a non-empty tuple of positive integers",
+            lambda sizes: isinstance(sizes, tuple)
+            and len(sizes) > 0
+            and all(_is_int(size) and size > 0 for size in sizes),
+        )
+        _check_ints(self, 0, "array_gap", "seed")
+        _check_ints(self, 1, "iterations", "element_size")
+        _check(self, ("write_last",), "a bool", lambda value: isinstance(value, bool))
 
     def bases(self) -> list[int]:
         """Base byte address of each array."""
@@ -192,6 +254,11 @@ class MarkovRegionGenerator:
     stickiness: float = 0.95
     write_fraction: float = 0.25
     seed: int = 3
+
+    def __post_init__(self) -> None:
+        _check_ints(self, 0, "region_gap", "seed")
+        _check_ints(self, 1, "regions", "region_size", "accesses")
+        _check_fractions(self, "stickiness", "write_fraction")
 
     def generate(self) -> Trace:
         """Produce the trace."""
@@ -241,13 +308,22 @@ class ScatteredHotGenerator:
     write_fraction: float = 0.3
     seed: int = 5
 
+    def __post_init__(self) -> None:
+        _check_ints(self, 0, "seed")
+        _check_ints(self, 1, "num_blocks", "num_hot", "accesses", "block_size")
+        _check(
+            self,
+            ("num_hot",),
+            f"at most num_blocks ({self.num_blocks})",
+            lambda value: value <= self.num_blocks,
+        )
+        _check(
+            self, ("hot_weight",), "a positive number", lambda value: _is_real(value) and value > 0
+        )
+        _check_fractions(self, "write_fraction")
+
     def generate(self) -> Trace:
         """Produce the trace."""
-        if not 0 < self.num_hot <= self.num_blocks:
-            raise ValueError(
-                f"need 0 < num_hot <= num_blocks, got num_hot={self.num_hot}, "
-                f"num_blocks={self.num_blocks}"
-            )
         rng = np.random.default_rng(self.seed)
         hot_blocks = rng.choice(self.num_blocks, size=self.num_hot, replace=False)
         weights = np.ones(self.num_blocks)
@@ -288,10 +364,14 @@ class ValueTraceGenerator:
     smoothness: float = 0.8
     seed: int = 4
 
+    def __post_init__(self) -> None:
+        _check_ints(self, 0, "base", "seed")
+        _check_ints(self, 1, "lines")
+        _check_ints(self, 4, "line_bytes")  # at least one word per line
+        _check_fractions(self, "smoothness")
+
     def generate(self) -> Trace:
         """Produce the trace."""
-        if not 0.0 <= self.smoothness <= 1.0:
-            raise ValueError(f"smoothness must be in [0, 1], got {self.smoothness}")
         rng = np.random.default_rng(self.seed)
         events = []
         time = 0

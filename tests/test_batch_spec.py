@@ -133,6 +133,22 @@ class TestSweepTask:
         assert a == b
         assert a.config_hash == b.config_hash
 
+    def test_config_hash_takes_the_typed_values(self):
+        # A float key given an int runs as the float, so both share one hash;
+        # a config already in its declared types keeps its raw-mapping hash.
+        from repro.obs.manifest import config_fingerprint
+
+        spec = TraceSpec.kernel("fir")
+        as_int = SweepTask.make("e3_encoding", spec, {"train_fraction": 1})
+        as_float = SweepTask.make("e3_encoding", spec, {"train_fraction": 1.0})
+        assert as_int.config_hash == as_float.config_hash
+        for flow, config in (
+            ("e1_clustering", {"max_banks": 4, "strategy": "frequency"}),
+            ("e3_encoding", {"train_fraction": 1.0, "width": 16}),
+        ):
+            raw = config_fingerprint({"flow": flow, "config": config})
+            assert SweepTask.make(flow, spec, config).config_hash == raw
+
     def test_config_hash_separates_flows(self):
         spec = TraceSpec.kernel("fir")
         a = SweepTask.make("e1_clustering", spec, {})

@@ -1,7 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import json
+import re
+
 import pytest
 
+from repro.batch.flows import FLOW_NAMES
 from repro.cli import build_parser, main
 
 
@@ -268,8 +272,11 @@ class TestSweep:
             ("e1_clustering", "max_banks=1.5", "max_banks"),
             ("e1_clustering", "strategy=affinty", "strategy"),
             ("e2_compression", "codex=bdi", "codex"),
+            ("e2_compression", "platform=dsp", "platform"),
+            ("e2_compression", "codec=zip", "codec"),
             ("e3_encoding", "widht=16", "widht"),
             ("e4_reconfig", "schedular=naive", "schedular"),
+            ("e4_reconfig", "scheduler=greedy", "scheduler"),
         ],
     )
     def test_sweep_bad_config_fails_once_naming_the_key(
@@ -291,6 +298,25 @@ class TestSweep:
         assert "generator 'hot_cold' has no parameter 'bogus'" in err
         assert "accesses" in err
 
+    @pytest.mark.parametrize(
+        ("assignment", "message"),
+        [
+            ("accesses=-5", "HotColdGenerator: accesses must be an integer >= 1, got -5"),
+            ("hot_fraction=1.5", "HotColdGenerator: hot_fraction must be a number in [0, 1]"),
+        ],
+    )
+    def test_bad_synth_value_fails_before_any_task(
+        self, tmp_path, capsys, assignment, message
+    ):
+        source = f"synth:hot_cold:{assignment},seed=1"
+        assert main(["sweep", source, "--cache-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "failed after" not in err
+        for command in ("profile", "optimize"):
+            with pytest.raises(SystemExit, match=re.escape(f"error: {message}")):
+                main([command, source])
+
     def test_sweep_bad_source_exits_2(self, tmp_path, capsys):
         assert main(["sweep", "no_such_kernel", "--cache-dir", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -310,6 +336,54 @@ class TestSweep:
             == 2
         )
         assert "expected key=value" in capsys.readouterr().err
+
+
+class TestFileBackedSources:
+    """A ``.npz`` and a ``.tstore`` packed from one ``synth:`` spec give the
+    spec's results in every command that takes a SOURCE."""
+
+    SPEC = "synth:value:lines=64,seed=3"
+
+    @pytest.fixture
+    def sources(self, tmp_path, capsys):
+        from repro.batch import TraceSpec
+        from repro.trace.io import save_npz
+
+        npz = tmp_path / "value.npz"
+        save_npz(TraceSpec.from_source(self.SPEC).load(), npz)
+        store = tmp_path / "value.tstore"
+        assert main(["trace", "pack", self.SPEC, str(store)]) == 0
+        capsys.readouterr()
+        return [self.SPEC, str(npz), str(store)]
+
+    def outputs(self, capsys, sources, command, *flags) -> list:
+        outputs = []
+        for source in sources:
+            assert main([command, source, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        return outputs
+
+    @pytest.mark.parametrize("command", ["profile", "phases", "optimize"])
+    def test_trace_commands_agree(self, sources, capsys, command):
+        first, *rest = self.outputs(capsys, sources, command, "--block-size", "16")
+        assert first and all(output == first for output in rest)
+
+    def test_trace_pack_digests_agree(self, sources, tmp_path, capsys):
+        summaries = []
+        for index, source in enumerate(sources):
+            assert main(["trace", "pack", source, str(tmp_path / f"re{index}.tstore")]) == 0
+            packed, *rest = capsys.readouterr().out.splitlines()
+            summaries.append([packed.rsplit(" into ", 1)[0], *rest])
+        assert all(summary == summaries[0] for summary in summaries)
+        assert any("trace_digest" in line for line in summaries[0])
+
+    @pytest.mark.parametrize("flow", FLOW_NAMES)
+    def test_sweep_results_agree(self, sources, capsys, flow):
+        outputs = self.outputs(
+            capsys, sources, "sweep", "--flow", flow, "--no-cache", "--format", "json"
+        )
+        first, *rest = [json.loads(output)["results"] for output in outputs]
+        assert first and all(results == first for results in rest)
 
 
 class TestBenchreport:

@@ -117,3 +117,50 @@ class TestValueTrace:
             return sum(deltas) / len(deltas)
 
         assert mean_abs_delta(0.9) < mean_abs_delta(0.2)
+
+
+class TestParameterChecks:
+    """Each generator rejects a bad value when built, before generating."""
+
+    @pytest.mark.parametrize(
+        ("generator", "field", "value"),
+        [
+            (StridedSweepGenerator, "length", 0),
+            (StridedSweepGenerator, "base", -4),
+            (StridedSweepGenerator, "write_fraction", 1.5),
+            (HotColdGenerator, "accesses", -5),
+            (HotColdGenerator, "accesses", 2.5),
+            (HotColdGenerator, "hot_size", 2),
+            (HotColdGenerator, "hot_fraction", -0.1),
+            (LoopNestGenerator, "array_sizes", 16),
+            (LoopNestGenerator, "array_sizes", (8, 0)),
+            (LoopNestGenerator, "iterations", True),
+            (LoopNestGenerator, "write_last", 1),
+            (MarkovRegionGenerator, "regions", 0),
+            (MarkovRegionGenerator, "stickiness", 2),
+            (MarkovRegionGenerator, "seed", -1),
+            (ScatteredHotGenerator, "num_hot", 500),
+            (ScatteredHotGenerator, "hot_weight", 0.0),
+            (ScatteredHotGenerator, "block_size", "32"),
+            (ValueTraceGenerator, "lines", 0),
+            (ValueTraceGenerator, "line_bytes", 3),
+            (ValueTraceGenerator, "smoothness", float("nan")),
+        ],
+    )
+    def test_bad_value_names_generator_field_and_value(self, generator, field, value):
+        with pytest.raises(ValueError) as error:
+            generator(**{field: value})
+        message = str(error.value)
+        assert message.startswith(f"{generator.__name__}: {field} must be ")
+        assert message.endswith(f"got {value!r}")
+
+    def test_defaults_are_valid(self):
+        for generator in (
+            StridedSweepGenerator,
+            HotColdGenerator,
+            LoopNestGenerator,
+            MarkovRegionGenerator,
+            ScatteredHotGenerator,
+            ValueTraceGenerator,
+        ):
+            generator()
