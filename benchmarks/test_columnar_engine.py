@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memory import PartitionedMemory
-from repro.trace import ColumnarTrace
+from repro.trace import Trace
 
 from _rounds import bench_rounds
 
@@ -18,7 +18,7 @@ NUM_EVENTS = 1_000_000
 BANK_SIZES = [16384, 16384, 16384, 16384]
 
 
-def million_event_trace() -> ColumnarTrace:
+def million_event_trace() -> Trace:
     rng = np.random.default_rng(11)
     hot = rng.random(NUM_EVENTS) < 0.8
     addresses = np.where(
@@ -27,7 +27,7 @@ def million_event_trace() -> ColumnarTrace:
         rng.integers(2048, 16384, size=NUM_EVENTS) * 4,
     ).astype(np.int64)
     kinds = (rng.random(NUM_EVENTS) < 0.25).astype(np.uint8)
-    return ColumnarTrace.from_arrays(
+    return Trace.from_arrays(
         addresses, np.arange(NUM_EVENTS, dtype=np.int64), kinds=kinds, name="bench_1m"
     )
 

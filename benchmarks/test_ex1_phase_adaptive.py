@@ -35,7 +35,7 @@ def two_phase_trace(accesses_per_phase: int) -> Trace:
         for event in generator.generate():
             events.append(MemoryAccess(time=time, address=event.address, kind=event.kind))
             time += 1
-    return Trace(events, name=f"two_phase_{accesses_per_phase}")
+    return Trace.from_events(events, name=f"two_phase_{accesses_per_phase}")
 
 
 def phase_length_sweep() -> list[dict]:

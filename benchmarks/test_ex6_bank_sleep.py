@@ -40,7 +40,7 @@ def phase_disjoint_trace() -> Trace:
                 MemoryAccess(time=time, address=base + event.address, kind=event.kind)
             )
             time += 1
-    return Trace(events, name="phase_disjoint")
+    return Trace.from_events(events, name="phase_disjoint")
 
 
 def bank_geometry(spec):

@@ -30,11 +30,11 @@ import os
 from dataclasses import fields
 from inspect import Parameter, signature
 from pathlib import Path
-from typing import Literal, Mapping, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..trace.trace import Trace
+from ..trace.trace import KIND_WRITE, Trace
 
 __all__ = [
     "FLOW_NAMES",
@@ -46,6 +46,11 @@ __all__ = [
 
 #: The sweepable public flows, in benchmark-suite order.
 FLOW_NAMES = ("e1_clustering", "e2_compression", "e3_encoding", "e4_reconfig")
+
+#: An ``int`` config key whose value must be positive; :func:`check_config`
+#: reads the bound from the adapter's signature.
+_POSITIVE = "positive"
+PositiveInt = Annotated[int, _POSITIVE]
 
 
 # -- E1: memory-optimization pipeline -----------------------------------------------
@@ -106,24 +111,24 @@ def _run_e2(
 # -- E3: bus-encoding transform selection -------------------------------------------
 
 
+def _payloads(trace: Trace) -> list[int]:
+    """The payloads ``trace`` carries, in trace order."""
+    if trace.values is None or trace.value_mask is None:
+        return []
+    return trace.values[trace.value_mask].tolist()
+
+
 def _run_e3(
     trace: Trace,
     recorder,
     *,
-    width: int = 32,
+    width: PositiveInt = 32,
     include_functional: bool = True,
     train_fraction: float = 0.5,
 ) -> dict:
     from ..encoding.selector import TransformSelector
 
-    instruction_words = [
-        event.value
-        for event in trace.instruction_accesses()
-        if event.value is not None
-    ]
-    words = instruction_words or [
-        event.value for event in trace if event.value is not None
-    ]
+    words = _payloads(trace.instruction_accesses()) or _payloads(trace)
     if not words:
         raise ValueError(
             f"trace {trace.name!r} carries no value payloads; the encoding "
@@ -134,7 +139,10 @@ def _run_e3(
         include_functional=include_functional,
         train_fraction=train_fraction,
     )
-    selection = selector.select(words)
+    try:
+        selection = selector.select(words)
+    except ValueError as error:
+        raise ValueError(f"trace {trace.name!r}: {error}") from None
     best = selection.best_report
     return {
         "trace_name": trace.name,
@@ -179,7 +187,6 @@ def trace_to_application(
     is independent of the chunking.
     """
     from ..reconfig import Application, DataSet, Kernel
-    from ..trace.columnar import KIND_WRITE
 
     if window_events <= 0:
         raise ValueError(f"window_events must be positive, got {window_events}")
@@ -252,11 +259,11 @@ def _run_e4(
     recorder,
     *,
     scheduler: Literal["naive", "energy"] = "energy",
-    window_events: int = 4096,
-    region_bytes: int = 4096,
-    num_contexts: int = 4,
-    l0_size: int = 2048,
-    context_slots: int = 2,
+    window_events: PositiveInt = 4096,
+    region_bytes: PositiveInt = 4096,
+    num_contexts: PositiveInt = 4,
+    l0_size: PositiveInt = 2048,
+    context_slots: PositiveInt = 2,
 ) -> dict:
     from ..reconfig import (
         EnergyAwareScheduler,
@@ -338,11 +345,12 @@ def check_config(flow: str, config: Mapping) -> dict:
     and the other flows as their adapter's keyword-only parameters, each
     with a type and (except ``_flaky``'s ``marker_dir``) a default.  A
     registry name (the e2 platform and codec, the e4 scheduler) is typed as
-    a ``Literal`` of the names its adapter accepts.  An unknown key, a
-    missing required key, a value of the wrong type or an unknown name
-    raises a ``ValueError`` naming the flow, the key and the value, and the
-    accepted keys or names; a float key accepts an int and holds it as a
-    float.
+    a ``Literal`` of the names its adapter accepts, and a count or size that
+    must be positive as :data:`PositiveInt`.  An unknown key, a missing
+    required key, a value of the wrong type, an unknown name or a value out
+    of its bound raises a ``ValueError`` naming the flow, the key and the
+    value, and the accepted keys or names; a float key accepts an int and
+    holds it as a float.
     """
     if flow not in _FLOWS:
         raise ValueError(
@@ -363,7 +371,7 @@ def check_config(flow: str, config: Mapping) -> dict:
         if parameter.kind is Parameter.KEYWORD_ONLY
     }
     _reject_unknown_keys(flow, config, parameters)
-    types = get_type_hints(adapter)
+    types = get_type_hints(adapter, include_extras=True)
     arguments = {}
     for name, parameter in parameters.items():
         if name not in config:
@@ -371,6 +379,9 @@ def check_config(flow: str, config: Mapping) -> dict:
                 raise ValueError(f"flow {flow!r}: config key {name!r} is required")
             continue
         value, expected = config[name], types[name]
+        bounds = ()
+        if get_origin(expected) is Annotated:
+            expected, *bounds = get_args(expected)
         if expected is float and type(value) is int:
             value = float(value)
         if get_origin(expected) is Literal:
@@ -384,6 +395,10 @@ def check_config(flow: str, config: Mapping) -> dict:
             raise ValueError(
                 f"flow {flow!r}: config key {name!r} must be "
                 f"{expected.__name__}, got {value!r}"
+            )
+        if _POSITIVE in bounds and value <= 0:
+            raise ValueError(
+                f"flow {flow!r}: config key {name!r} must be positive, got {value!r}"
             )
         arguments[name] = value
     return arguments

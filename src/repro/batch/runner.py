@@ -223,9 +223,7 @@ def _load_task_trace(spec: TraceSpec, store_map: dict | None = None):
     as its memory-mapped, digest-verified columns (no event is built and
     the original recipe is not re-run); a store that fails verification is
     treated as a cache miss and the spec's own recipe re-derives the trace,
-    so corruption can never produce wrong results.  A flow that walks
-    events builds the memoized trace's per-event view once
-    (``ColumnarTrace.__iter__`` keeps it), not once per task.
+    so corruption can never produce wrong results.
 
     The memo is deterministic shared state: every process computes the
     identical trace from the identical spec, so reuse is observable only

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Mapping
 
 from ..obs.manifest import config_fingerprint
-from ..trace.columnar import ColumnarTrace
 from ..trace.events import AccessKind, AddressSpace, MemoryAccess
 from ..trace.trace import Trace
 from .flows import typed_config
@@ -189,18 +188,13 @@ class TraceSpec:
         )
 
     @classmethod
-    def inline(cls, trace: Trace | ColumnarTrace) -> "TraceSpec":
+    def inline(cls, trace: Trace) -> "TraceSpec":
         """Spec embedding ``trace``'s events directly (for arbitrary traces)."""
+        kinds = (AccessKind.READ.value, AccessKind.WRITE.value)
+        spaces = (AddressSpace.DATA.value, AddressSpace.INSTRUCTION.value)
         events = tuple(
-            (
-                event.time,
-                event.address,
-                event.size,
-                event.kind.value,
-                event.space.value,
-                event.value,
-            )
-            for event in trace
+            (time, address, size, kinds[kind], spaces[space], value)
+            for time, address, size, kind, space, value in trace.rows()
         )
         return cls(kind="inline", name=trace.name, events=events)
 
@@ -250,14 +244,12 @@ class TraceSpec:
             description["events"] = len(self.events)
         return description
 
-    def load(self) -> Trace | ColumnarTrace:
+    def load(self) -> Trace:
         """Materialize the trace this spec describes; an invalid one raises.
 
-        File-backed traces load as columns: a ``.tstore`` as the
-        memory-mapped, digest-verified ``ColumnarTrace`` of
-        :func:`~repro.trace.store.load_store` and an ``.npz`` as the validated
-        one of :func:`~repro.trace.io.load_npz`.  Kernel, ``.trc``,
-        synthetic and inline specs return a :class:`Trace`.
+        A ``.tstore`` loads as the memory-mapped, digest-verified trace of
+        :func:`~repro.trace.store.load_store`, and an ``.npz`` as the
+        validated one of :func:`~repro.trace.io.load_npz`.
         """
         if self.kind == "kernel":
             from ..isa import CPU, load_kernel
@@ -294,7 +286,7 @@ class TraceSpec:
             for time, address, size, kind, space, value in self.events
         )
         try:
-            trace = Trace(events, name=self.name)
+            trace = Trace.from_events(events, name=self.name)
             trace.validate()
         except (ValueError, OverflowError) as error:
             raise ValueError(f"inline trace spec {self.name!r}: {error}") from error

@@ -333,7 +333,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_encode(args) -> int:
     result = CPU().run(load_kernel(args.kernel))
-    words = [event.value for event in result.instruction_trace]
+    words = result.instruction_trace.values.tolist()
     selection = TransformSelector(width=32).select(words)
     rows = [
         [

@@ -148,8 +148,8 @@ class SelectiveCodeCompressor:
         result = CPU(memory_size=memory_size).run(program)
         counts: dict[int, int] = {}
         base = program.text_base
-        for event in result.instruction_trace:
-            block = (event.address - base) // (4 * self.block_words)
+        for address in result.instruction_trace.addresses.tolist():
+            block = (address - base) // (4 * self.block_words)
             counts[block] = counts.get(block, 0) + 1
         return result.instruction_trace, counts
 
@@ -206,8 +206,8 @@ class SelectiveCodeCompressor:
         compressed_refills = 0
         decompression_cycles = 0
         baseline_cycles = len(instruction_trace)  # one issue slot per fetch
-        for event in instruction_trace:
-            result = icache.access(event.address, is_write=False)
+        for address in instruction_trace.addresses.tolist():
+            result = icache.access(address, is_write=False)
             refill = result.refill
             if refill is None:
                 continue

@@ -184,8 +184,7 @@ class PhaseAwareClustering(ClusteringStrategy):
         # Per-block access count per phase cluster.
         per_phase: dict[int, dict[int, int]] = {}
         for phase in segmentation.phases:
-            for event in segmentation.slice(phase):
-                block = event.block(profile.block_size)
+            for block in segmentation.slice(phase).block_ids(profile.block_size).tolist():
                 per_phase.setdefault(block, {})
                 per_phase[block][phase.cluster] = per_phase[block].get(phase.cluster, 0) + 1
 

@@ -16,7 +16,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..trace.columnar import ColumnarTrace
 from ..trace.profile import AccessProfile
 from ..trace.trace import Trace
 
@@ -89,23 +88,17 @@ class BlockLayout:
         return self._position[block] * self.block_size + offset
 
     def remap_trace(self, trace: Trace) -> Trace:
-        """Remap every event of ``trace`` into layout space."""
-        return trace.remap(self.remap_address, name=f"{trace.name}@{self.name}")
-
-    def remap_columnar(self, columnar: ColumnarTrace) -> ColumnarTrace:
-        """Vectorized :meth:`remap_trace` over a columnar trace.
+        """Remap every event of ``trace`` into layout space.
 
         Position lookup is one ``searchsorted`` against the sorted block
         order; addresses of blocks absent from the layout raise ``KeyError``
         exactly like :meth:`remap_address`.
         """
-        blocks = columnar.addresses // self.block_size
-        offsets = columnar.addresses - blocks * self.block_size
+        blocks = trace.addresses // self.block_size
+        offsets = trace.addresses - blocks * self.block_size
         order_array = np.asarray(self.order, dtype=np.int64)
-        if not len(columnar):
-            return ColumnarTrace.from_arrays(
-                [], [], name=f"{columnar.name}@{self.name}"
-            )
+        if not len(trace):
+            return Trace.from_arrays([], [], name=f"{trace.name}@{self.name}")
         if not len(order_array):
             raise KeyError(int(blocks[0]))
         sort_order = np.argsort(order_array, kind="stable")
@@ -116,16 +109,20 @@ class BlockLayout:
         if np.any(missing):
             raise KeyError(int(blocks[np.argmax(missing)]))
         positions = sort_order[clipped]
-        return ColumnarTrace(
+        return Trace(
             addresses=positions * self.block_size + offsets,
-            timestamps=columnar.timestamps,
-            kinds=columnar.kinds,
-            sizes=columnar.sizes,
-            spaces=columnar.spaces,
-            values=columnar.values,
-            value_mask=columnar.value_mask,
-            name=f"{columnar.name}@{self.name}",
+            timestamps=trace.timestamps,
+            kinds=trace.kinds,
+            sizes=trace.sizes,
+            spaces=trace.spaces,
+            values=trace.values,
+            value_mask=trace.value_mask,
+            name=f"{trace.name}@{self.name}",
         )
+
+    #: Another name for :meth:`remap_trace`, kept for callers that map
+    #: streamed chunks with it.
+    remap_columnar = remap_trace
 
     def counts_in_order(self, profile: AccessProfile) -> tuple[np.ndarray, np.ndarray]:
         """Per-block ``(reads, writes)`` arrays aligned with the layout order."""

@@ -375,7 +375,7 @@ class MemoryOptimizationFlow:
         with span(recorder, "playback", variant=label, banks=result.num_banks):
             # A streamed trace remaps lazily, chunk by chunk, keeping the
             # playback memory bound at the chunk size.
-            layout_trace = data_trace.map_chunks(layout.remap_columnar)
+            layout_trace = data_trace.map_chunks(layout.remap_trace)
             simulated = simulate_partition(
                 result.spec,
                 layout_trace,

@@ -74,13 +74,27 @@ class TransformSelector:
         self.train_fraction = train_fraction
 
     def select(self, words: list[int]) -> SelectionResult:
-        """Evaluate the family on ``words``; return the minimum-transition encoder."""
+        """Evaluate the family on ``words``; return the minimum-transition encoder.
+
+        The stream is checked once, before training: the first word outside
+        ``[0, 2**width)`` raises a ``ValueError`` naming its index, its value
+        and the width.
+        """
         if not words:
             raise ValueError(
                 f"cannot select a transform for an empty stream "
                 f"(words={words!r})"
             )
         candidates = default_candidates(self.width)
+        limit = 1 << self.width
+        if min(words) < 0 or max(words) >= limit:
+            index, word = next(
+                (index, word) for index, word in enumerate(words) if not 0 <= word < limit
+            )
+            raise ValueError(
+                f"word {index} is {word}, outside the {self.width}-bit bus "
+                f"range [0, 2**{self.width})"
+            )
         if self.include_functional:
             cut = max(1, int(len(words) * self.train_fraction))
             for xor_previous in (False, True):

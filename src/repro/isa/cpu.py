@@ -24,8 +24,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from ..trace.events import AccessKind, AddressSpace, MemoryAccess
-from ..trace.trace import Trace
+import numpy as np
+
+from ..trace.trace import KIND_READ, KIND_WRITE, SPACE_INSTRUCTION, Trace
 from .assembler import Program
 from .instructions import (
     LOAD_OPCODES,
@@ -55,14 +56,6 @@ class ExecutionResult:
     instruction_trace: Trace
     registers: list[int]
     halted: bool
-
-    def combined_trace(self) -> Trace:
-        """Instruction and data events merged in execution order."""
-        merged = sorted(
-            list(self.instruction_trace) + list(self.data_trace),
-            key=lambda event: (event.time, event.space.value),
-        )
-        return Trace(merged, name=f"{self.program.name}.all")
 
 
 def _to_signed(value: int) -> int:
@@ -287,16 +280,15 @@ class CPU:
         names the faulting instruction.
         """
         self.load(program)
-        data_events: list[MemoryAccess] = []
-        instruction_events: list[MemoryAccess] = []
-        fetched = instruction_events.append
-        accessed = data_events.append
-        event = MemoryAccess
-        read, write = AccessKind.READ, AccessKind.WRITE
-        instruction_space, data_space = AddressSpace.INSTRUCTION, AddressSpace.DATA
+        # Per-stream columns: fetch PCs and words; data times, addresses,
+        # sizes, kind codes and payloads.
+        pcs: list[int] = []
+        words: list[int] = []
+        data: tuple[list[int], ...] = ([], [], [], [], [])
+        fetched_pc, fetched_word = pcs.append, words.append
+        times, addresses, sizes, kinds, values = (column.append for column in data)
         from_bytes = int.from_bytes
         check_range = self._check_range
-        trace_values = self.trace_values
         memory = self.memory
         memory_size = self.memory_size
         regs = self.registers
@@ -311,7 +303,8 @@ class CPU:
                 if pc % 4 or not 0 <= pc < memory_size:
                     raise ExecutionError(f"bad PC {pc:#x}")
                 word = from_bytes(memory[pc : pc + 4], "little")
-                fetched(event(steps, pc, 4, read, instruction_space, word))
+                fetched_pc(pc)
+                fetched_word(word)
                 entry = lookup(word)
                 if entry is None:
                     entry = entries[word] = _predecode(word)
@@ -332,8 +325,11 @@ class CPU:
                         value = (value - (mask << 1)) & _WORD_MASK
                     if rd:
                         regs[rd] = value
-                    payload = value if trace_values else None
-                    accessed(event(steps, address, size, read, data_space, payload))
+                    times(steps)
+                    addresses(address)
+                    sizes(size)
+                    kinds(KIND_READ)
+                    values(value)
                     pc += 4
                 elif kind == _BRANCH:
                     pc += operand if fn(regs[rd], regs[rs1]) else 4
@@ -342,8 +338,11 @@ class CPU:
                     value = regs[rd] & mask
                     check_range(address, size)
                     memory[address : address + size] = value.to_bytes(size, "little")
-                    payload = value if trace_values else None
-                    accessed(event(steps, address, size, write, data_space, payload))
+                    times(steps)
+                    addresses(address)
+                    sizes(size)
+                    kinds(KIND_WRITE)
+                    values(value)
                     pc += 4
                 elif kind == _JAL:
                     if rd:
@@ -365,11 +364,30 @@ class CPU:
         if not halted:
             raise ExecutionError(f"program did not halt within {max_steps} steps")
 
+        data_times, data_addresses, data_sizes, data_kinds, data_values = data
+        carried = self.trace_values and len(data_times) > 0
         return ExecutionResult(
             program=program,
             instructions_executed=steps,
-            data_trace=Trace(data_events, name=f"{program.name}.data"),
-            instruction_trace=Trace(instruction_events, name=f"{program.name}.instr"),
+            data_trace=Trace(
+                data_addresses,
+                data_times,
+                data_kinds,
+                data_sizes,
+                values=data_values if carried else None,
+                value_mask=np.ones(len(data_times), dtype=bool) if carried else None,
+                name=f"{program.name}.data",
+            ),
+            instruction_trace=Trace(
+                pcs,
+                np.arange(steps),
+                np.full(steps, KIND_READ),
+                np.full(steps, 4),
+                spaces=np.full(steps, SPACE_INSTRUCTION),
+                values=words,
+                value_mask=np.ones(steps, dtype=bool),
+                name=f"{program.name}.instr",
+            ),
             registers=list(regs),
             halted=halted,
         )

@@ -13,13 +13,13 @@ against (one big SRAM, no decoder overhead).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from ..obs.counters import PLAY_BANK_HITS, PLAY_ENERGY_PJ, PLAY_EVENTS
 from ..obs.recorder import Recorder
-from ..trace.columnar import ColumnarTrace, assign_banks, per_bank_read_write_counts
+from ..trace.columnar import assign_banks, per_bank_read_write_counts
 from ..trace.events import MemoryAccess
 from ..trace.trace import Trace
 from .bank import MemoryBank
@@ -130,7 +130,7 @@ class PartitionedMemory:
 
     def play(
         self,
-        trace: Union[Trace, ColumnarTrace],
+        trace: Trace,
         include_leakage: bool = False,
         recorder: Recorder | None = None,
     ) -> MemoryEnergyReport:

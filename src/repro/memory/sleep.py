@@ -17,14 +17,13 @@ granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from ..obs.counters import SLEEP_ENERGY_PJ, SLEEP_WAKE_EVENTS
 from ..obs.recorder import Recorder
 from ..obs.spans import span
-from ..trace.columnar import ColumnarTrace, assign_banks, idle_interval_split
+from ..trace.columnar import assign_banks, idle_interval_split
 from ..trace.trace import Trace
 from .energy import SRAMEnergyModel
 
@@ -97,7 +96,7 @@ class BankSleepReport:
 def simulate_bank_sleep(
     bank_sizes: list[int],
     bank_bases: list[int],
-    layout_trace: Union[Trace, ColumnarTrace],
+    layout_trace: Trace,
     policy: SleepPolicy,
     sram_model: SRAMEnergyModel | None = None,
     cycle_time_ns: float = 10.0,

@@ -10,14 +10,12 @@ must agree — the test suite asserts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from ..memory.energy import DecoderEnergyModel, SRAMEnergyModel
 from ..memory.partitioned import PartitionedMemory
 from ..obs.recorder import Recorder
-from ..trace.columnar import ColumnarTrace
 from ..trace.trace import Trace
 from .spec import PartitionSpec
 
@@ -56,7 +54,7 @@ def build_memory(
 
 def simulate_partition(
     spec: PartitionSpec,
-    layout_trace: Union[Trace, ColumnarTrace],
+    layout_trace: Trace,
     sram_model: SRAMEnergyModel | None = None,
     decoder_model: DecoderEnergyModel | None = None,
     include_leakage: bool = False,
@@ -95,10 +93,10 @@ def simulate_partition(
 
 
 def _translate_columnar(
-    layout_trace: ColumnarTrace,
+    layout_trace: Trace,
     exact_edges: list[int],
     physical_bases: list[int],
-) -> ColumnarTrace:
+) -> Trace:
     """Exact-extent → physical-bank address translation of one chunk.
 
     One ``searchsorted`` against the exact upper edges finds each address's
@@ -112,7 +110,7 @@ def _translate_columnar(
         np.searchsorted(uppers, layout_trace.addresses, side="right"),
         len(uppers) - 1,
     )
-    return ColumnarTrace(
+    return Trace(
         addresses=bases[bank_ids] + (layout_trace.addresses - lowers[bank_ids]),
         timestamps=layout_trace.timestamps,
         kinds=layout_trace.kinds,

@@ -40,7 +40,7 @@ from ..memory.mainmem import MainMemory
 from ..obs.counters import COMPRESS_OFFCHIP_BYTES, PLATFORM_ENERGY_PJ
 from ..obs.recorder import Recorder
 from ..obs.spans import span
-from ..trace.trace import Trace
+from ..trace.trace import KIND_WRITE, Trace
 from .breakdown import EnergyBreakdown, check_report
 
 __all__ = [
@@ -231,10 +231,10 @@ class Platform:
                 encoder=config.ibus_encoder,
                 name="ibus",
             )
-            for event in instruction_trace:
-                if event.value is not None:
-                    breakdown.ibus += ibus.drive(event.value)
-                result = icache.access(event.address, is_write=False)
+            for _time, address, _size, _kind, _space, word in instruction_trace.rows():
+                if word is not None:
+                    breakdown.ibus += ibus.drive(word)
+                result = icache.access(address, is_write=False)
                 for transfer in result.transfers:
                     breakdown.dram += memory.read_burst(transfer.size)
                     content = (
@@ -250,10 +250,11 @@ class Platform:
             breakdown.icache = icache.lookup_energy_total
 
         # ---- data side: write-back D-cache with optional compression --------
-        for event in data_trace:
-            if event.is_write and event.value is not None:
-                image.store(event.address, event.value, event.size)
-            result = dcache.access(event.address, is_write=event.is_write)
+        for _time, address, size, kind, _space, value in data_trace.rows():
+            is_write = kind == KIND_WRITE
+            if is_write and value is not None:
+                image.store(address, value, size)
+            result = dcache.access(address, is_write=is_write)
             for transfer in result.transfers:
                 self._transfer(
                     transfer.line_address,

@@ -18,7 +18,7 @@ from ..cache.cache import Cache, CacheConfig, CacheStats
 from ..memory.energy import BusEnergyModel, DRAMEnergyModel, SRAMEnergyModel
 from ..memory.mainmem import MainMemory
 from ..platforms.breakdown import EnergyBreakdown, check_report
-from ..trace.trace import Trace
+from ..trace.trace import KIND_WRITE, Trace
 from .allocator import SPMAllocation
 
 __all__ = ["SPMPlatformReport", "SPMPlatform"]
@@ -89,13 +89,13 @@ class SPMPlatform:
         spm_energy_per_access = (
             allocation.config.access_energy() if allocation is not None else 0.0
         )
-        for event in data_trace:
-            if allocation is not None and allocation.holds(event.address):
+        for _time, address, _size, kind, _space, _value in data_trace.rows():
+            if allocation is not None and allocation.holds(address):
                 spm_accesses += 1
                 breakdown.spm += spm_energy_per_access
                 continue
             cached_accesses += 1
-            result = dcache.access(event.address, is_write=event.is_write)
+            result = dcache.access(address, is_write=kind == KIND_WRITE)
             for transfer in result.transfers:
                 if transfer.is_writeback:
                     breakdown.dram += memory.write_burst(transfer.size)

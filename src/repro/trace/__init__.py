@@ -1,6 +1,5 @@
 """Trace infrastructure: events, containers, profiles, generators, file I/O."""
 
-from .columnar import ColumnarTrace
 from .events import AccessKind, AddressSpace, MemoryAccess
 from .io import load_npz, load_text, save_npz, save_text, trace_digest
 from .store import (
@@ -40,7 +39,6 @@ __all__ = [
     "AddressSpace",
     "MemoryAccess",
     "Trace",
-    "ColumnarTrace",
     "StreamedTrace",
     "StoreError",
     "TRACE_STORE_SCHEMA_VERSION",

@@ -2,14 +2,14 @@
 
 Every simulator in this package — the instruction-set simulator, the cache
 model, the synthetic workload generators — speaks the same vocabulary: a
-stream of :class:`MemoryAccess` events.  An event records *when* an access
-happened (a logical timestamp, usually the instruction index or cycle), *where*
-(a byte address), *how wide* it was, whether it was a read or a write, and
-which address space it targeted (data or instruction).
+stream of memory accesses.  An access records *when* it happened (a logical
+timestamp, usually the instruction index or cycle), *where* (a byte
+address), *how wide* it was, whether it was a read or a write, and which
+address space it targeted (data or instruction).
 
-Keeping this type tiny and immutable lets traces with millions of events stay
-cheap, and lets all downstream analyses (profiles, partitioning, clustering,
-bus models) share one representation.
+A :class:`~repro.trace.trace.Trace` holds that stream as columns;
+:class:`MemoryAccess` is the per-row view that iterating a trace yields, and
+the event a test or a user builds by hand (see ``Trace.from_events``).
 """
 
 from __future__ import annotations
@@ -111,14 +111,3 @@ class MemoryAccess:
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
         return self.address // block_size
-
-    def with_address(self, address: int) -> "MemoryAccess":
-        """Return a copy of this event at a different address (used by remapping)."""
-        return MemoryAccess(
-            time=self.time,
-            address=address,
-            size=self.size,
-            kind=self.kind,
-            space=self.space,
-            value=self.value,
-        )

@@ -7,9 +7,9 @@ Two formats are supported:
   small fixtures and for eyeballing simulator output;
 * a compact NumPy ``.npz`` format for large traces.
 
-Both round-trip losslessly (:func:`load_npz` returns the archive's validated
-:class:`~repro.trace.columnar.ColumnarTrace`), and both readers reject an
-invalid trace with a ``ValueError`` naming the file.
+Both round-trip losslessly, both readers return a
+:class:`~repro.trace.trace.Trace` written column by column, and both reject
+an invalid trace with a ``ValueError`` naming the file.
 
 :func:`trace_digest` hashes a trace's *content* (every field of every
 event, in order) into a stable hex string — the trace half of the
@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columnar import ColumnarTrace
-from .events import AccessKind, AddressSpace, MemoryAccess
+from .events import AccessKind, AddressSpace
 from .trace import Trace
 
 __all__ = [
@@ -47,6 +46,10 @@ _DIGEST_BLOCK = 65536
 
 _NO_VALUE = -1  # sentinel for "event carries no payload" in the npz format
 
+#: Text letters of the kind and space column codes.
+_KIND_LETTERS = (AccessKind.READ.value, AccessKind.WRITE.value)
+_SPACE_LETTERS = (AddressSpace.DATA.value, AddressSpace.INSTRUCTION.value)
+
 #: Numeric arrays every npz trace archive carries (what :func:`save_npz`
 #: writes, besides ``name``), and the dtype each loads as.
 _NPZ_COLUMNS = {
@@ -59,29 +62,47 @@ _NPZ_COLUMNS = {
 }
 
 
-def save_text(trace: Trace | ColumnarTrace, path: str | Path) -> None:
+def save_text(trace: Trace, path: str | Path) -> None:
     """Write ``trace`` to ``path`` in the text format."""
     path = Path(path)
     with path.open("w") as handle:
         handle.write(f"# trace {trace.name}\n")
-        for event in trace:
-            line = (
-                f"{event.time} {event.kind.value} {event.space.value} "
-                f"{event.address:#x} {event.size}"
-            )
-            if event.value is not None:
-                line += f" {event.value:#x}"
+        for time, address, size, kind, space, value in trace.rows():
+            line = f"{time} {_KIND_LETTERS[kind]} {_SPACE_LETTERS[space]} {address:#x} {size}"
+            if value is not None:
+                line += f" {value:#x}"
             handle.write(line + "\n")
+
+
+def _text_row(fields: list[str]) -> tuple:
+    """``(time, address, size, kind code, space code, payload or None)`` of one line."""
+    if len(fields) not in (5, 6):
+        raise ValueError(f"expected 5 or 6 fields, got {len(fields)}")
+    time, address, size = int(fields[0]), int(fields[3], 16), int(fields[4])
+    kind = AccessKind.from_str(fields[1]) is AccessKind.WRITE
+    space = AddressSpace.from_str(fields[2]) is AddressSpace.INSTRUCTION
+    value = int(fields[5], 16) if len(fields) == 6 else None
+    for integer in (time, address, size, value or 0):
+        if not -(2**63) <= integer < 2**63:
+            raise ValueError(f"{integer} does not fit in int64")
+    if address < 0:
+        raise ValueError(f"address must be non-negative, got {address}")
+    if size <= 0:
+        raise ValueError(f"size must be positive, got {size}")
+    if time < 0:
+        raise ValueError(f"time must be non-negative, got {time}")
+    return time, address, size, kind, space, value
 
 
 def load_text(path: str | Path) -> Trace:
     """Read a text-format trace from ``path``.
 
-    A malformed line, a number outside int64, or a timestamp lower than its
-    predecessor's raises ``ValueError`` naming ``path:line``.
+    A malformed line (field count, kind or space letter, a number outside
+    int64, a negative time or address, a size below 1) or a timestamp lower
+    than its predecessor's raises ``ValueError`` naming ``path:line``.
     """
     path = Path(path)
-    events = []
+    rows = []
     name = path.stem
     with path.open() as handle:
         for number, raw in enumerate(handle, start=1):
@@ -92,78 +113,73 @@ def load_text(path: str | Path) -> Trace:
                 if line.startswith("# trace "):
                     name = line[len("# trace ") :].strip()
                 continue
-            fields = line.split()
             try:
-                if len(fields) not in (5, 6):
-                    raise ValueError(f"expected 5 or 6 fields, got {len(fields)}")
-                time, kind, space, address, size = fields[:5]
-                value = int(fields[5], 16) if len(fields) == 6 else None
-                event = MemoryAccess(
-                    time=int(time),
-                    address=int(address, 16),
-                    size=int(size),
-                    kind=AccessKind.from_str(kind),
-                    space=AddressSpace.from_str(space),
-                    value=value,
-                )
-                for integer in (event.time, event.address, event.size, value or 0):
-                    if not -(2**63) <= integer < 2**63:
-                        raise ValueError(f"{integer} does not fit in int64")
+                row = _text_row(line.split())
             except ValueError as error:
                 raise ValueError(
                     f"{path}:{number}: malformed trace line {line!r}: {error}"
                 ) from error
-            if events and event.time < events[-1].time:
+            if rows and row[0] < rows[-1][0]:
                 raise ValueError(
-                    f"{path}:{number}: timestamp {event.time} is lower than "
-                    f"the previous event's {events[-1].time}"
+                    f"{path}:{number}: timestamp {row[0]} is lower than "
+                    f"the previous event's {rows[-1][0]}"
                 )
-            events.append(event)
-    return Trace(events, name=name)
+            rows.append(row)
+    times, addresses, sizes, kinds, spaces, values = zip(*rows) if rows else [()] * 6
+    has_value = [value is not None for value in values]
+    return Trace(
+        addresses,
+        times,
+        kinds,
+        sizes,
+        spaces=spaces,
+        values=[value or 0 for value in values] if any(has_value) else None,
+        value_mask=has_value if any(has_value) else None,
+        name=name,
+    )
 
 
-def save_npz(trace: Trace | ColumnarTrace, path: str | Path) -> None:
+def save_npz(trace: Trace, path: str | Path) -> None:
     """Write the trace's columns to ``path`` as a compressed archive.
 
     ``sizes`` is stored as int32 and a ``values`` entry of -1 means "no
     payload", so a size beyond int32 or a payload of -1 raises ``ValueError``
     naming the event rather than change on reload.
     """
-    columnar = trace if isinstance(trace, ColumnarTrace) else trace.columnar()
-    oversized = np.flatnonzero(columnar.sizes > np.iinfo(np.int32).max)
+    oversized = np.flatnonzero(trace.sizes > np.iinfo(np.int32).max)
     if len(oversized):
         index = int(oversized[0])
         raise ValueError(
-            f"event {index} has size {int(columnar.sizes[index])}, beyond the "
+            f"event {index} has size {int(trace.sizes[index])}, beyond the "
             f"npz format's int32 sizes"
         )
-    values = np.full(len(columnar), _NO_VALUE, dtype=np.int64)
-    if columnar.values is not None and columnar.value_mask is not None:
-        mask = columnar.value_mask
-        collides = np.flatnonzero(mask & (columnar.values == _NO_VALUE))
+    values = np.full(len(trace), _NO_VALUE, dtype=np.int64)
+    if trace.values is not None and trace.value_mask is not None:
+        mask = trace.value_mask
+        collides = np.flatnonzero(mask & (trace.values == _NO_VALUE))
         if len(collides):
             raise ValueError(
                 f"event {int(collides[0])} carries payload {_NO_VALUE}, which the "
                 f"npz format reserves for 'no payload'"
             )
-        values[mask] = columnar.values[mask]
+        values[mask] = trace.values[mask]
     np.savez_compressed(
         Path(path),
-        times=columnar.timestamps,
-        addresses=columnar.addresses,
-        sizes=columnar.sizes.astype(np.int32),
-        kinds=columnar.kinds,
-        spaces=columnar.spaces,
+        times=trace.timestamps,
+        addresses=trace.addresses,
+        sizes=trace.sizes.astype(np.int32),
+        kinds=trace.kinds,
+        spaces=trace.spaces,
         values=values,
-        name=np.array(columnar.name),
+        name=np.array(trace.name),
     )
 
 
 def trace_digest(trace) -> str:
     """Content digest of ``trace``: SHA-256 hex over the canonical event stream.
 
-    One fold over ``trace.chunks()``, so a :class:`Trace`, a ``ColumnarTrace``
-    and a ``StreamedTrace`` of the same events digest alike.  Every event
+    One fold over ``trace.chunks()``, so a :class:`Trace` and a
+    ``StreamedTrace`` of the same events digest alike.  Every event
     contributes all of its fields (time, kind, space, address, size,
     payload) in trace order; the trace *name* is deliberately excluded so
     two identical event streams digest alike regardless of labelling — the
@@ -171,25 +187,23 @@ def trace_digest(trace) -> str:
     """
     hasher = hashlib.sha256()
     hasher.update(f"repro-trace-digest-v{TRACE_DIGEST_VERSION}\n".encode("ascii"))
-    kind_codes = (AccessKind.READ.value, AccessKind.WRITE.value)
-    space_codes = (AddressSpace.DATA.value, AddressSpace.INSTRUCTION.value)
     for chunk in trace.chunks():
         for start in range(0, len(chunk), _DIGEST_BLOCK):
             block = chunk[start : start + _DIGEST_BLOCK]
             for time, address, size, kind, space, value in block.rows():
                 hasher.update(
-                    f"{time} {kind_codes[kind]} {space_codes[space]} {address:#x} "
+                    f"{time} {_KIND_LETTERS[kind]} {_SPACE_LETTERS[space]} {address:#x} "
                     f"{size} {value}\n".encode("ascii")
                 )
     return hasher.hexdigest()
 
 
-def load_npz(path: str | Path) -> ColumnarTrace:
-    """Read an npz-format trace from ``path`` as a :class:`ColumnarTrace`.
+def load_npz(path: str | Path) -> Trace:
+    """Read an npz-format trace from ``path``.
 
     Each key :func:`save_npz` writes must be present, each numeric one a 1-D
     integer array within its dtype, and the columns must pass
-    ``ColumnarTrace.validate()``.  A violation raises ``ValueError`` naming
+    ``Trace.validate()``.  A violation raises ``ValueError`` naming
     the file (and the key or event index).
     """
     columns = {}
@@ -208,7 +222,7 @@ def load_npz(path: str | Path) -> ColumnarTrace:
                 )
         name = str(data["name"])
     try:
-        columnar = ColumnarTrace(
+        trace = Trace(
             columns["addresses"],
             columns["times"],
             columns["kinds"],
@@ -218,7 +232,7 @@ def load_npz(path: str | Path) -> ColumnarTrace:
             value_mask=columns["values"] != _NO_VALUE,
             name=name,
         )
-        columnar.validate()
+        trace.validate()
     except ValueError as error:
         raise ValueError(f"{path}: {error}") from error
-    return columnar
+    return trace

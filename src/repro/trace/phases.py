@@ -111,7 +111,7 @@ class PhaseDetector:
     # -- feature extraction ------------------------------------------------------
 
     def _features(self, trace: Trace) -> tuple[np.ndarray, list[int]]:
-        blocks = [event.block(self.block_size) for event in trace]
+        blocks = trace.block_ids(self.block_size).tolist()
         counts: dict[int, int] = {}
         for block in blocks:
             counts[block] = counts.get(block, 0) + 1

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from ..obs.counters import PROFILE_BLOCKS, PROFILE_EVENTS
 from ..obs.recorder import Recorder
-from .columnar import KIND_WRITE, ColumnarTrace
-from .trace import Trace
+from .trace import KIND_WRITE, Trace
 
 __all__ = ["BlockStats", "AccessProfile", "reuse_distances"]
 
@@ -107,7 +105,7 @@ class AccessProfile:
 
     def __init__(
         self,
-        trace: Union[Trace, ColumnarTrace],
+        trace: Trace,
         block_size: int = 32,
         recorder: Recorder | None = None,
     ) -> None:

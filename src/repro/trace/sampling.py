@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .trace import Trace
 
 __all__ = ["SystematicSampler", "IntervalSampler", "scale_counts", "count_error"]
@@ -48,12 +50,9 @@ class SystematicSampler:
 
     def sample(self, trace: Trace) -> Trace:
         """Produce the sampled trace."""
-        kept = [
-            event
-            for index, event in enumerate(trace)
-            if index % self.period == self.offset
-        ]
-        return Trace(kept, name=f"{trace.name}~1/{self.period}")
+        sampled = trace[self.offset :: self.period]
+        sampled.name = f"{trace.name}~1/{self.period}"
+        return sampled
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,9 @@ class IntervalSampler:
 
     def sample(self, trace: Trace) -> Trace:
         """Produce the sampled trace."""
-        kept = [
-            event
-            for index, event in enumerate(trace)
-            if index % self.period < self.window
-        ]
-        return Trace(kept, name=f"{trace.name}~{self.window}/{self.period}")
+        sampled = trace[np.arange(len(trace)) % self.period < self.window]
+        sampled.name = f"{trace.name}~{self.window}/{self.period}"
+        return sampled
 
 
 def scale_counts(sampled_counts: dict[int, int], rate: float) -> dict[int, float]:

@@ -17,11 +17,9 @@ Complements :mod:`repro.trace.profile` (which aggregates per block) with
 from __future__ import annotations
 
 import math
-from typing import Union
 
 import numpy as np
 
-from .columnar import ColumnarTrace
 from .trace import Trace
 
 __all__ = [
@@ -31,11 +29,6 @@ __all__ = [
     "region_transition_matrix",
     "region_stickiness",
 ]
-
-
-def _columnar_view(trace: Union[Trace, ColumnarTrace]) -> ColumnarTrace:
-    """Columnar view of ``trace`` (cached on scalar traces)."""
-    return trace if isinstance(trace, ColumnarTrace) else trace.columnar()
 
 
 def _ranked_counts(values: np.ndarray) -> list[tuple[int, int]]:
@@ -52,21 +45,20 @@ def _ranked_counts(values: np.ndarray) -> list[tuple[int, int]]:
 
 
 def stride_histogram(
-    trace: Union[Trace, ColumnarTrace], top: int | None = None
+    trace: Trace, top: int | None = None
 ) -> list[tuple[int, int]]:
     """Histogram of consecutive address deltas, most frequent first.
 
     Returns ``(stride, count)`` pairs; ``top`` truncates the list.  Ties
     rank by first encounter, the order ``Counter.most_common`` gives.
     """
-    columnar = _columnar_view(trace)
-    if len(columnar) < 2:
+    if len(trace) < 2:
         return []
-    ranked = _ranked_counts(np.diff(columnar.addresses))
+    ranked = _ranked_counts(np.diff(trace.addresses))
     return ranked if top is None else ranked[:top]
 
 
-def dominant_stride(trace: Union[Trace, ColumnarTrace]) -> tuple[int, float]:
+def dominant_stride(trace: Trace) -> tuple[int, float]:
     """The most frequent stride and its share of all transitions.
 
     Returns ``(0, 0.0)`` for traces with fewer than two events.
@@ -79,7 +71,7 @@ def dominant_stride(trace: Union[Trace, ColumnarTrace]) -> tuple[int, float]:
     return stride, count / total
 
 
-def address_entropy(trace: Union[Trace, ColumnarTrace], block_size: int = 32) -> float:
+def address_entropy(trace: Trace, block_size: int = 32) -> float:
     """Shannon entropy (bits) of the block-access distribution.
 
     0 bits = one block absorbs everything; ``log2(n)`` bits = accesses
@@ -88,10 +80,9 @@ def address_entropy(trace: Union[Trace, ColumnarTrace], block_size: int = 32) ->
     """
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    columnar = _columnar_view(trace)
-    if not len(columnar):
+    if not len(trace):
         return 0.0
-    blocks = columnar.block_ids(block_size)
+    blocks = trace.block_ids(block_size)
     _unique, first_index, block_counts = np.unique(
         blocks, return_index=True, return_counts=True
     )
@@ -107,7 +98,7 @@ def address_entropy(trace: Union[Trace, ColumnarTrace], block_size: int = 32) ->
 
 
 def region_transition_matrix(
-    trace: Union[Trace, ColumnarTrace], region_size: int = 4096
+    trace: Trace, region_size: int = 4096
 ) -> dict[tuple[int, int], int]:
     """Markov transition counts between address regions.
 
@@ -116,10 +107,9 @@ def region_transition_matrix(
     """
     if region_size <= 0:
         raise ValueError(f"region_size must be positive, got {region_size}")
-    columnar = _columnar_view(trace)
-    if len(columnar) < 2:
+    if len(trace) < 2:
         return {}
-    regions = columnar.addresses // region_size
+    regions = trace.addresses // region_size
     compact, dense = np.unique(regions, return_inverse=True)
     span = len(compact)
     keys = dense[:-1] * span + dense[1:]
@@ -134,7 +124,7 @@ def region_transition_matrix(
     return matrix
 
 
-def region_stickiness(trace: Union[Trace, ColumnarTrace], region_size: int = 4096) -> float:
+def region_stickiness(trace: Trace, region_size: int = 4096) -> float:
     """Fraction of consecutive accesses that stay in the same region.
 
     High stickiness (→1.0) means long region sojourns — the structure that

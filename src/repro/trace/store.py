@@ -14,8 +14,8 @@ cache and a trace much larger than RAM never has to be resident at once.
 Two readers are provided:
 
 * :func:`load_store` — the whole trace as one
-  :class:`~repro.trace.columnar.ColumnarTrace` whose columns are memory
-  maps (zero-copy; the OS pages data in on demand);
+  :class:`~repro.trace.trace.Trace` whose columns are memory maps
+  (zero-copy; the OS pages data in on demand);
 * :func:`open_store` — a :class:`StreamedTrace` that replays the trace
   chunk-by-chunk through the existing vectorized kernels, bounding peak
   memory by the chunk size instead of the trace size.
@@ -50,8 +50,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .columnar import ColumnarTrace
 from .io import trace_digest
+from .trace import Trace
 
 __all__ = [
     "TRACE_STORE_SCHEMA_VERSION",
@@ -104,18 +104,18 @@ class StoreError(RuntimeError):
     """
 
 
-def _column_arrays(columnar: ColumnarTrace) -> dict:
-    """The store's column name → array mapping for one columnar trace."""
+def _column_arrays(trace: Trace) -> dict:
+    """The store's column name → array mapping for one trace."""
     columns = {
-        "addresses": columnar.addresses,
-        "timestamps": columnar.timestamps,
-        "kinds": columnar.kinds,
-        "sizes": columnar.sizes,
-        "spaces": columnar.spaces,
+        "addresses": trace.addresses,
+        "timestamps": trace.timestamps,
+        "kinds": trace.kinds,
+        "sizes": trace.sizes,
+        "spaces": trace.spaces,
     }
-    if columnar.values is not None and columnar.value_mask is not None:
-        columns["values"] = columnar.values
-        columns["value_mask"] = columnar.value_mask
+    if trace.values is not None and trace.value_mask is not None:
+        columns["values"] = trace.values
+        columns["value_mask"] = trace.value_mask
     return columns
 
 
@@ -127,9 +127,7 @@ def _header_digest(header: dict) -> str:
     ).hexdigest()
 
 
-def build_store_header(
-    columnar: ColumnarTrace, chunk_size: int, digest: str
-) -> dict:
+def build_store_header(trace: Trace, chunk_size: int, digest: str) -> dict:
     """Assemble the ``header.json`` payload for one trace.
 
     ``digest`` is the trace's content digest
@@ -142,12 +140,12 @@ def build_store_header(
             "dtype": str(array.dtype),
             "sha256": hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest(),
         }
-        for name, array in _column_arrays(columnar).items()
+        for name, array in _column_arrays(trace).items()
     }
     header = {
         "schema": TRACE_STORE_SCHEMA_VERSION,
-        "name": columnar.name,
-        "events": len(columnar),
+        "name": trace.name,
+        "events": len(trace),
         "chunk_size": int(chunk_size),
         "trace_digest": digest,
         "columns": columns,
@@ -161,24 +159,22 @@ def save_store(
 ) -> Path:
     """Pack a trace into an on-disk store directory; return its path.
 
-    ``trace`` may be a scalar :class:`~repro.trace.trace.Trace` or a
-    :class:`~repro.trace.columnar.ColumnarTrace`; an invalid one raises
-    ``ValueError`` before anything is written.  The store is assembled in a
+    An invalid ``trace`` raises ``ValueError`` before anything is
+    written.  The store is assembled in a
     scratch sibling directory and renamed into place, so a crash mid-pack
     never leaves a half-written store under the target name.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    columnar = trace if isinstance(trace, ColumnarTrace) else trace.columnar()
-    columnar.validate()
+    trace.validate()
     path = Path(path)
-    header = build_store_header(columnar, chunk_size, trace_digest(columnar))
+    header = build_store_header(trace, chunk_size, trace_digest(trace))
     scratch = path.with_name(f"{path.name}.packing-{os.getpid()}")
     if scratch.exists():
         shutil.rmtree(scratch)
     scratch.mkdir(parents=True)
     try:
-        for name, array in _column_arrays(columnar).items():
+        for name, array in _column_arrays(trace).items():
             np.save(scratch / f"{name}.npy", np.ascontiguousarray(array))
         with (scratch / "header.json").open("w") as handle:
             json.dump(header, handle, sort_keys=True, indent=1)
@@ -319,9 +315,9 @@ def _verify_columns(path: Path, header: dict, columns: dict) -> None:
                 ) from error
 
 
-def _columnar_from(columns: dict, name: str) -> ColumnarTrace:
-    """Wrap mapped columns as a zero-copy :class:`ColumnarTrace`."""
-    return ColumnarTrace(
+def _trace_from(columns: dict, name: str) -> Trace:
+    """Wrap mapped columns as a zero-copy :class:`~repro.trace.trace.Trace`."""
+    return Trace(
         columns["addresses"],
         columns["timestamps"],
         columns["kinds"],
@@ -333,8 +329,8 @@ def _columnar_from(columns: dict, name: str) -> ColumnarTrace:
     )
 
 
-def load_store(path, verify: bool = False) -> ColumnarTrace:
-    """Open the store at ``path`` as one memory-mapped :class:`ColumnarTrace`.
+def load_store(path, verify: bool = False) -> Trace:
+    """Open the store at ``path`` as one memory-mapped :class:`~repro.trace.trace.Trace`.
 
     Columns are zero-copy views over the mapped files — the OS pages event
     data in on first touch.  ``verify=True`` additionally hashes every
@@ -347,7 +343,7 @@ def load_store(path, verify: bool = False) -> ColumnarTrace:
     columns = _open_columns(path, header)
     if verify:
         _verify_columns(path, header, columns)
-    return _columnar_from(columns, str(header["name"]))
+    return _trace_from(columns, str(header["name"]))
 
 
 def verify_store(path) -> dict:
@@ -385,9 +381,9 @@ def open_store(
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     events = int(header["events"])
     name = str(header["name"])
-    base = _columnar_from(columns, name)
+    base = _trace_from(columns, name)
 
-    def _chunks() -> Iterator[ColumnarTrace]:
+    def _chunks() -> Iterator[Trace]:
         for start in range(0, events, chunk_size):
             yield base[start : start + chunk_size]
 
@@ -412,7 +408,7 @@ class StreamedTrace:
     ----------
     chunk_factory:
         Zero-argument callable returning a fresh iterator of
-        :class:`~repro.trace.columnar.ColumnarTrace` chunks.  Chunks
+        :class:`~repro.trace.trace.Trace` chunks.  Chunks
         arrive in trace order; a derived view (filter, remap) may yield
         empty chunks.
     name:
@@ -430,7 +426,7 @@ class StreamedTrace:
 
     def __init__(
         self,
-        chunk_factory: Callable[[], Iterator[ColumnarTrace]],
+        chunk_factory: Callable[[], Iterator[Trace]],
         name: str = "trace",
         digest: Optional[str] = None,
         length: Optional[int] = None,
@@ -442,7 +438,7 @@ class StreamedTrace:
         self._length = length
         self.chunk_size = chunk_size
 
-    def chunks(self) -> Iterator[ColumnarTrace]:
+    def chunks(self) -> Iterator[Trace]:
         """A fresh iterator over the trace's columnar chunks, in order."""
         return self._chunk_factory()
 
@@ -459,7 +455,7 @@ class StreamedTrace:
 
     def map_chunks(
         self,
-        transform: Callable[[ColumnarTrace], ColumnarTrace],
+        transform: Callable[[Trace], Trace],
         name: Optional[str] = None,
     ) -> "StreamedTrace":
         """A lazily-transformed view applying ``transform`` per chunk.
@@ -501,25 +497,19 @@ class StreamedTrace:
 
     # -- materialization ----------------------------------------------------------
 
-    def materialize(self) -> ColumnarTrace:
-        """Concatenate every chunk into one in-memory :class:`ColumnarTrace`.
+    def materialize(self) -> Trace:
+        """Concatenate every chunk into one in-memory :class:`~repro.trace.trace.Trace`.
 
         For tests and small traces; defeats the memory bound by design.
         """
         chunks = [chunk for chunk in self.chunks() if len(chunk)]
         if not chunks:
-            return ColumnarTrace(
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.uint8),
-                np.empty(0, dtype=np.int64),
-                name=self.name,
-            )
+            return Trace.from_arrays([], [], name=self.name)
         has_values = all(
             chunk.values is not None and chunk.value_mask is not None
             for chunk in chunks
         )
-        return ColumnarTrace(
+        return Trace(
             np.concatenate([chunk.addresses for chunk in chunks]),
             np.concatenate([chunk.timestamps for chunk in chunks]),
             np.concatenate([chunk.kinds for chunk in chunks]),

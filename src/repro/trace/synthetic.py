@@ -28,8 +28,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .events import AccessKind, AddressSpace, MemoryAccess
-from .trace import Trace
+from .trace import KIND_WRITE, Trace
 
 __all__ = [
     "StridedSweepGenerator",
@@ -111,16 +110,14 @@ class StridedSweepGenerator:
     def generate(self) -> Trace:
         """Produce the trace."""
         rng = np.random.default_rng(self.seed)
-        events = []
-        time = 0
-        for _ in range(self.sweeps):
-            for index in range(self.length):
-                kind = AccessKind.WRITE if rng.random() < self.write_fraction else AccessKind.READ
-                events.append(
-                    MemoryAccess(time=time, address=self.base + index * self.stride, kind=kind)
-                )
-                time += 1
-        return Trace(events, name=f"sweep(l={self.length},s={self.stride})")
+        accesses = self.sweeps * self.length
+        sweep = self.base + np.arange(self.length) * self.stride
+        return Trace.from_arrays(
+            np.tile(sweep, self.sweeps),
+            np.arange(accesses),
+            rng.random(accesses) < self.write_fraction,
+            name=f"sweep(l={self.length},s={self.stride})",
+        )
 
 
 @dataclass
@@ -161,15 +158,14 @@ class HotColdGenerator:
     def generate(self) -> Trace:
         """Produce the trace."""
         rng = np.random.default_rng(self.seed)
-        events = []
-        for time in range(self.accesses):
+        addresses, writes = [], []
+        for _ in range(self.accesses):
             if rng.random() < self.hot_fraction:
-                address = self.hot_base + int(rng.integers(0, self.hot_size // 4)) * 4
+                addresses.append(self.hot_base + int(rng.integers(0, self.hot_size // 4)) * 4)
             else:
-                address = self.cold_base + int(rng.integers(0, self.cold_size // 4)) * 4
-            kind = AccessKind.WRITE if rng.random() < self.write_fraction else AccessKind.READ
-            events.append(MemoryAccess(time=time, address=address, kind=kind))
-        return Trace(events, name="hot_cold")
+                addresses.append(self.cold_base + int(rng.integers(0, self.cold_size // 4)) * 4)
+            writes.append(rng.random() < self.write_fraction)
+        return Trace.from_arrays(addresses, np.arange(self.accesses), writes, name="hot_cold")
 
 
 @dataclass
@@ -218,22 +214,24 @@ class LoopNestGenerator:
 
     def generate(self) -> Trace:
         """Produce the trace."""
-        events = []
-        time = 0
-        bases = self.bases()
-        for iteration in range(self.iterations):
-            for array_index, (base, size) in enumerate(zip(bases, self.array_sizes)):
-                element = iteration % size
-                is_output = self.write_last and array_index == len(bases) - 1
-                events.append(
-                    MemoryAccess(
-                        time=time,
-                        address=base + element * self.element_size,
-                        kind=AccessKind.WRITE if is_output else AccessKind.READ,
-                    )
-                )
-                time += 1
-        return Trace(events, name=f"loop_nest(arrays={len(self.array_sizes)})")
+        iterations = np.arange(self.iterations)
+        # One row per iteration, one column per array: row-major is trace order.
+        addresses = np.stack(
+            [
+                base + (iterations % size) * self.element_size
+                for base, size in zip(self.bases(), self.array_sizes)
+            ],
+            axis=1,
+        )
+        kinds = np.zeros(addresses.shape, dtype=np.uint8)
+        if self.write_last:
+            kinds[:, -1] = KIND_WRITE
+        return Trace.from_arrays(
+            addresses.ravel(),
+            np.arange(addresses.size),
+            kinds.ravel(),
+            name=f"loop_nest(arrays={len(self.array_sizes)})",
+        )
 
 
 @dataclass
@@ -263,18 +261,22 @@ class MarkovRegionGenerator:
     def generate(self) -> Trace:
         """Produce the trace."""
         rng = np.random.default_rng(self.seed)
-        events = []
+        addresses, writes = [], []
         current = 0
         cursor = [0] * self.regions
-        for time in range(self.accesses):
+        for _ in range(self.accesses):
             if rng.random() > self.stickiness:
                 current = int(rng.integers(0, self.regions))
             offset = cursor[current]
             cursor[current] = (offset + 4) % self.region_size
-            address = current * self.region_gap + offset
-            kind = AccessKind.WRITE if rng.random() < self.write_fraction else AccessKind.READ
-            events.append(MemoryAccess(time=time, address=address, kind=kind))
-        return Trace(events, name=f"markov(r={self.regions},p={self.stickiness})")
+            addresses.append(current * self.region_gap + offset)
+            writes.append(rng.random() < self.write_fraction)
+        return Trace.from_arrays(
+            addresses,
+            np.arange(self.accesses),
+            writes,
+            name=f"markov(r={self.regions},p={self.stickiness})",
+        )
 
 
 @dataclass
@@ -332,16 +334,13 @@ class ScatteredHotGenerator:
         blocks = rng.choice(self.num_blocks, size=self.accesses, p=probabilities)
         words_per_block = max(1, self.block_size // 4)
         offsets = rng.integers(0, words_per_block, size=self.accesses) * 4
-        kinds = rng.random(self.accesses) < self.write_fraction
-        events = [
-            MemoryAccess(
-                time=time,
-                address=int(block) * self.block_size + int(offset),
-                kind=AccessKind.WRITE if is_write else AccessKind.READ,
-            )
-            for time, (block, offset, is_write) in enumerate(zip(blocks, offsets, kinds))
-        ]
-        return Trace(events, name=f"scattered(h={self.num_hot}/{self.num_blocks})")
+        writes = rng.random(self.accesses) < self.write_fraction
+        return Trace.from_arrays(
+            blocks * self.block_size + offsets,
+            np.arange(self.accesses),
+            writes,
+            name=f"scattered(h={self.num_hot}/{self.num_blocks})",
+        )
 
 
 @dataclass
@@ -373,27 +372,24 @@ class ValueTraceGenerator:
     def generate(self) -> Trace:
         """Produce the trace."""
         rng = np.random.default_rng(self.seed)
-        events = []
-        time = 0
-        words_per_line = self.line_bytes // 4
+        words = self.lines * (self.line_bytes // 4)
+        values = []
         value = int(rng.integers(0, 2**31))
         # Walk step size shrinks *exponentially* as smoothness grows: at 1.0
         # deltas fit a byte, at 0.5 a halfword-ish, near 0 they are word-sized.
         max_step = max(1, int(2 ** (6 + (1.0 - self.smoothness) * 25)))
-        for line in range(self.lines):
-            for word in range(words_per_line):
-                if self.smoothness == 0.0:
-                    value = int(rng.integers(0, 2**32))
-                else:
-                    value = (value + int(rng.integers(-max_step, max_step + 1))) % 2**32
-                address = self.base + (line * words_per_line + word) * 4
-                events.append(
-                    MemoryAccess(
-                        time=time,
-                        address=address,
-                        kind=AccessKind.WRITE,
-                        value=value,
-                    )
-                )
-                time += 1
-        return Trace(events, name=f"values(smooth={self.smoothness})")
+        for _ in range(words):
+            if self.smoothness == 0.0:
+                value = int(rng.integers(0, 2**32))
+            else:
+                value = (value + int(rng.integers(-max_step, max_step + 1))) % 2**32
+            values.append(value)
+        return Trace(
+            self.base + 4 * np.arange(words),
+            np.arange(words),
+            np.full(words, KIND_WRITE),
+            np.full(words, 4),
+            values=values,
+            value_mask=np.ones(words, dtype=bool),
+            name=f"values(smooth={self.smoothness})",
+        )

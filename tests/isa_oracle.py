@@ -71,8 +71,8 @@ class OracleCPU(CPU):
         return ExecutionResult(
             program=program,
             instructions_executed=steps,
-            data_trace=Trace(data_events, name=f"{program.name}.data"),
-            instruction_trace=Trace(instruction_events, name=f"{program.name}.instr"),
+            data_trace=Trace.from_events(data_events, name=f"{program.name}.data"),
+            instruction_trace=Trace.from_events(instruction_events, name=f"{program.name}.instr"),
             registers=list(self.registers),
             halted=halted,
         )

@@ -2,7 +2,8 @@
 
 Every trace consumer in ``repro`` is one fold over columnar chunks.  The
 functions here are the plain one-event-at-a-time versions of those kernels:
-they walk a :class:`~repro.trace.Trace` in order and keep their state in
+they walk a :class:`~repro.trace.Trace`'s events (``list(trace)``) in
+order and keep their state in
 Python dicts and lists.  Where a kernel folds its integer work into a float
 merge point (``PartitionedMemory._report_from_counters``,
 ``repro.memory.sleep._accumulate_sleep_report``), its oracle lands in the
@@ -13,6 +14,7 @@ test-sized traces only.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -48,15 +50,16 @@ def play(
 ) -> MemoryEnergyReport:
     """:meth:`PartitionedMemory.play`: route each event to its bank, count it."""
     memory.reset_counters()
-    for event in trace:
+    events = list(trace)
+    for event in events:
         bank = memory.bank_for(event.address)
         if event.is_write:
             bank.writes += 1
         else:
             bank.reads += 1
     duration_cycles = 0
-    if len(trace):
-        duration_cycles = trace.events[-1].time - trace.events[0].time + 1
+    if events:
+        duration_cycles = events[-1].time - events[0].time + 1
     return memory._report_from_counters(len(trace), duration_cycles, include_leakage)
 
 
@@ -71,11 +74,12 @@ def simulate_bank_sleep(
     """:func:`repro.memory.simulate_bank_sleep`: per-bank gap walk."""
     if sram_model is None:
         sram_model = SRAMEnergyModel()
-    if not len(trace):
+    events = list(trace)
+    if not events:
         return BankSleepReport(0.0, 0.0, 0, 0.0, 0.0)
     access_times: list[list[int]] = [[] for _ in bank_sizes]
     limits = [base + size for base, size in zip(bank_bases, bank_sizes)]
-    for event in trace:
+    for event in events:
         for index, (base, limit) in enumerate(zip(bank_bases, limits)):
             if base <= event.address < limit:
                 access_times[index].append(event.time)
@@ -99,8 +103,8 @@ def simulate_bank_sleep(
         per_bank,
         [times[0] if times else None for times in access_times],
         [times[-1] if times else None for times in access_times],
-        trace.events[0].time,
-        trace.events[-1].time,
+        events[0].time,
+        events[-1].time,
         policy,
         sram_model,
         cycle_time_ns,
@@ -264,7 +268,10 @@ def translate_rounded(spec, trace: Trace) -> Trace:
                 low = mid + 1
         return physical_bases[low] + (address - exact_edges[low])
 
-    return trace.remap(translate)
+    return Trace.from_events(
+        (dataclasses.replace(event, address=translate(event.address)) for event in trace),
+        name=trace.name,
+    )
 
 
 def trace_digest(trace: Trace) -> str:

@@ -73,6 +73,12 @@ class TestContract:
             ("e4_reconfig", "l0_size", 2048.5),
             ("e4_reconfig", "context_slots", "two"),
             ("_flaky", "fail_times", 1.5),
+            ("e3_encoding", "width", 0),
+            ("e4_reconfig", "window_events", 0),
+            ("e4_reconfig", "region_bytes", 0),
+            ("e4_reconfig", "num_contexts", 0),
+            ("e4_reconfig", "l0_size", 0),
+            ("e4_reconfig", "context_slots", 0),
         ],
     )
     def test_mistyped_config_value_rejected(
@@ -177,7 +183,7 @@ class TestTraceToApplication:
 
     def test_rejects_dataless_trace(self):
         with pytest.raises(ValueError, match="no data accesses"):
-            trace_to_application(Trace([], name="void"))
+            trace_to_application(Trace.from_events([], name="void"))
 
     def test_schedulers_diverge_or_match_but_both_run(self, address_trace):
         naive = run_flow("e4_reconfig", address_trace, {"scheduler": "naive"})

@@ -51,7 +51,7 @@ configs = st.lists(
 
 
 def build_trace(raw_events, label):
-    return Trace(
+    return Trace.from_events(
         [
             MemoryAccess(
                 time=index,
@@ -131,17 +131,17 @@ ACCEPTS = {
         "codec": _one_of("differential", "zero_run", "lzw", "bdi", "none"),
     },
     "e3_encoding": {
-        "width": _of_type(int),
+        "width": _positive_int,
         "include_functional": _of_type(bool),
         "train_fraction": _of_type(float),
     },
     "e4_reconfig": {
         "scheduler": _one_of("naive", "energy"),
-        "window_events": _of_type(int),
-        "region_bytes": _of_type(int),
-        "num_contexts": _of_type(int),
-        "l0_size": _of_type(int),
-        "context_slots": _of_type(int),
+        "window_events": _positive_int,
+        "region_bytes": _positive_int,
+        "num_contexts": _positive_int,
+        "l0_size": _positive_int,
+        "context_slots": _positive_int,
     },
 }
 

@@ -71,7 +71,7 @@ class TestTraceSpec:
         assert loaded.name == trace.name
 
     def test_specs_are_picklable(self):
-        trace = Trace([], name="empty")
+        trace = Trace.from_events([], name="empty")
         for spec in (
             TraceSpec.kernel("fir"),
             TraceSpec.synthetic("hot_cold", accesses=10),

@@ -291,6 +291,32 @@ class TestSweep:
         assert key in err
         assert "failed after" not in err
 
+    @pytest.mark.parametrize(
+        ("flow", "assignment"),
+        [("e3_encoding", "width=0"), ("e4_reconfig", "window_events=0")],
+    )
+    def test_sweep_nonpositive_count_fails_once_naming_the_key(
+        self, tmp_path, capsys, flow, assignment
+    ):
+        argv = ["sweep", "synth:value:lines=16", "--flow", flow, "--set", assignment]
+        assert main(argv + ["--no-cache", "--cache-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        key = assignment.split("=")[0]
+        assert f"error: flow {flow!r}: config key {key!r} must be positive, got 0" in err
+        assert "attempts" not in err
+
+    def test_sweep_out_of_range_payload_names_the_word(self, tmp_path, capsys):
+        source = tmp_path / "neg.trc"
+        source.write_text("0 W D 0x0 4 0x5\n1 W D 0x4 4 -0x2\n")
+        argv = ["sweep", str(source), "--flow", "e3_encoding", "--retries", "0"]
+        assert main(argv + ["--no-cache", "--cache-dir", str(tmp_path / "cache")]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "caused by: ValueError: trace 'neg': word 1 is -2, outside the 32-bit "
+            "bus range [0, 2**32)"
+        ) in err
+        assert "hamming" not in err and "OverflowError" not in err
+
     def test_sweep_unknown_synth_parameter_exits_2(self, tmp_path, capsys):
         source = "synth:hot_cold:accesses=500,seed=1,bogus=3"
         assert main(["sweep", source, "--cache-dir", str(tmp_path)]) == 2

@@ -18,7 +18,7 @@ def profile_from_blocks(blocks, block_size=32):
     events = [
         MemoryAccess(time=time, address=block * block_size) for time, block in enumerate(blocks)
     ]
-    return AccessProfile(Trace(events), block_size=block_size)
+    return AccessProfile(Trace.from_events(events), block_size=block_size)
 
 
 class TestStrategies:
@@ -139,7 +139,7 @@ class TestPhaseAwareClustering:
                     MemoryAccess(time=time, address=base + event.address, kind=event.kind)
                 )
                 time += 1
-        return AccessProfile(Trace(events), block_size=32)
+        return AccessProfile(Trace.from_events(events), block_size=32)
 
     def test_is_permutation(self):
         from repro.core import PhaseAwareClustering

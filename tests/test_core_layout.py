@@ -13,7 +13,7 @@ def simple_profile():
         MemoryAccess(time=2, address=0x100),
         MemoryAccess(time=3, address=0x44),
     ]
-    return AccessProfile(Trace(events), block_size=32)
+    return AccessProfile(Trace.from_events(events), block_size=32)
 
 
 class TestLayoutBasics:
@@ -71,7 +71,7 @@ class TestRemapping:
         profile = simple_profile()
         layout = BlockLayout.identity(profile)
         remapped = layout.remap_trace(profile.trace)
-        assert remapped[1].is_write
+        assert list(remapped)[1].is_write
 
     def test_unknown_block_raises(self):
         layout = BlockLayout([0], block_size=32)

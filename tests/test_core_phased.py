@@ -23,7 +23,7 @@ def two_phase_trace(accesses_per_phase=20000, seeds=(1, 2)):
         for event in generator.generate():
             events.append(MemoryAccess(time=time, address=event.address, kind=event.kind))
             time += 1
-    return Trace(events, name="two_phase")
+    return Trace.from_events(events, name="two_phase")
 
 
 class TestMigrationEnergy:

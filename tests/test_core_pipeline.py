@@ -111,12 +111,12 @@ class TestFlowConfig:
 class TestFlowValidation:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            MemoryOptimizationFlow().run(Trace())
+            MemoryOptimizationFlow().run(Trace.from_events([]))
 
     def test_instruction_only_trace_rejected(self):
         from repro.trace import AddressSpace, MemoryAccess
 
-        trace = Trace([MemoryAccess(time=0, address=0, space=AddressSpace.INSTRUCTION)])
+        trace = Trace.from_events([MemoryAccess(time=0, address=0, space=AddressSpace.INSTRUCTION)])
         with pytest.raises(ValueError):
             MemoryOptimizationFlow().run(trace)
 

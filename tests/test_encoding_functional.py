@@ -165,6 +165,19 @@ class TestSelector:
         with pytest.raises(ValueError):
             TransformSelector(train_fraction=0.0)
 
+    @pytest.mark.parametrize(
+        ("words", "index", "word"), [([5, -2], 1, -2), ([1 << 32], 0, 1 << 32)]
+    )
+    def test_out_of_range_word_rejected_before_training(self, words, index, word):
+        # One ValueError naming the word, not a failure deep in training.
+        with pytest.raises(ValueError) as caught:
+            TransformSelector(width=32).select(words)
+        message = str(caught.value)
+        assert message == (
+            f"word {index} is {word}, outside the 32-bit bus range [0, 2**32)"
+        )
+        assert "hamming" not in message
+
     def test_report_for_unknown_raises(self):
         words = correlated_stream(seed=14, n=300)
         selection = TransformSelector(width=16).select(words)

@@ -153,7 +153,7 @@ class TestTraces:
 
     def test_instruction_trace_carries_encodings(self):
         result = run(".text\nhalt\n")
-        word = result.instruction_trace[0].value
+        word = result.instruction_trace.values[0]
         assert word is not None and (word >> 26) == 0x3F
 
     def test_data_trace_records_loads_and_stores(self):
@@ -169,13 +169,7 @@ class TestTraces:
     def test_value_tracing_can_be_disabled(self):
         program = assemble(".data\nx: .word 7\n.text\nla r1, x\nlw r2, 0(r1)\nhalt\n")
         result = CPU(trace_values=False).run(program)
-        assert result.data_trace[0].value is None
-
-    def test_combined_trace_is_time_ordered(self):
-        result = run(".data\nx: .word 1\n.text\nla r1, x\nlw r2, 0(r1)\nhalt\n")
-        combined = result.combined_trace()
-        combined.validate()
-        assert len(combined) == len(result.instruction_trace) + len(result.data_trace)
+        assert [event.value for event in result.data_trace] == [None]
 
     def test_stack_pointer_initialized_at_top(self):
         result = run(".text\nhalt\n", memory_size=1 << 16)

@@ -75,7 +75,7 @@ class TestPartitionedMemory:
 
     def test_play_counts_accesses_per_bank(self):
         memory = PartitionedMemory([64, 64])
-        trace = Trace(
+        trace = Trace.from_events(
             [
                 MemoryAccess(time=0, address=0),
                 MemoryAccess(time=1, address=70),
@@ -89,7 +89,7 @@ class TestPartitionedMemory:
 
     def test_play_with_leakage_adds_energy(self):
         memory = PartitionedMemory([64, 64])
-        trace = Trace([MemoryAccess(time=0, address=0), MemoryAccess(time=100, address=0)])
+        trace = Trace.from_events([MemoryAccess(time=0, address=0), MemoryAccess(time=100, address=0)])
         without = memory.play(trace, include_leakage=False).total
         with_leak = memory.play(trace, include_leakage=True).total
         assert with_leak > without
@@ -109,7 +109,7 @@ class TestPartitionedMemory:
 
     def test_smaller_bank_cheaper_per_access(self):
         # Same trace on [small hot bank + big cold bank] vs one big bank.
-        trace = Trace([MemoryAccess(time=t, address=0) for t in range(100)])
+        trace = Trace.from_events([MemoryAccess(time=t, address=0) for t in range(100)])
         split = PartitionedMemory([64, 4096 - 64])
         mono = MonolithicMemory(4096)
         assert split.play(trace).bank_energy < mono.play(trace).bank_energy
@@ -118,7 +118,7 @@ class TestPartitionedMemory:
 class TestMonolithicMemory:
     def test_no_decoder_overhead(self):
         memory = MonolithicMemory(1024)
-        trace = Trace([MemoryAccess(time=0, address=0)])
+        trace = Trace.from_events([MemoryAccess(time=0, address=0)])
         report = memory.play(trace)
         assert report.decoder_energy == 0.0
 

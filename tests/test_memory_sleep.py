@@ -3,13 +3,13 @@
 import pytest
 
 from repro.memory import BankSleepReport, SleepPolicy, SRAMEnergyModel, simulate_bank_sleep
-from repro.trace import ColumnarTrace, MemoryAccess, Trace
+from repro.trace import MemoryAccess, Trace
 
 LEAKY = SRAMEnergyModel(leakage_pw_per_bit=10.0)
 
 
 def trace_of(addresses_times):
-    return Trace([MemoryAccess(time=t, address=a) for t, a in addresses_times])
+    return Trace.from_events([MemoryAccess(time=t, address=a) for t, a in addresses_times])
 
 
 class TestSleepPolicy:
@@ -24,7 +24,7 @@ class TestSleepPolicy:
 
 class TestSimulation:
     def test_empty_trace(self):
-        report = simulate_bank_sleep([64], [0], Trace(), SleepPolicy())
+        report = simulate_bank_sleep([64], [0], Trace.from_events([]), SleepPolicy())
         assert report.always_on_leakage == 0.0
         assert report.leakage_saving == 0.0
 
@@ -77,7 +77,7 @@ class TestSimulation:
 
     def test_bank_list_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            simulate_bank_sleep([64, 64], [0], Trace(), SleepPolicy())
+            simulate_bank_sleep([64, 64], [0], Trace.from_events([]), SleepPolicy())
 
     def test_shorter_timeout_sleeps_more(self):
         # Periodic access with 300-cycle gaps.
@@ -96,7 +96,7 @@ class TestReportPostconditions:
     def test_decreasing_timestamps_raise_instead_of_negative_leakage(self):
         # from_arrays bypasses trace ingress, so only the report's own
         # postconditions stand between this trace and a negative leakage.
-        trace = ColumnarTrace.from_arrays([0, 4, 8], [500, 0, 1000])
+        trace = Trace.from_arrays([0, 4, 8], [500, 0, 1000])
         with pytest.raises(ValueError, match="BankSleepReport"):
             simulate_bank_sleep([1024], [0], trace, SleepPolicy())
 

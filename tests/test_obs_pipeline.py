@@ -184,7 +184,7 @@ class TestSleepInstrumentation:
         from repro.trace import MemoryAccess, Trace
 
         events = [MemoryAccess(time=10 * i, address=(i % 128) * 4) for i in range(64)]
-        return Trace(events, name="sleep-small")
+        return Trace.from_events(events, name="sleep-small")
 
     def test_sleep_span_and_counters_recorded(self, small_trace):
         report, log = recorded_run(lambda r: self.simulate(small_trace, r))
@@ -298,7 +298,7 @@ class TestPlayInstrumentation:
     def test_bank_hit_counters_match_bank_access_counts(self):
         from repro.trace import MemoryAccess, Trace
 
-        trace = Trace(
+        trace = Trace.from_events(
             [MemoryAccess(time=i, address=(i * 64) % 1024) for i in range(200)],
             name="play-small",
         )

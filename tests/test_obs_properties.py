@@ -64,7 +64,7 @@ def build_case(case) -> tuple[list[int], Trace]:
                 kind=AccessKind.WRITE if is_write else AccessKind.READ,
             )
         )
-    return [BANK_BYTES] * num_banks, Trace(events, name="prop")
+    return [BANK_BYTES] * num_banks, Trace.from_events(events, name="prop")
 
 
 def jsonl_recorder() -> tuple[JsonlRecorder, io.StringIO]:

@@ -28,7 +28,7 @@ def trace_and_counts(seed=0, num_blocks=12, accesses=500, block_size=32):
             reads[block] += 1
             kind = AccessKind.READ
         events.append(MemoryAccess(time=time, address=block * block_size + offset, kind=kind))
-    return Trace(events), reads, writes
+    return Trace.from_events(events), reads, writes
 
 
 class TestAnalyticVsSimulated:
@@ -82,7 +82,7 @@ class TestSimulationDetails:
     def test_rounded_simulation_routes_by_exact_extents(self):
         # With pow2 rounding, a block at the exact-extent boundary must still
         # route to its spec bank.
-        trace = Trace(
+        trace = Trace.from_events(
             [
                 MemoryAccess(time=0, address=0),  # bank 0
                 MemoryAccess(time=1, address=3 * 32),  # block 3 -> bank 1

@@ -15,7 +15,7 @@ def write_reread_trace(lines=300, rereads=2):
         for event in write_pass:
             events.append(MemoryAccess(time=time, address=event.address, kind=AccessKind.READ))
             time += 1
-    return Trace(events, name="write_reread")
+    return Trace.from_events(events, name="write_reread")
 
 
 class TestCycleAccounting:
@@ -31,13 +31,13 @@ class TestCycleAccounting:
 
     def test_misses_cost_cycles(self):
         # Two traces with identical length, different locality.
-        hot = Trace([MemoryAccess(time=t, address=0) for t in range(500)])
-        cold = Trace([MemoryAccess(time=t, address=t * 64) for t in range(500)])
+        hot = Trace.from_events([MemoryAccess(time=t, address=0) for t in range(500)])
+        cold = Trace.from_events([MemoryAccess(time=t, address=t * 64) for t in range(500)])
         platform = risc_platform()
         assert platform.run_traces(cold).cycles > platform.run_traces(hot).cycles
 
     def test_data_only_uses_access_count_as_issue_proxy(self):
-        trace = Trace([MemoryAccess(time=t, address=0) for t in range(100)])
+        trace = Trace.from_events([MemoryAccess(time=t, address=0) for t in range(100)])
         report = risc_platform().run_traces(trace)
         assert report.cycles >= 100
 
@@ -70,5 +70,5 @@ class TestCompressionTiming:
     def test_slowdown_vs_zero_baseline(self):
         trace = write_reread_trace(lines=50, rereads=1)
         report = risc_platform().run_traces(trace)
-        empty = risc_platform().run_traces(Trace())
+        empty = risc_platform().run_traces(Trace.from_events([]))
         assert report.slowdown_vs(empty) == 0.0  # guarded division

@@ -51,7 +51,7 @@ class TestPlatformBasics:
             MemoryAccess(time=t, address=4 * t, kind=AccessKind.WRITE, value=t)
             for t in range(1024)
         ]
-        report = risc_platform().run_traces(Trace(events))
+        report = risc_platform().run_traces(Trace.from_events(events))
         assert report.bytes_to_memory >= 4096  # all 4KB written eventually
 
     def test_presets_differ(self):
@@ -101,7 +101,7 @@ class TestCompressionOnPlatform:
                     MemoryAccess(time=time, address=event.address, kind=AccessKind.READ)
                 )
                 time += 1
-        trace = Trace(events, name="write_reread")
+        trace = Trace.from_events(events, name="write_reread")
         base = risc_platform(None).run_traces(trace)
         comp = risc_platform(DifferentialCodec()).run_traces(trace)
         assert comp.breakdown.saving_vs(base.breakdown) > 0.05

@@ -4,9 +4,9 @@ The vectorized kernels' contract is *exact* agreement with the per-event
 scalar references in ``tests/playback_oracle.py`` — bit-identical energy
 totals, identical per-bank access counts, identical sleep accounting — on
 any trace, including empty traces and single-bank memories.  Each kernel
-here is fed the trace's ``ColumnarTrace`` view; ``test_properties_store.py``
-repeats the comparison on ``Trace`` and ``open_store`` inputs at drawn chunk
-sizes.  Hypothesis searches for counterexamples.
+here is fed the in-memory ``Trace``; ``test_properties_store.py`` repeats
+the comparison on ``open_store`` inputs at drawn chunk sizes.  Hypothesis
+searches for counterexamples.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def build_case(case) -> tuple[list[int], Trace]:
                 kind=AccessKind.WRITE if is_write else AccessKind.READ,
             )
         )
-    return [BANK_BYTES] * num_banks, Trace(events, name="prop")
+    return [BANK_BYTES] * num_banks, Trace.from_events(events, name="prop")
 
 
 @settings(max_examples=200, deadline=None)
@@ -60,7 +60,7 @@ def test_play_scalar_and_vectorized_agree_exactly(case):
     memory_scalar = PartitionedMemory(bank_sizes)
     memory_vector = PartitionedMemory(bank_sizes)
     report_scalar = oracle.play(memory_scalar, trace, include_leakage=True)
-    report_vector = memory_vector.play(trace.columnar(), include_leakage=True)
+    report_vector = memory_vector.play(trace, include_leakage=True)
     assert report_scalar.total == report_vector.total
     assert report_scalar.bank_energy == report_vector.bank_energy
     assert report_scalar.decoder_energy == report_vector.decoder_energy
@@ -79,7 +79,7 @@ def test_bank_sleep_scalar_and_columnar_agree_exactly(case, timeout_cycles):
     policy = SleepPolicy(timeout_cycles=timeout_cycles)
     report_scalar = oracle.simulate_bank_sleep(bank_sizes, bank_bases, trace, policy)
     report_columnar = simulate_bank_sleep(
-        bank_sizes, bank_bases, trace.columnar(), policy
+        bank_sizes, bank_bases, trace, policy
     )
     assert report_scalar == report_columnar
     assert report_scalar.leakage_saving == report_columnar.leakage_saving
@@ -90,7 +90,7 @@ def test_bank_sleep_scalar_and_columnar_agree_exactly(case, timeout_cycles):
 def test_profile_scalar_and_columnar_agree_exactly(case):
     _bank_sizes, trace = build_case(case)
     sequence, stats = oracle.profile_stats(trace, block_size=32)
-    vectorized = AccessProfile(trace.columnar(), block_size=32)
+    vectorized = AccessProfile(trace, block_size=32)
     assert vectorized.block_sequence == sequence
     # Dict order is part of the contract: clustering breaks ties on it.
     assert [

@@ -1,12 +1,12 @@
-"""Columnar ingress: file-backed traces load as columns and walk as events.
+"""Column ingress: file-backed traces load as columns and walk as events.
 
-``load_npz`` and ``load_store`` return a :class:`ColumnarTrace`, and so does
-``TraceSpec.load`` for ``.npz`` and ``.tstore`` sources.  Consumers that walk
-events take those columns unchanged, through ``ColumnarTrace.__iter__`` (one
-``MemoryAccess`` per row, built once and kept) and slicing.  The properties
-pin both halves against the scalar ``Trace`` the columns came from: every
-ingress yields the same events and the same slices, and every flow returns
-the same JSON for a ``ColumnarTrace`` and for its ``to_trace()``.
+``load_npz`` and ``load_store`` return a :class:`Trace` of the file's
+columns, and so does ``TraceSpec.load`` for ``.npz`` and ``.tstore``
+sources.  Iterating a trace yields one ``MemoryAccess`` per row, built once
+and kept.  The properties pin both halves against the trace that was
+saved: every ingress yields the same events and the same slices, and every
+flow returns the same JSON for a trace and for the trace rebuilt from its
+events.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.batch.flows import FLOW_NAMES, run_flow
 from repro.core.phased import PhasedMemoryOptimizationFlow
 from repro.trace import AccessKind, AddressSpace, MarkovRegionGenerator, MemoryAccess, Trace
-from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import load_npz, save_npz
 from repro.trace.store import load_store, save_store
 
@@ -65,7 +64,7 @@ def build_trace(case) -> Trace:
                 value=value if with_values else None,
             )
         )
-    return Trace(events, name="prop")
+    return Trace.from_events(events, name="prop")
 
 
 def outcome(flow: str, trace) -> str:
@@ -83,14 +82,10 @@ def test_every_columnar_ingress_yields_the_trace_events(tmp_path_factory, case, 
     root = tmp_path_factory.mktemp("ingress")
     save_npz(trace, root / "prop.npz")
     store = save_store(trace, root / "prop.tstore")
-    views = [
-        ColumnarTrace.from_trace(trace),
-        load_npz(root / "prop.npz"),
-        load_store(store, verify=True),
-    ]
+    views = [load_npz(root / "prop.npz"), load_store(store, verify=True)]
     rows = data.draw(st.slices(len(trace)))
     for view in views:
-        assert isinstance(view, ColumnarTrace)
+        assert isinstance(view, Trace)
         assert view.name == trace.name
         assert list(view) == list(trace)
         assert list(view[rows]) == list(trace[rows])
@@ -100,9 +95,10 @@ def test_every_columnar_ingress_yields_the_trace_events(tmp_path_factory, case, 
 @settings(max_examples=25, deadline=None)
 @given(trace_strategy(word_payloads))
 def test_flows_agree_on_columns_and_their_events(case):
-    columnar = ColumnarTrace.from_trace(build_trace(case))
+    trace = build_trace(case)
+    rebuilt = Trace.from_events(list(trace), name=trace.name)
     for flow in FLOW_NAMES:
-        assert outcome(flow, columnar) == outcome(flow, columnar.to_trace()), flow
+        assert outcome(flow, trace) == outcome(flow, rebuilt), flow
 
 
 def test_phased_flow_on_npz_equals_the_original_trace(tmp_path):
@@ -128,7 +124,3 @@ def test_event_view_is_built_once_and_kept(tmp_path):
     assert all(a is b for a, b in zip(first, columnar))
     # A filter keeping every row is the trace itself, kept view included.
     assert columnar.data_accesses() is columnar
-    # to_trace copies the view: appending to the copy leaves it alone.
-    copy = columnar.to_trace()
-    copy.append(first[-1])
-    assert len(list(columnar)) == len(trace)

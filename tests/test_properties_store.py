@@ -2,17 +2,19 @@
 
 Every trace consumer in ``repro`` is one fold over columnar chunks, pinned
 here against its per-event reference in ``tests/playback_oracle.py``.  The
-playback properties feed one generated trace to the kernel three ways — as
-a ``Trace``, as its ``ColumnarTrace`` (one chunk), and packed into a
-``.tstore`` replayed by ``open_store`` chunk by chunk — and require each
-result to equal the oracle's with ``==``: bit-identical floats, identical
-counts, identical dict order.  Chunk sizes are drawn past the maximum trace
+playback properties feed one generated trace to the kernel two ways — in
+memory as a ``Trace`` (one chunk), and packed into a ``.tstore`` replayed
+by ``open_store`` chunk by chunk — and require each result to equal the
+oracle's with ``==``: bit-identical floats, identical counts, identical
+dict order.  Chunk sizes are drawn past the maximum trace
 length (120), so one event per chunk, chunks straddling idle intervals and
 the whole trace in one chunk are all exercised.  The round-trip property
-pins ``trace_digest`` the same way: oracle == digest on all three forms.
+pins ``trace_digest`` the same way: oracle == digest on every form.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from repro.trace import (
     region_transition_matrix,
     stride_histogram,
 )
-from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import trace_digest
 from repro.trace.profile import AccessProfile
 from repro.trace.store import load_store, open_store, save_store, store_digest
@@ -80,7 +81,7 @@ def build_case(case) -> tuple[list[int], Trace]:
                 value=value if with_values else None,
             )
         )
-    return [BANK_BYTES] * num_banks, Trace(events, name="prop")
+    return [BANK_BYTES] * num_banks, Trace.from_events(events, name="prop")
 
 
 def packed(tmp_path_factory, trace: Trace, chunk_size: int):
@@ -89,10 +90,10 @@ def packed(tmp_path_factory, trace: Trace, chunk_size: int):
     return save_store(trace, root / "prop.tstore", chunk_size=chunk_size)
 
 
-def three_views(tmp_path_factory, trace: Trace, chunk_size: int) -> list:
-    """``trace`` as a ``Trace``, a ``ColumnarTrace`` and a ``StreamedTrace``."""
+def both_views(tmp_path_factory, trace: Trace, chunk_size: int) -> list:
+    """``trace`` in memory and as a ``StreamedTrace`` of its packed store."""
     path = packed(tmp_path_factory, trace, chunk_size)
-    return [trace, trace.columnar(), open_store(path)]
+    return [trace, open_store(path)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,7 +103,7 @@ def test_round_trip_is_bit_identical(tmp_path_factory, case, chunk_size):
     path = packed(tmp_path_factory, trace, chunk_size)
     loaded = load_store(path, verify=True)
     assert len(loaded) == len(trace)
-    for want, got in zip(trace, loaded.to_trace()):
+    for want, got in zip(trace, loaded):
         assert want == got
     reference = oracle.trace_digest(trace)
     assert store_digest(path) == reference
@@ -116,7 +117,7 @@ def test_play_three_way_identical(tmp_path_factory, case, chunk_size):
     bank_sizes, trace = build_case(case)
     reference_memory = PartitionedMemory(bank_sizes)
     reference = oracle.play(reference_memory, trace, include_leakage=True)
-    for view in three_views(tmp_path_factory, trace, chunk_size):
+    for view in both_views(tmp_path_factory, trace, chunk_size):
         memory = PartitionedMemory(bank_sizes)
         assert memory.play(view, include_leakage=True) == reference
         assert [(b.reads, b.writes) for b in memory.banks] == [
@@ -133,7 +134,7 @@ def test_bank_sleep_three_way_identical(
     bank_bases = [i * BANK_BYTES for i in range(len(bank_sizes))]
     policy = SleepPolicy(timeout_cycles=timeout_cycles)
     reference = oracle.simulate_bank_sleep(bank_sizes, bank_bases, trace, policy)
-    for view in three_views(tmp_path_factory, trace, chunk_size):
+    for view in both_views(tmp_path_factory, trace, chunk_size):
         assert simulate_bank_sleep(bank_sizes, bank_bases, view, policy) == reference
 
 
@@ -143,7 +144,7 @@ def test_profile_three_way_identical(tmp_path_factory, case, chunk_size, window)
     _bank_sizes, trace = build_case(case)
     sequence, stats = oracle.profile_stats(trace, block_size=32)
     affinity = oracle.affinity_matrix(sequence, window)
-    for view in three_views(tmp_path_factory, trace, chunk_size):
+    for view in both_views(tmp_path_factory, trace, chunk_size):
         profile = AccessProfile(view, block_size=32)
         assert profile.block_sequence == sequence
         # Dict order is part of the contract: clustering breaks ties on it,
@@ -181,7 +182,7 @@ affinity_sequence_strategy = st.one_of(
 def test_affinity_matches_oracle_at_flow_windows(sequence):
     """Window 16 (``AffinityClustering``'s) and 32 merge 15 and 31 offsets."""
     blocks = np.asarray(sequence, dtype=np.int64)
-    trace = ColumnarTrace(
+    trace = Trace(
         addresses=blocks * 32,
         timestamps=np.arange(len(blocks)),
         kinds=np.zeros(len(blocks)),
@@ -201,7 +202,7 @@ def test_streamed_filters_match_scalar_filters(tmp_path_factory, case, chunk_siz
     streamed = open_store(path)
     for view in ("reads", "writes", "data_accesses"):
         expected = getattr(trace, view)()
-        actual = getattr(streamed, view)().materialize().to_trace()
+        actual = getattr(streamed, view)().materialize()
         assert len(expected) == len(actual)
         for want, got in zip(expected, actual):
             assert want == got
@@ -216,7 +217,10 @@ def test_remap_and_rounded_playback_match_oracle(tmp_path_factory, case, chunk_s
         return
     if data.draw(st.booleans(), label="block-aligned"):
         # First bytes of blocks land on bank edges after the remap.
-        trace = trace.remap(lambda address: address - address % 32)
+        trace = Trace.from_events(
+            dataclasses.replace(event, address=event.address - event.address % 32)
+            for event in trace
+        )
     profile = AccessProfile(trace, block_size=32)
     layout = BlockLayout(data.draw(st.permutations(profile.blocks)), block_size=32)
     remapped = layout.remap_trace(trace)
@@ -232,9 +236,9 @@ def test_remap_and_rounded_playback_match_oracle(tmp_path_factory, case, chunk_s
         accesses=report.accesses,
         bank_access_counts=tuple(memory.bank_access_counts()),
     )
-    for view in three_views(tmp_path_factory, trace, chunk_size):
-        layout_trace = view.map_chunks(layout.remap_columnar)
-        events = [event for chunk in layout_trace.chunks() for event in chunk.to_trace()]
+    for view in both_views(tmp_path_factory, trace, chunk_size):
+        layout_trace = view.map_chunks(layout.remap_trace)
+        events = [event for chunk in layout_trace.chunks() for event in chunk]
         assert events == list(remapped)
         assert simulate_partition(spec, layout_trace, include_leakage=True) == reference
 
@@ -286,12 +290,11 @@ def test_stats_match_oracle(case, top, block_size, region_size):
     strides = oracle.stride_histogram(trace, top)
     entropy = oracle.address_entropy(trace, block_size)
     transitions = oracle.region_transition_matrix(trace, region_size)
-    for view in (trace, trace.columnar()):
-        assert stride_histogram(view, top) == strides
-        assert address_entropy(view, block_size) == entropy
-        assert list(region_transition_matrix(view, region_size).items()) == list(
-            transitions.items()
-        )
+    assert stride_histogram(trace, top) == strides
+    assert address_entropy(trace, block_size) == entropy
+    assert list(region_transition_matrix(trace, region_size).items()) == list(
+        transitions.items()
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -306,7 +309,7 @@ def test_trace_to_application_windows_match_oracle(
 ):
     """Windows that straddle chunk boundaries merge into one kernel."""
     _bank_sizes, trace = build_case(case)
-    for view in three_views(tmp_path_factory, trace, chunk_size):
+    for view in both_views(tmp_path_factory, trace, chunk_size):
         if not len(trace):
             with pytest.raises(ValueError, match="no data accesses"):
                 trace_to_application(view, window_events, region_bytes, 3)

@@ -105,7 +105,7 @@ class TestSPMPlatform:
         allocation = SPMAllocator(SPMConfig(size=512), cache_path_energy=50.0).allocate(
             scattered_profile
         )
-        untouched = Trace([MemoryAccess(time=0, address=0x100000)])
+        untouched = Trace.from_events([MemoryAccess(time=0, address=0x100000)])
         report = platform.run_traces(untouched, allocation)
         assert report.breakdown.spm > 0  # fill writes
         assert report.breakdown.dram > 0  # fill burst
@@ -122,4 +122,4 @@ class TestSPMPlatform:
         assert coverages == sorted(coverages)
 
     def test_measured_cache_path_energy_empty_trace(self):
-        assert SPMPlatform().measured_cache_path_energy(Trace()) == 0.0
+        assert SPMPlatform().measured_cache_path_energy(Trace.from_events([])) == 0.0

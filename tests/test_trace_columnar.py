@@ -1,4 +1,4 @@
-"""Unit tests for the columnar trace representation and its kernels."""
+"""Unit tests for the trace columns, the event view and the column kernels."""
 
 from __future__ import annotations
 
@@ -6,20 +6,13 @@ import numpy as np
 import pytest
 
 from repro.memory import AccessOutsideMemoryError, PartitionedMemory
-from repro.trace import AccessKind, AddressSpace, ColumnarTrace, MemoryAccess, Trace
-from repro.trace.columnar import (
-    KIND_READ,
-    KIND_WRITE,
-    SPACE_DATA,
-    SPACE_INSTRUCTION,
-    assign_banks,
-    idle_interval_split,
-    per_bank_read_write_counts,
-)
+from repro.trace import AccessKind, AddressSpace, MemoryAccess, Trace
+from repro.trace.columnar import assign_banks, idle_interval_split, per_bank_read_write_counts
+from repro.trace.trace import KIND_READ, KIND_WRITE, SPACE_DATA, SPACE_INSTRUCTION
 
 
-def make_trace() -> Trace:
-    events = [
+def make_events() -> list[MemoryAccess]:
+    return [
         MemoryAccess(time=0, address=0x100, kind=AccessKind.READ),
         MemoryAccess(time=1, address=0x104, kind=AccessKind.WRITE, value=42),
         MemoryAccess(time=5, address=0x2000, size=8, kind=AccessKind.READ),
@@ -27,23 +20,23 @@ def make_trace() -> Trace:
             time=9, address=0x40, kind=AccessKind.READ, space=AddressSpace.INSTRUCTION
         ),
     ]
-    return Trace(events, name="mixed")
+
+
+def make_trace() -> Trace:
+    return Trace.from_events(make_events(), name="mixed")
 
 
 class TestConversion:
     def test_round_trip_preserves_every_field(self):
         trace = make_trace()
-        back = trace.columnar().to_trace()
-        assert back.name == trace.name
-        assert list(back) == list(trace)
+        assert trace.name == "mixed"
+        assert list(trace) == make_events()
 
     def test_round_trip_preserves_value_payloads(self):
-        trace = make_trace()
-        back = trace.columnar().to_trace()
-        assert [e.value for e in back] == [None, 42, None, None]
+        assert [e.value for e in make_trace()] == [None, 42, None, None]
 
     def test_kind_and_space_encodings_match_enum_order(self):
-        columnar = make_trace().columnar()
+        columnar = make_trace()
         assert columnar.kinds.tolist() == [KIND_READ, KIND_WRITE, KIND_READ, KIND_READ]
         assert columnar.spaces.tolist() == [
             SPACE_DATA,
@@ -54,43 +47,32 @@ class TestConversion:
 
     def test_from_arrays_is_zero_copy_for_int64(self):
         addresses = np.array([0, 4, 8], dtype=np.int64)
-        columnar = ColumnarTrace.from_arrays(addresses, np.arange(3, dtype=np.int64))
+        columnar = Trace.from_arrays(addresses, np.arange(3, dtype=np.int64))
         assert columnar.addresses is addresses
 
     def test_from_arrays_defaults(self):
-        columnar = ColumnarTrace.from_arrays([0, 4], [0, 1])
+        columnar = Trace.from_arrays([0, 4], [0, 1])
         assert columnar.kinds.tolist() == [KIND_READ, KIND_READ]
         assert columnar.sizes.tolist() == [4, 4]
 
     def test_mismatched_column_lengths_rejected(self):
         with pytest.raises(ValueError, match="column timestamps"):
-            ColumnarTrace(
+            Trace(
                 np.zeros(3, dtype=np.int64),
                 np.zeros(2, dtype=np.int64),
                 np.zeros(3, dtype=np.uint8),
                 np.zeros(3, dtype=np.int64),
             )
 
-    def test_chunk_protocol_serves_the_cached_view_as_one_chunk(self):
+    def test_chunk_protocol_serves_the_trace_as_one_chunk(self):
         trace = make_trace()
-        columnar = trace.columnar()
-        assert [chunk is columnar for chunk in trace.chunks()] == [True]
-        assert [chunk is columnar for chunk in columnar.chunks()] == [True]
-        assert trace.map_chunks(len) == columnar.map_chunks(len) == len(trace)
-
-    def test_columnar_view_is_cached_and_invalidated(self):
-        trace = make_trace()
-        first = trace.columnar()
-        assert trace.columnar() is first
-        trace.append(MemoryAccess(time=10, address=0x108))
-        second = trace.columnar()
-        assert second is not first
-        assert len(second) == len(trace)
+        assert [chunk is trace for chunk in trace.chunks()] == [True]
+        assert trace.map_chunks(len) == len(trace)
 
 
 class TestViewsAndSummaries:
     def test_space_and_kind_views(self):
-        columnar = make_trace().columnar()
+        columnar = make_trace()
         assert len(columnar.data_accesses()) == 3
         assert len(columnar.instruction_accesses()) == 1
         assert len(columnar.reads()) == 3
@@ -98,25 +80,22 @@ class TestViewsAndSummaries:
 
     def test_read_write_counts_match_scalar(self):
         trace = make_trace()
-        assert trace.columnar().read_write_counts() == trace.read_write_counts()
-
-    def test_address_range_includes_access_width(self):
-        columnar = make_trace().columnar()
-        assert columnar.address_range() == (0x40, 0x2008)
+        reads = sum(event.is_read for event in trace)
+        assert trace.read_write_counts() == (reads, len(trace) - reads) == (3, 1)
 
     def test_empty_trace_summaries(self):
-        empty = Trace(name="empty").columnar()
-        assert empty.address_range() == (0, 0)
-        assert empty.duration_cycles() == 0
-        assert len(empty.to_trace()) == 0
+        empty = Trace.from_events([], name="empty")
+        assert empty.read_write_counts() == (0, 0)
+        assert empty.footprint(32) == 0
+        assert list(empty) == [] and empty.values is None
 
     def test_validate_rejects_time_travel(self):
-        columnar = ColumnarTrace.from_arrays([0, 4], [5, 3])
+        columnar = Trace.from_arrays([0, 4], [5, 3])
         with pytest.raises(ValueError, match="non-decreasing"):
             columnar.validate()
 
     def test_validate_rejects_negative_addresses(self):
-        columnar = ColumnarTrace.from_arrays([-4, 4], [0, 1])
+        columnar = Trace.from_arrays([-4, 4], [0, 1])
         with pytest.raises(ValueError, match="non-negative"):
             columnar.validate()
 
@@ -141,7 +120,7 @@ class TestKernels:
             assign_banks(np.array([50], dtype=np.int64), bases, limits)
 
     def test_play_vectorized_wraps_bank_error(self):
-        trace = ColumnarTrace.from_arrays([0, 5000], [0, 1])
+        trace = Trace.from_arrays([0, 5000], [0, 1])
         with pytest.raises(AccessOutsideMemoryError):
             PartitionedMemory([4096]).play(trace)
 

@@ -62,19 +62,6 @@ class TestMemoryAccess:
         with pytest.raises(ValueError):
             MemoryAccess(time=-1, address=0)
 
-    def test_with_address_preserves_everything_else(self):
-        event = MemoryAccess(
-            time=7, address=0x10, size=2, kind=AccessKind.WRITE, value=0xAB
-        )
-        moved = event.with_address(0x40)
-        assert moved.address == 0x40
-        assert (moved.time, moved.size, moved.kind, moved.value) == (
-            7,
-            2,
-            AccessKind.WRITE,
-            0xAB,
-        )
-
     def test_frozen(self):
         event = MemoryAccess(time=0, address=0)
         with pytest.raises(AttributeError):

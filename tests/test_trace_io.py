@@ -18,7 +18,7 @@ from repro.trace import (
 
 
 def sample_trace():
-    return Trace(
+    return Trace.from_events(
         [
             MemoryAccess(time=0, address=0x1000, size=4, kind=AccessKind.READ),
             MemoryAccess(time=1, address=0x1004, size=2, kind=AccessKind.WRITE, value=0xBEEF),
@@ -61,7 +61,7 @@ class TestTextFormat:
         path.write_text("# comment\n\n0 R D 0x10 4\n")
         trace = load_text(path)
         assert len(trace) == 1
-        assert trace[0].address == 0x10
+        assert list(trace)[0].address == 0x10
 
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "bad.trc"
@@ -107,7 +107,7 @@ class TestNpzFormat:
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.npz"
-        save_npz(Trace(name="empty"), path)
+        save_npz(Trace.from_events([], name="empty"), path)
         loaded = load_npz(path)
         assert len(loaded) == 0
         assert loaded.name == "empty"
@@ -129,7 +129,7 @@ class TestNpzFormat:
     def test_decreasing_timestamp_names_file_and_index(self, tmp_path):
         path = tmp_path / "travel.npz"
         times = (500, 0, 1000)
-        save_npz(Trace([MemoryAccess(time=t, address=4 * t) for t in times]), path)
+        save_npz(Trace.from_events([MemoryAccess(time=t, address=4 * t) for t in times]), path)
         with pytest.raises(ValueError, match=r"travel\.npz: event 1 has timestamp 0"):
             load_npz(path)
 
@@ -147,7 +147,7 @@ class TestNpzFormat:
     def test_malformed_column_names_file(self, tmp_path, key, column, message):
         path = tmp_path / "bad.npz"
         events = [MemoryAccess(time=0, address=0), MemoryAccess(time=1, address=4)]
-        save_npz(Trace(events), path)
+        save_npz(Trace.from_events(events), path)
         with np.load(path) as data:
             arrays = dict(data)
         arrays[key] = column
@@ -157,7 +157,7 @@ class TestNpzFormat:
             load_npz(path)
 
     def test_payload_colliding_with_the_no_payload_sentinel_raises(self, tmp_path):
-        trace = Trace(
+        trace = Trace.from_events(
             [
                 MemoryAccess(time=0, address=0, value=7),
                 MemoryAccess(time=1, address=4, value=-1),
@@ -167,6 +167,6 @@ class TestNpzFormat:
             save_npz(trace, tmp_path / "collide.npz")
 
     def test_size_beyond_int32_raises(self, tmp_path):
-        trace = Trace([MemoryAccess(time=0, address=0, size=2**31)])
+        trace = Trace.from_events([MemoryAccess(time=0, address=0, size=2**31)])
         with pytest.raises(ValueError, match="event 0 has size 2147483648"):
             save_npz(trace, tmp_path / "wide.npz")

@@ -17,7 +17,7 @@ def phase_trace(segments, events_per_segment=2000, spread=256):
                 MemoryAccess(time=time, address=base + int(rng.integers(0, spread)) * 4)
             )
             time += 1
-    return Trace(events)
+    return Trace.from_events(events)
 
 
 class TestPhaseDetector:
@@ -58,7 +58,7 @@ class TestPhaseDetector:
         assert segmentation.num_phases <= 3
 
     def test_empty_trace(self):
-        segmentation = PhaseDetector().detect(Trace())
+        segmentation = PhaseDetector().detect(Trace.from_events([]))
         assert segmentation.phases == []
         assert segmentation.num_phases == 0
 

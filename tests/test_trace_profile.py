@@ -17,7 +17,7 @@ def trace_of_blocks(blocks, block_size=32, write_every=None):
     for time, block in enumerate(blocks):
         kind = AccessKind.WRITE if write_every and time % write_every == 0 else AccessKind.READ
         events.append(MemoryAccess(time=time, address=block * block_size, kind=kind))
-    return Trace(events)
+    return Trace.from_events(events)
 
 
 class TestReuseDistances:
@@ -54,7 +54,7 @@ class TestAccessProfile:
 
     def test_block_size_validation(self):
         with pytest.raises(ValueError):
-            AccessProfile(Trace(), block_size=0)
+            AccessProfile(Trace.from_events([]), block_size=0)
 
     def test_stats_unknown_block_raises(self):
         profile = AccessProfile(trace_of_blocks([0]), block_size=32)

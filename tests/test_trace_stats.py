@@ -18,7 +18,7 @@ from repro.trace import (
 
 
 def trace_of(addresses):
-    return Trace([MemoryAccess(time=t, address=a) for t, a in enumerate(addresses)])
+    return Trace.from_events([MemoryAccess(time=t, address=a) for t, a in enumerate(addresses)])
 
 
 class TestStrides:
@@ -38,7 +38,7 @@ class TestStrides:
         assert len(stride_histogram(trace, top=1)) == 1
 
     def test_tiny_traces(self):
-        assert dominant_stride(Trace()) == (0, 0.0)
+        assert dominant_stride(Trace.from_events([])) == (0, 0.0)
         assert dominant_stride(trace_of([4])) == (0, 0.0)
 
     def test_negative_strides_counted(self):
@@ -63,11 +63,11 @@ class TestEntropy:
         assert address_entropy(skewed, 32) < address_entropy(uniform, 32)
 
     def test_empty_trace(self):
-        assert address_entropy(Trace(), 32) == 0.0
+        assert address_entropy(Trace.from_events([]), 32) == 0.0
 
     def test_block_size_validated(self):
         with pytest.raises(ValueError):
-            address_entropy(Trace(), 0)
+            address_entropy(Trace.from_events([]), 0)
 
 
 class TestRegions:
@@ -85,10 +85,10 @@ class TestRegions:
         assert region_stickiness(sticky, 32 * 1024) > region_stickiness(hoppy, 32 * 1024)
 
     def test_stickiness_bounds(self):
-        assert region_stickiness(Trace()) == 1.0
+        assert region_stickiness(Trace.from_events([])) == 1.0
         trace = trace_of([0, 4, 8])
         assert region_stickiness(trace, 4096) == 1.0
 
     def test_region_size_validated(self):
         with pytest.raises(ValueError):
-            region_transition_matrix(Trace(), 0)
+            region_transition_matrix(Trace.from_events([]), 0)

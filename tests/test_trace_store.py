@@ -25,7 +25,7 @@ import pytest
 
 from repro.batch import ResultCache, SweepTask, TraceSpec, run_sweep
 from repro.batch import runner as batch_runner
-from repro.trace import ColumnarTrace, Trace
+from repro.trace import Trace
 from repro.trace.io import trace_digest
 from repro.trace.store import (
     DEFAULT_CHUNK_EVENTS,
@@ -71,17 +71,17 @@ class TestRoundTrip:
         trace = hot_cold_trace()
         path = save_store(trace, tmp_path / "hc.tstore")
         loaded = load_store(path)
-        assert_traces_equal(trace, loaded.to_trace())
+        assert_traces_equal(trace, loaded)
         assert loaded.name == trace.name
 
     def test_value_payloads_round_trip(self, tmp_path):
         trace = value_trace()
         assert any(event.value is not None for event in trace)
         path = save_store(trace, tmp_path / "val.tstore")
-        assert_traces_equal(trace, load_store(path).to_trace())
+        assert_traces_equal(trace, load_store(path))
 
     def test_empty_trace_round_trips(self, tmp_path):
-        trace = Trace([], name="empty")
+        trace = Trace.from_events([], name="empty")
         path = save_store(trace, tmp_path / "empty.tstore")
         loaded = load_store(path)
         assert len(loaded) == 0
@@ -96,8 +96,10 @@ class TestRoundTrip:
         self, tmp_path
     ):
         trace = hot_cold_trace()
-        from_scalar = save_store(trace, tmp_path / "scalar.tstore")
-        from_columnar = save_store(trace.columnar(), tmp_path / "columnar.tstore")
+        from_scalar = save_store(
+            Trace.from_events(trace, name=trace.name), tmp_path / "scalar.tstore"
+        )
+        from_columnar = save_store(trace, tmp_path / "columnar.tstore")
         scalar_header = read_store_header(from_scalar)
         columnar_header = read_store_header(from_columnar)
         assert scalar_header == columnar_header
@@ -109,10 +111,10 @@ class TestRoundTrip:
         save_store(first, path)
         save_store(second, path)
         assert read_store_header(path)["events"] == len(second)
-        assert_traces_equal(second, load_store(path).to_trace())
+        assert_traces_equal(second, load_store(path))
 
     def test_rejects_an_invalid_trace_before_writing(self, tmp_path):
-        travel = ColumnarTrace.from_arrays([0, 4, 8], [500, 0, 1000])
+        travel = Trace.from_arrays([0, 4, 8], [500, 0, 1000])
         path = tmp_path / "travel.tstore"
         with pytest.raises(ValueError, match="event 1 has timestamp 0"):
             save_store(travel, path)
@@ -166,7 +168,7 @@ class TestStreaming:
         assert lengths == [300, 300, 300, 100]
         assert len(streamed) == 1000
         assert streamed.digest == store_digest(path)
-        assert_traces_equal(trace, streamed.materialize().to_trace())
+        assert_traces_equal(trace, streamed.materialize())
 
     def test_chunk_size_override_and_oversized_chunks(self, tmp_path):
         trace = hot_cold_trace(accesses=100)
@@ -184,7 +186,7 @@ class TestStreaming:
         assert len(streamed.reads()) == len(trace.reads())
         assert len(streamed.writes()) == len(trace.writes())
         assert_traces_equal(
-            trace.reads(), streamed.reads().materialize().to_trace()
+            trace.reads(), streamed.reads().materialize()
         )
 
     def test_default_chunk_size_is_recorded(self, tmp_path):
