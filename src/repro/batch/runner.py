@@ -22,8 +22,9 @@ cache.  The invariants, in the order they are enforced:
   ``jobs=1``; on a fresh process pool at ``jobs>1``) and merges each
   result or records each failure (an exception in the task, or a worker
   death breaking the pool).  After the wave, a task that has run out of
-  ``retries`` extra attempts fails the sweep; otherwise the failed tasks
-  form the next wave after one exponentially growing, capped delay.
+  ``retries`` extra attempts, or whose failure :func:`_retryable` says
+  another attempt cannot change, fails the sweep; otherwise the failed
+  tasks form the next wave after one exponentially growing, capped delay.
 * **Deterministic sharding** — each outcome records the task's shard
   (pure function of the task fingerprint), so a distributed caller can
   partition the same sweep identically on every host.
@@ -330,7 +331,10 @@ def run_sweep(
     retries:
         Extra attempts per failing task.  A failed attempt is retried in
         the next wave; a task still failing after ``retries`` retries
-        fails the sweep once its wave has finished.
+        fails the sweep once its wave has finished.  A ``ValueError`` from
+        the task is bad input, which no retry can fix: it fails the sweep
+        after its first attempt's wave, with no retry and no backoff (see
+        :func:`_retryable`).
     backoff_seconds / max_backoff_seconds:
         Delay before retry wave *n* is ``backoff_seconds * 2**(n-1)``,
         capped at ``max_backoff_seconds``.
@@ -518,7 +522,7 @@ def run_sweep(
                         attempt=item.attempts,
                     ):
                         merge(item, outcome())
-                except Exception as error:  # noqa: BLE001 - retried below
+                except Exception as error:  # noqa: BLE001 - judged below
                     item.error = error
                     failed.append(item)
                     fail_count += 1
@@ -531,7 +535,11 @@ def run_sweep(
                             error=type(error).__name__,
                         )
                     _notify("task_failed", item.task.label())
-            exhausted = [item for item in failed if item.attempts > retries]
+            exhausted = [
+                item
+                for item in failed
+                if item.attempts > retries or not _retryable(item.error)
+            ]
             if exhausted:
                 worst = exhausted[0]
                 raise RuntimeError(
@@ -566,6 +574,20 @@ def run_sweep(
         elapsed_seconds=clock.now_seconds() - sweep_started,
         sweep_id=sweep_id,
     )
+
+
+def _retryable(error: Exception) -> bool:
+    """Whether another attempt at a failed task could succeed.
+
+    A flow raises ``ValueError`` for bad input (the package's convention;
+    CON001 makes each one name its value).  Tasks are deterministic, so
+    that input fails every attempt the same way, and the task is not
+    retried.  Everything else is retried: a worker death
+    (:class:`~concurrent.futures.process.BrokenProcessPool`), an
+    ``OSError``, a :class:`~repro.trace.store.StoreError` and any other
+    runtime failure.
+    """
+    return not isinstance(error, ValueError)
 
 
 def _run_wave(wave, jobs, shard, store_map, submitted):

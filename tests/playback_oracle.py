@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 
 from repro.memory import BankSleepReport, PartitionedMemory, SleepPolicy
 from repro.memory.energy import SRAMEnergyModel
@@ -33,6 +33,7 @@ __all__ = [
     "play",
     "simulate_bank_sleep",
     "profile_stats",
+    "reuse_distances",
     "affinity_matrix",
     "spm_allocate",
     "knapsack",
@@ -126,6 +127,26 @@ def profile_stats(trace: Trace, block_size: int) -> tuple[list[int], dict]:
         entry[0 if event.is_read else 1] += 1
         entry[3] = event.time
     return sequence, {block: tuple(entry) for block, entry in stats.items()}
+
+
+def reuse_distances(block_sequence: list[int]) -> list[int]:
+    """:func:`repro.trace.reuse_distances`: walk the LRU stack from the top."""
+    stack: OrderedDict[int, None] = OrderedDict()
+    distances: list[int] = []
+    for block in block_sequence:
+        if block in stack:
+            # Depth of the block in the LRU stack == reuse distance.
+            depth = 0
+            for key in reversed(stack):
+                if key == block:
+                    break
+                depth += 1
+            distances.append(depth)
+            stack.move_to_end(block)
+        else:
+            distances.append(-1)
+            stack[block] = None
+    return distances
 
 
 def affinity_matrix(sequence: list[int], window: int) -> dict[tuple[int, int], int]:

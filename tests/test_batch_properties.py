@@ -5,9 +5,11 @@ The invariant the whole subsystem is built around: for *any* list of
 worker processes, and re-running it against a warm cache all merge to
 bit-identical results in submission order.  Unit tests sample this on one
 fixed sweep; here hypothesis drives it over arbitrary small traces and
-config grids.  A second property pins config ingress: any ``--set``
-mapping either types into the config the task hashes, or fails once, in
-the parent, before any task is submitted.
+config grids, and checks that a task with bad input fails the serial and
+the parallel sweep after one attempt, with the same message.  A second
+property pins config ingress: any ``--set`` mapping either types into the
+config the task hashes, or fails once, in the parent, before any task is
+submitted.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +102,22 @@ def test_serial_parallel_and_cached_sweeps_merge_bit_identically(
     assert cached.misses == 0
     for report in (serial, parallel, cached):
         assert [outcome.task for outcome in report.outcomes] == tasks
+
+    # A bad-input task (e3 on a trace without value payloads) fails the
+    # sweep after its first attempt at either jobs value, with one message.
+    bad = SweepTask.make("e3_encoding", specs[0])
+    failures = {}
+    for jobs in (1, 2):
+        events = []
+        with pytest.raises(RuntimeError) as raised:
+            run_sweep(tasks + [bad], jobs=jobs, on_event=events.append)
+        kinds = [event.kind for event in events if event.label == bad.label()]
+        failures[jobs] = (str(raised.value), str(raised.value.__cause__), kinds)
+    assert failures[1] == failures[2]
+    message, cause, kinds = failures[1]
+    assert f"sweep task {bad.label()} failed after 1 attempts" in message
+    assert "carries no value payloads" in cause
+    assert kinds == ["task_failed"]
 
 
 # -- config ingress ---------------------------------------------------------------

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import io
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.batch import ResultCache, SweepTask, TraceSpec, run_sweep
+from repro.batch import runner
 from repro.obs import JsonlRecorder
 from repro.obs.clock import TickClock
 from repro.obs.counters import (
@@ -23,6 +25,7 @@ from repro.obs.counters import (
     BATCH_TASKS,
     CounterRegistry,
 )
+from repro.trace.store import StoreError
 
 
 def small_sweep():
@@ -190,6 +193,23 @@ class TestRetries:
                 [doomed, healthy], jobs=1, cache=cache, retries=1, backoff_seconds=0.01
             )
         assert run_sweep([healthy], jobs=1, cache=cache).hits == 1
+
+    @pytest.mark.parametrize(
+        ("error", "retryable"),
+        [
+            (BrokenProcessPool("worker died"), True),
+            (OSError("disk full"), True),
+            (StoreError("bad column"), True),
+            (RuntimeError("flaky flow failing attempt 0 of 1"), True),
+            (ValueError("word 1 is -2"), False),
+            (json.JSONDecodeError("bad payload", "", 0), False),
+        ],
+    )
+    def test_only_bad_input_is_not_retryable(self, error, retryable):
+        # A flow's ValueError is bad input: a deterministic task fails the
+        # same way on every attempt (jobs=1 == jobs=2 on such a task is
+        # pinned in test_batch_properties.py).
+        assert runner._retryable(error) is retryable
 
     def test_flaky_and_healthy_sweep_agrees_across_jobs(self, tmp_path):
         from repro.obs import load_shards

@@ -317,6 +317,21 @@ class TestSweep:
         ) in err
         assert "hamming" not in err and "OverflowError" not in err
 
+    def test_sweep_bad_payload_runs_once_without_retry(self, tmp_path, capsys):
+        from repro.obs import load_shards
+
+        source = tmp_path / "neg.trc"
+        source.write_text("0 W D 0x0 4 0x5\n1 W D 0x4 4 -0x2\n")
+        obs_dir = tmp_path / "obs"
+        argv = ["sweep", str(source), "--flow", "e3_encoding", "--obs-dir", str(obs_dir)]
+        assert main(argv + ["--no-cache", "--cache-dir", str(tmp_path / "cache")]) == 1
+        err = capsys.readouterr().err
+        assert "failed after 1 attempts" in err
+        assert "caused by: ValueError: trace 'neg': word 1 is -2" in err
+        (parent,) = [shard for shard in load_shards(obs_dir) if shard.role == "parent"]
+        events = [event["event"] for event in parent.lifecycle]
+        assert events == ["submitted", "failed"]
+
     def test_sweep_unknown_synth_parameter_exits_2(self, tmp_path, capsys):
         source = "synth:hot_cold:accesses=500,seed=1,bogus=3"
         assert main(["sweep", source, "--cache-dir", str(tmp_path)]) == 2

@@ -6,17 +6,22 @@ totals, identical per-bank access counts, identical sleep accounting — on
 any trace, including empty traces and single-bank memories.  Each kernel
 here is fed the in-memory ``Trace``; ``test_properties_store.py`` repeats
 the comparison on ``open_store`` inputs at drawn chunk sizes.  Hypothesis
-searches for counterexamples.
+searches for counterexamples.  The reuse-distance kernel is checked on
+block sequences directly, with the locality metrics that read it.
 """
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import PartitionedMemory, SleepPolicy, simulate_bank_sleep
 from repro.trace import AccessKind, MemoryAccess, Trace
-from repro.trace.profile import AccessProfile
+from repro.trace.profile import AccessProfile, reuse_distances
 
 from . import playback_oracle as oracle
 
@@ -101,4 +106,49 @@ def test_profile_scalar_and_columnar_agree_exactly(case):
         window = 8
         assert list(vectorized.affinity_matrix(window).items()) == list(
             oracle.affinity_matrix(sequence, window).items()
+        )
+
+
+def _runs(pairs):
+    """Expand (block, run length) pairs into one block sequence."""
+    return [block for block, length in pairs for _ in range(length)]
+
+
+def _scattered(shape):
+    """``length`` draws over ``num_blocks`` blocks, seeded."""
+    num_blocks, length, seed = shape
+    rng = random.Random(seed)
+    return [rng.randrange(num_blocks) for _ in range(length)]
+
+
+# Block sequences: few blocks in long runs (depth-0 reuses), many distinct
+# blocks (deep scans), all first touches, and the empty and one-access edges.
+block_sequences = st.one_of(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(1, 60)), max_size=40
+    ).map(_runs),
+    st.tuples(
+        st.integers(1, 3000), st.integers(0, 4000), st.integers(0, 2**32)
+    ).map(_scattered),
+    st.integers(0, 3000).map(lambda n: list(range(n))),
+    st.lists(st.integers(0, 1 << 20), max_size=1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_sequences, st.integers(0, 80))
+def test_reuse_distances_and_locality_match_the_walk(sequence, max_distance):
+    expected = oracle.reuse_distances(sequence)
+    assert reuse_distances(sequence) == expected
+    addresses = np.asarray(sequence, dtype=np.int64) * 32
+    profile = AccessProfile(
+        Trace.from_arrays(addresses, np.arange(len(sequence))), block_size=32
+    )
+    assert profile.block_sequence == sequence
+    reused = [d for d in expected if d >= 0]
+    locality = float(np.mean([1.0 / (1.0 + d) for d in reused])) if reused else 0.0
+    assert profile.temporal_locality().hex() == locality.hex()
+    for clip in (64, max_distance):
+        assert profile.reuse_histogram(clip) == Counter(
+            min(d, clip) if d >= 0 else -1 for d in expected
         )

@@ -95,6 +95,18 @@ class TestLocalityMetrics:
         assert histogram[-1] == 2  # two first touches
         assert histogram[1] == 2  # two reuses at distance 1
 
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_working_set_rejects_nonpositive_window(self, window):
+        profile = AccessProfile(trace_of_blocks([0, 1, 0, 1]), block_size=32)
+        with pytest.raises(ValueError, match=f"window must be >= 1, got {window}$"):
+            profile.working_set_size(window)
+
+    def test_reuse_histogram_rejects_negative_max_distance(self):
+        profile = AccessProfile(trace_of_blocks([0, 1, 0, 1]), block_size=32)
+        with pytest.raises(ValueError, match="max_distance must be >= 0, got -1$"):
+            profile.reuse_histogram(max_distance=-1)
+        assert profile.reuse_histogram(max_distance=0) == {-1: 2, 0: 2}
+
     def test_summary_keys(self):
         profile = AccessProfile(trace_of_blocks([0, 1, 2]), block_size=32)
         summary = profile.summary()
