@@ -542,10 +542,18 @@ def run_sweep(
             ]
             if exhausted:
                 worst = exhausted[0]
+                bad_input = sum(not _retryable(item.error) for item in exhausted)
+                counts = [
+                    f"{count} of {len(tasks)} tasks {outcome}"
+                    for count, outcome in (
+                        (len(exhausted) - bad_input, "exhausted retries"),
+                        (bad_input, "failed on bad input, not retried"),
+                    )
+                    if count
+                ]
                 raise RuntimeError(
                     f"sweep task {worst.task.label()} failed after "
-                    f"{worst.attempts} attempts ({len(exhausted)} of "
-                    f"{len(tasks)} tasks exhausted retries)"
+                    f"{worst.attempts} attempts ({'; '.join(counts)})"
                 ) from worst.error
             if failed:
                 wave_number += 1

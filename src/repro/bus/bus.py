@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol
 
+import numpy as np
+
 from ..memory.energy import BusEnergyModel
 
 __all__ = ["Bus", "BusStats", "hamming", "count_transitions"]
@@ -26,6 +28,7 @@ __all__ = ["Bus", "BusStats", "hamming", "count_transitions"]
 _POPCOUNT16 = b"\x00"
 for _ in range(16):
     _POPCOUNT16 += _POPCOUNT16.translate(bytes(range(1, 256)) + b"\x00")
+_POPCOUNT16_TABLE = np.frombuffer(_POPCOUNT16, dtype=np.uint8)
 
 
 def hamming(a: int, b: int) -> int:
@@ -100,8 +103,8 @@ class Bus:
         encoder: _EncoderProtocol | None = None,
         name: str = "bus",
     ) -> None:
-        if width <= 0:
-            raise ValueError(f"bus width must be positive, got {width}")
+        if not 0 < width <= 64:
+            raise ValueError(f"bus width must be in [1, 64], got {width}")
         self.width = width
         self.mask = (1 << width) - 1
         self.energy_model = energy_model if energy_model is not None else BusEnergyModel.on_chip()
@@ -132,8 +135,57 @@ class Bus:
         return self.energy_model.energy(flips)
 
     def drive_all(self, words: Iterable[int]) -> float:
-        """Drive a word sequence; return total energy (pJ)."""
-        return sum(self.drive(word) for word in words)
+        """Drive a word sequence; return total energy (pJ).
+
+        Leaves the statistics, the wires and the encoder as a :meth:`drive`
+        loop over ``words`` would, and returns the same energy to the bit:
+        the per-word energies summed in drive order.  The encoder, if any,
+        still sees one word at a time (encoders keep state); the rest is one
+        array pass.
+        """
+        logical = self._logical_words(words)
+        if not logical.size:
+            return 0.0
+        if self.encoder is None:
+            physical = logical
+        else:
+            encode, mask = self.encoder.encode, self.mask
+            physical = np.fromiter(
+                (encode(word) & mask for word in logical.tolist()),
+                dtype=np.uint64,
+                count=logical.size,
+            )
+        flips = self._flips(self._wires, physical)
+        raw_flips = flips if self.encoder is None else self._flips(self._raw_previous, logical)
+        self.stats.words += logical.size
+        self.stats.transitions += int(flips.sum())
+        self.stats.raw_transitions += int(raw_flips.sum())
+        self._wires = int(physical[-1])
+        self._raw_previous = int(logical[-1])
+        # A running sum, as ``energy += drive(word)`` adds: not ``sum()``,
+        # which compensates float sums on Python 3.12+.
+        return float(np.cumsum(self.energy_model.e_per_transition * flips)[-1])
+
+    def _logical_words(self, words: Iterable[int]) -> np.ndarray:
+        """``words`` masked to the bus width, as ``uint64``."""
+        array = np.asarray(words if isinstance(words, np.ndarray) else list(words))
+        negative = np.flatnonzero(array < 0)
+        if negative.size:
+            raise ValueError(f"bus words must be non-negative, got {array[negative[0]]}")
+        if array.dtype.kind in "ui":
+            return array.astype(np.uint64) & np.uint64(self.mask)
+        # Empty, or Python ints past 64 bits: mask them one by one, as drive does.
+        return np.array([word & self.mask for word in array.tolist()], dtype=np.uint64)
+
+    def _flips(self, first: int, words: np.ndarray) -> np.ndarray:
+        """Bit transitions per word of ``words`` on wires that start at ``first``."""
+        diff = words.copy()
+        diff[1:] ^= words[:-1]
+        diff[0] ^= np.uint64(first)
+        flips = np.zeros(diff.size, dtype=np.int64)
+        for shift in range(0, self.width, 16):
+            flips += _POPCOUNT16_TABLE[(diff >> np.uint64(shift)) & np.uint64(0xFFFF)]
+        return flips
 
     def drive_bytes(self, payload: bytes) -> float:
         """Drive a byte string as consecutive little-endian bus words.

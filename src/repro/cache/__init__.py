@@ -1,23 +1,12 @@
 """Set-associative cache simulator and memory image."""
 
-from .cache import (
-    Cache,
-    CacheAccessResult,
-    CacheConfig,
-    CacheStats,
-    LineTransfer,
-    ReplacementPolicy,
-    WritePolicy,
-)
+from .cache import Cache, CacheConfig, CacheStats, LineTransfer
 from .image import MemoryImage
 
 __all__ = [
     "Cache",
     "CacheConfig",
     "CacheStats",
-    "CacheAccessResult",
     "LineTransfer",
-    "ReplacementPolicy",
-    "WritePolicy",
     "MemoryImage",
 ]

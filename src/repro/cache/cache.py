@@ -1,52 +1,35 @@
-"""Set-associative cache simulator.
+"""Set-associative cache simulator: LRU, write-back, write-allocate.
 
 The cache is a *traffic transformer*: it consumes word accesses and produces
 line transfers (refills from and write-backs to the next memory level).  The
-compression experiments (E2) hang off exactly those line transfers, so the
-simulator reports them explicitly through :class:`CacheAccessResult` instead
-of hiding them inside statistics.
+compression experiments (E2) hang off exactly those line transfers, so
+:meth:`Cache.run` returns them explicitly, each with the index of the access
+that caused it, instead of hiding them inside statistics.
 
-Supported geometry and policies:
+The geometry is any power-of-two total size / line size / associativity.
+The policy is the one the Lx-ST200 and the MIPS baseline of 1B-2 use: LRU
+replacement, write-back, write-allocate.
 
-* any power-of-two total size / line size / associativity combination,
-* replacement: LRU, FIFO, or seeded random,
-* write policy: write-back + write-allocate (default, what Lx-ST200 and the
-  MIPS baseline of 1B-2 use) or write-through + no-write-allocate.
+Under LRU a hit is a stack depth below the associativity (Mattson et al.,
+IBM Systems Journal 9(2), 1970), so only misses need work.
+:meth:`Cache.run` collapses each run of consecutive accesses to one line:
+only the run's first access can miss, and the run dirties the line if any
+of its accesses writes.  It then walks the runs against one recency list per
+set.  The per-access walk it replaces is the oracle in
+``tests/cache_oracle.py``; a property pins the two equal, flush included.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
 from ..memory.energy import SRAMEnergyModel
 
-__all__ = [
-    "ReplacementPolicy",
-    "WritePolicy",
-    "CacheConfig",
-    "LineTransfer",
-    "CacheAccessResult",
-    "CacheStats",
-    "Cache",
-]
-
-
-class ReplacementPolicy(enum.Enum):
-    """Victim selection policy within a set."""
-
-    LRU = "lru"
-    FIFO = "fifo"
-    RANDOM = "random"
-
-
-class WritePolicy(enum.Enum):
-    """How writes interact with the next memory level."""
-
-    WRITE_BACK = "write-back"  # write-allocate
-    WRITE_THROUGH = "write-through"  # no-write-allocate
+__all__ = ["CacheConfig", "LineTransfer", "CacheStats", "Cache"]
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -55,7 +38,7 @@ def _is_power_of_two(value: int) -> bool:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Cache geometry and policies.
+    """Cache geometry.
 
     Parameters
     ----------
@@ -65,18 +48,11 @@ class CacheConfig:
         Line (block) size in bytes.
     ways:
         Associativity; ``1`` gives a direct-mapped cache.
-    replacement, write_policy:
-        Policies; see the enums above.
-    seed:
-        RNG seed, used only by :class:`ReplacementPolicy.RANDOM`.
     """
 
     size: int = 8 * 1024
     line_size: int = 32
     ways: int = 4
-    replacement: ReplacementPolicy = ReplacementPolicy.LRU
-    write_policy: WritePolicy = WritePolicy.WRITE_BACK
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("size", "line_size", "ways"):
@@ -111,30 +87,6 @@ class LineTransfer:
 
 
 @dataclass
-class CacheAccessResult:
-    """Outcome of a single cache access."""
-
-    hit: bool
-    transfers: list[LineTransfer] = field(default_factory=list)
-
-    @property
-    def refill(self) -> LineTransfer | None:
-        """The refill transfer, if the access missed."""
-        for transfer in self.transfers:
-            if not transfer.is_writeback:
-                return transfer
-        return None
-
-    @property
-    def writeback(self) -> LineTransfer | None:
-        """The write-back transfer, if a dirty line was evicted or written through."""
-        for transfer in self.transfers:
-            if transfer.is_writeback:
-                return transfer
-        return None
-
-
-@dataclass
 class CacheStats:
     """Aggregate cache statistics."""
 
@@ -161,27 +113,15 @@ class CacheStats:
         return 1.0 - self.hit_rate
 
 
-class _Line:
-    """Internal line bookkeeping."""
-
-    __slots__ = ("tag", "valid", "dirty", "stamp")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        self.stamp = 0  # LRU: last-use time; FIFO: fill time
-
-
 class Cache:
-    """A set-associative cache.
+    """A set-associative LRU write-back, write-allocate cache.
 
     Parameters
     ----------
     config:
-        Geometry and policies.
+        Geometry.
     energy_model:
-        Optional SRAM model used by :meth:`access_energy` to price each hit
+        Optional SRAM model used by :meth:`access_energy` to price each
         lookup; misses additionally pay the next level through whatever the
         caller wires up.
     name:
@@ -197,127 +137,108 @@ class Cache:
         self.config = config
         self.name = name
         self.energy_model = energy_model if energy_model is not None else SRAMEnergyModel()
-        self.stats = CacheStats()
-        self._sets: list[list[_Line]] = [
-            [_Line() for _ in range(config.ways)] for _ in range(config.num_sets)
-        ]
-        self._clock = 0
-        self._rng = np.random.default_rng(config.seed)
-
-    # -- address helpers ----------------------------------------------------------
+        self.reset()
 
     def line_address(self, address: int) -> int:
         """Base address of the line containing ``address``."""
         return address - (address % self.config.line_size)
 
-    def _locate(self, address: int) -> tuple[int, int]:
-        line_index = address // self.config.line_size
-        return line_index % self.config.num_sets, line_index // self.config.num_sets
-
     # -- the access path ----------------------------------------------------------
 
-    def access(self, address: int, is_write: bool = False) -> CacheAccessResult:
-        """Perform one word access; return hit status and line transfers."""
-        if address < 0:
-            raise ValueError(f"address must be non-negative, got {address}")
-        self._clock += 1
-        self.stats.accesses += 1
-        set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
+    def run(
+        self, addresses: Iterable[int], writes: Iterable[bool] | None = None
+    ) -> list[tuple[int, LineTransfer]]:
+        """Replay an access stream; return its line transfers in order.
 
-        for line in ways:
-            if line.valid and line.tag == tag:
-                self.stats.hits += 1
-                if self.config.replacement is ReplacementPolicy.LRU:
-                    line.stamp = self._clock
-                result = CacheAccessResult(hit=True)
-                if is_write:
-                    if self.config.write_policy is WritePolicy.WRITE_BACK:
-                        line.dirty = True
-                    else:
-                        # Write-through: the word still goes to memory.
-                        self.stats.writebacks += 1
-                        result.transfers.append(
-                            LineTransfer(
-                                line_address=self.line_address(address),
-                                size=4,
-                                is_writeback=True,
-                            )
-                        )
-                return result
-
-        # Miss.
-        if is_write:
-            self.stats.write_misses += 1
+        ``addresses`` are byte addresses and ``writes`` flags the stores
+        (``None``: every access reads).  Each transfer comes paired with the
+        index in ``addresses`` of the access that caused it: a miss yields the
+        write-back of its victim, when that line is dirty, then its refill.
+        The cache keeps its contents between calls, so two calls give the
+        transfers of one call over the concatenated stream.
+        """
+        lines = np.asarray(addresses, dtype=np.int64)
+        count = len(lines)
+        if count == 0:
+            return []
+        negative = np.flatnonzero(lines < 0)
+        if negative.size:
+            raise ValueError(f"address must be non-negative, got {lines[negative[0]]}")
+        config = self.config
+        line_size, ways, set_mask = config.line_size, config.ways, config.num_sets - 1
+        lines = lines // line_size
+        starts = np.flatnonzero(np.concatenate(([True], lines[1:] != lines[:-1])))
+        if writes is None:
+            run_dirty = first_writes = repeat(False)
         else:
-            self.stats.read_misses += 1
+            flags = np.asarray(writes, dtype=bool)
+            if len(flags) != count:
+                raise ValueError(f"writes has {len(flags)} flags for {count} addresses")
+            run_dirty = np.logical_or.reduceat(flags, starts).tolist()
+            first_writes = flags[starts].tolist()
 
-        transfers: list[LineTransfer] = []
-        write_through = self.config.write_policy is WritePolicy.WRITE_THROUGH
-        if is_write and write_through:
-            # No-write-allocate: the write goes straight to memory.
-            self.stats.writebacks += 1
-            transfers.append(
-                LineTransfer(
-                    line_address=self.line_address(address), size=4, is_writeback=True
-                )
-            )
-            return CacheAccessResult(hit=False, transfers=transfers)
+        recency, slots, dirty = self._recency, self._slots, self._dirty
+        transfers: list[tuple[int, LineTransfer]] = []
+        read_misses = write_misses = writebacks = 0
+        for start, line, dirties, first_write in zip(
+            starts.tolist(), lines[starts].tolist(), run_dirty, first_writes
+        ):
+            stack = recency[line & set_mask]  # LRU first
+            if line in stack:
+                if stack[-1] != line:
+                    stack.remove(line)
+                    stack.append(line)
+            else:
+                if first_write:
+                    write_misses += 1
+                else:
+                    read_misses += 1
+                held = slots[line & set_mask]
+                if len(stack) < ways:
+                    held.append(line)
+                else:
+                    victim = stack.pop(0)
+                    held[held.index(victim)] = line
+                    if victim in dirty:
+                        dirty.remove(victim)
+                        writebacks += 1
+                        transfers.append(
+                            (start, LineTransfer(victim * line_size, line_size, True))
+                        )
+                stack.append(line)
+                transfers.append((start, LineTransfer(line * line_size, line_size, False)))
+            if dirties:
+                dirty.add(line)
 
-        victim = self._choose_victim(ways)
-        if victim.valid and victim.dirty:
-            victim_address = self._reconstruct_address(set_index, victim.tag)
-            self.stats.writebacks += 1
-            transfers.append(
-                LineTransfer(
-                    line_address=victim_address,
-                    size=self.config.line_size,
-                    is_writeback=True,
-                )
-            )
-        self.stats.refills += 1
-        transfers.append(
-            LineTransfer(
-                line_address=self.line_address(address),
-                size=self.config.line_size,
-                is_writeback=False,
-            )
-        )
-        victim.tag = tag
-        victim.valid = True
-        victim.dirty = is_write and not write_through
-        victim.stamp = self._clock
-        return CacheAccessResult(hit=False, transfers=transfers)
+        misses = read_misses + write_misses
+        stats = self.stats
+        stats.accesses += count
+        stats.hits += count - misses
+        stats.read_misses += read_misses
+        stats.write_misses += write_misses
+        stats.refills += misses
+        stats.writebacks += writebacks
+        return transfers
 
-    def _choose_victim(self, ways: list[_Line]) -> _Line:
-        for line in ways:
-            if not line.valid:
-                return line
-        if self.config.replacement is ReplacementPolicy.RANDOM:
-            return ways[int(self._rng.integers(0, len(ways)))]
-        # LRU and FIFO both evict the smallest stamp (last-use vs fill time).
-        return min(ways, key=lambda line: line.stamp)
+    def access(self, address: int, is_write: bool = False) -> list[tuple[int, LineTransfer]]:
+        """One access: ``run([address], [is_write])``.
 
-    def _reconstruct_address(self, set_index: int, tag: int) -> int:
-        return (tag * self.config.num_sets + set_index) * self.config.line_size
+        Nothing in the package calls it; the benchmark tracer
+        (``AGGREGATED_ENTRY_POINTS`` in ``perfbench/tracer.py``) still wraps it.
+        """
+        return self.run([address], [is_write])
 
     def flush(self) -> list[LineTransfer]:
-        """Write back every dirty line and invalidate the cache."""
-        transfers = []
-        for set_index, ways in enumerate(self._sets):
-            for line in ways:
-                if line.valid and line.dirty:
-                    self.stats.writebacks += 1
-                    transfers.append(
-                        LineTransfer(
-                            line_address=self._reconstruct_address(set_index, line.tag),
-                            size=self.config.line_size,
-                            is_writeback=True,
-                        )
-                    )
-                line.valid = False
-                line.dirty = False
-                line.tag = -1
+        """Write back every dirty line, by set index then way, and invalidate."""
+        line_size = self.config.line_size
+        transfers = [
+            LineTransfer(line * line_size, line_size, True)
+            for held in self._slots
+            for line in held
+            if line in self._dirty
+        ]
+        self.stats.writebacks += len(transfers)
+        self._clear()
         return transfers
 
     # -- energy -------------------------------------------------------------------
@@ -335,10 +256,11 @@ class Cache:
     def reset(self) -> None:
         """Invalidate contents and zero statistics."""
         self.stats = CacheStats()
-        self._clock = 0
-        for ways in self._sets:
-            for line in ways:
-                line.valid = False
-                line.dirty = False
-                line.tag = -1
-                line.stamp = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        # Per set: resident line numbers by recency (LRU first), and the line
+        # in each way slot, filled in slot order; plus the dirty line numbers.
+        self._recency: list[list[int]] = [[] for _ in range(self.config.num_sets)]
+        self._slots: list[list[int]] = [[] for _ in range(self.config.num_sets)]
+        self._dirty: set[int] = set()

@@ -27,6 +27,9 @@ class MemoryImage:
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
         value &= (1 << (8 * size)) - 1
+        if size == 4 and address & 3 == 0:
+            self._words[address] = value  # the whole aligned word
+            return
         for offset, byte in enumerate(value.to_bytes(size, "little")):
             word_address = (address + offset) & ~3
             shift = ((address + offset) & 3) * 8
@@ -38,16 +41,17 @@ class MemoryImage:
         """Read ``size`` bytes (little-endian) from ``address``."""
         if size not in (1, 2, 4):
             raise ValueError(f"size must be 1, 2, or 4, got {size}")
-        raw = bytes(self._byte_at(address + offset) for offset in range(size))
-        return int.from_bytes(raw, "little")
-
-    def _byte_at(self, address: int) -> int:
-        word = self._words.get(address & ~3, 0)
-        return (word >> ((address & 3) * 8)) & 0xFF
+        return int.from_bytes(self.line_bytes(address, size), "little")
 
     def line_bytes(self, line_address: int, line_size: int) -> bytes:
         """The ``line_size`` bytes starting at ``line_address``."""
-        return bytes(self._byte_at(line_address + offset) for offset in range(line_size))
+        start = line_address & ~3
+        words = self._words
+        raw = b"".join(
+            words.get(address, 0).to_bytes(4, "little")
+            for address in range(start, line_address + line_size, 4)
+        )
+        return raw[line_address - start : line_address - start + line_size]
 
     def write_line(self, line_address: int, payload: bytes) -> None:
         """Overwrite a line with ``payload`` (used when replaying refills)."""

@@ -117,8 +117,9 @@ class SelectiveCodeCompressor:
     Parameters
     ----------
     block_words:
-        Instructions per compression block; matched to the I-cache line
-        (8 words = 32 B) by default.
+        Instructions per compression block; one block must fill one I-cache
+        line (8 words = 32 B by default), so each refill decompresses one
+        block.
     dictionary_entries:
         Dictionary capacity.
     decompress_cycles_per_word:
@@ -136,10 +137,15 @@ class SelectiveCodeCompressor:
     ) -> None:
         if block_words <= 0:
             raise ValueError(f"block_words must be positive, got {block_words}")
+        self.icache = icache if icache is not None else CacheConfig(size=1024, line_size=32, ways=2)
+        if 4 * block_words != self.icache.line_size:
+            raise ValueError(
+                f"block_words {block_words} ({4 * block_words} bytes) must fill one "
+                f"I-cache line of {self.icache.line_size} bytes"
+            )
         self.block_words = block_words
         self.dictionary_entries = dictionary_entries
         self.decompress_cycles_per_word = decompress_cycles_per_word
-        self.icache = icache if icache is not None else CacheConfig(size=1024, line_size=32, ways=2)
 
     # -- profiling ----------------------------------------------------------------
 
@@ -201,27 +207,19 @@ class SelectiveCodeCompressor:
     ) -> CodeCompressionReport:
         """Replay the fetch trace through the I-cache; charge decompression
         latency on every refill of a compressed block."""
-        icache = Cache(self.icache)
-        refills = 0
-        compressed_refills = 0
-        decompression_cycles = 0
-        baseline_cycles = len(instruction_trace)  # one issue slot per fetch
-        for address in instruction_trace.addresses.tolist():
-            result = icache.access(address, is_write=False)
-            refill = result.refill
-            if refill is None:
-                continue
-            refills += 1
-            baseline_cycles += 20  # memory latency, identical both ways
-            if layout.is_compressed(refill.line_address):
-                compressed_refills += 1
-                decompression_cycles += (
-                    self.decompress_cycles_per_word * self.block_words
-                )
+        transfers = Cache(self.icache).run(instruction_trace.addresses)
+        refills = [transfer for _index, transfer in transfers]  # fetches never dirty a line
+        compressed_refills = sum(layout.is_compressed(refill.line_address) for refill in refills)
+        # One issue slot per fetch, plus the memory latency of every refill
+        # (identical both ways).
+        baseline_cycles = len(instruction_trace) + 20 * len(refills)
+        decompression_cycles = (
+            compressed_refills * self.decompress_cycles_per_word * self.block_words
+        )
         return CodeCompressionReport(
             layout=layout,
             fetches=len(instruction_trace),
-            refills=refills,
+            refills=len(refills),
             compressed_refills=compressed_refills,
             decompression_cycles=decompression_cycles,
             baseline_cycles=baseline_cycles,

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from ..bus.bus import Bus
 from ..cache.cache import Cache, CacheConfig, CacheStats
 from ..cache.image import MemoryImage
@@ -231,43 +233,60 @@ class Platform:
                 encoder=config.ibus_encoder,
                 name="ibus",
             )
-            for _time, address, _size, _kind, _space, word in instruction_trace.rows():
-                if word is not None:
-                    breakdown.ibus += ibus.drive(word)
-                result = icache.access(address, is_write=False)
-                for transfer in result.transfers:
-                    breakdown.dram += memory.read_burst(transfer.size)
-                    content = (
-                        instruction_image.line_bytes(transfer.line_address, transfer.size)
-                        if instruction_image is not None
-                        else bytes(transfer.size)
-                    )
-                    breakdown.bus += bus.drive_bytes(content)
-                    timing["stall_cycles"] += (
-                        config.miss_penalty_cycles
-                        + config.cycles_per_burst_word * (transfer.size // 4)
-                    )
+            if instruction_trace.values is not None and instruction_trace.value_mask is not None:
+                breakdown.ibus += ibus.drive_all(
+                    instruction_trace.values[instruction_trace.value_mask]
+                )
+            for _index, transfer in icache.run(instruction_trace.addresses):
+                breakdown.dram += memory.read_burst(transfer.size)
+                content = (
+                    instruction_image.line_bytes(transfer.line_address, transfer.size)
+                    if instruction_image is not None
+                    else bytes(transfer.size)
+                )
+                breakdown.bus += bus.drive_bytes(content)
+                timing["stall_cycles"] += (
+                    config.miss_penalty_cycles
+                    + config.cycles_per_burst_word * (transfer.size // 4)
+                )
             breakdown.icache = icache.lookup_energy_total
 
         # ---- data side: write-back D-cache with optional compression --------
-        for _time, address, size, kind, _space, value in data_trace.rows():
-            is_write = kind == KIND_WRITE
-            if is_write and value is not None:
-                image.store(address, value, size)
-            result = dcache.access(address, is_write=is_write)
-            for transfer in result.transfers:
-                self._transfer(
-                    transfer.line_address,
-                    transfer.size,
-                    transfer.is_writeback,
-                    image,
-                    unit,
-                    bus,
-                    memory,
-                    compressed_store,
-                    breakdown,
-                    timing,
+        # A store reaches the image before its own lookup, so the transfers
+        # of access i carry every store up to and including i.
+        writes = data_trace.kinds == KIND_WRITE
+        stores: list[tuple[int, int, int]] = []
+        store_rows = np.empty(0, dtype=np.int64)
+        if data_trace.values is not None and data_trace.value_mask is not None:
+            store_rows = np.flatnonzero(writes & data_trace.value_mask)
+            stores = list(
+                zip(
+                    data_trace.addresses[store_rows].tolist(),
+                    data_trace.values[store_rows].tolist(),
+                    data_trace.sizes[store_rows].tolist(),
                 )
+            )
+        transfers = dcache.run(data_trace.addresses, writes)
+        cuts = np.searchsorted(store_rows, [index for index, _ in transfers], side="right")
+        applied = 0
+        for (_index, transfer), cut in zip(transfers, cuts.tolist()):
+            for address, value, size in stores[applied:cut]:
+                image.store(address, value, size)
+            applied = cut
+            self._transfer(
+                transfer.line_address,
+                transfer.size,
+                transfer.is_writeback,
+                image,
+                unit,
+                bus,
+                memory,
+                compressed_store,
+                breakdown,
+                timing,
+            )
+        for address, value, size in stores[applied:]:
+            image.store(address, value, size)
         # Flush dirty lines at program end so all write traffic is accounted.
         for transfer in dcache.flush():
             self._transfer(

@@ -65,9 +65,10 @@ class SPMAllocation:
         """Bytes of SPM capacity consumed."""
         return len(self.blocks) * self.block_size
 
-    def holds(self, address: int) -> bool:
-        """Whether ``address`` is served by the SPM."""
-        return address // self.block_size in self.blocks
+    def holds(self, addresses: np.ndarray) -> np.ndarray:
+        """Whether the SPM serves each of ``addresses`` (a mask of their shape)."""
+        blocks = np.fromiter(self.blocks, dtype=np.int64, count=len(self.blocks))
+        return np.isin(np.asarray(addresses) // self.block_size, blocks)
 
 
 class SPMAllocator:

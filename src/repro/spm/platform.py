@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..bus.bus import Bus
 from ..cache.cache import Cache, CacheConfig, CacheStats
 from ..memory.energy import BusEnergyModel, DRAMEnergyModel, SRAMEnergyModel
@@ -72,8 +74,6 @@ class SPMPlatform:
         bus = Bus(width=32, energy_model=self.bus_energy)
         memory = MainMemory(model=self.dram, line_bytes=self.dcache_config.line_size)
         breakdown = EnergyBreakdown()
-        spm_accesses = 0
-        cached_accesses = 0
 
         if allocation is not None and allocation.blocks:
             # Software fill: burst every SPM-resident block in from memory
@@ -86,22 +86,23 @@ class SPMPlatform:
                 * (fill_bytes // 4)
             )
 
-        spm_energy_per_access = (
-            allocation.config.access_energy() if allocation is not None else 0.0
-        )
-        for _time, address, _size, kind, _space, _value in data_trace.rows():
-            if allocation is not None and allocation.holds(address):
-                spm_accesses += 1
+        addresses = data_trace.addresses
+        held = np.zeros(len(addresses), dtype=bool)
+        if allocation is not None:
+            held = allocation.holds(addresses)
+            # Summed one access at a time, as in trace order, to the bit.
+            spm_energy_per_access = allocation.config.access_energy()
+            for _ in range(int(held.sum())):
                 breakdown.spm += spm_energy_per_access
-                continue
-            cached_accesses += 1
-            result = dcache.access(address, is_write=kind == KIND_WRITE)
-            for transfer in result.transfers:
-                if transfer.is_writeback:
-                    breakdown.dram += memory.write_burst(transfer.size)
-                else:
-                    breakdown.dram += memory.read_burst(transfer.size)
-                breakdown.bus += bus.drive_bytes(bytes(transfer.size))
+        cached = ~held
+        for _index, transfer in dcache.run(
+            addresses[cached], data_trace.kinds[cached] == KIND_WRITE
+        ):
+            if transfer.is_writeback:
+                breakdown.dram += memory.write_burst(transfer.size)
+            else:
+                breakdown.dram += memory.read_burst(transfer.size)
+            breakdown.bus += bus.drive_bytes(bytes(transfer.size))
         for transfer in dcache.flush():
             breakdown.dram += memory.write_burst(transfer.size)
             breakdown.bus += bus.drive_bytes(bytes(transfer.size))
@@ -109,8 +110,8 @@ class SPMPlatform:
 
         return SPMPlatformReport(
             breakdown=breakdown,
-            spm_accesses=spm_accesses,
-            cached_accesses=cached_accesses,
+            spm_accesses=int(held.sum()),
+            cached_accesses=int(cached.sum()),
             dcache_stats=dcache.stats,
         )
 

@@ -12,7 +12,7 @@ is one :func:`numpy.searchsorted`, per-bank access counts one
 Rows and events
 ---------------
 ``rows()`` yields each row's fields as plain Python values, the form the
-per-access loops (caches, buses, text files) consume.  Iterating a trace
+per-row loops (text files, digests, inline specs) consume.  Iterating a trace
 yields one :class:`~repro.trace.events.MemoryAccess` per row, built on the
 first pass and kept: the only code that builds events from columns.
 :meth:`Trace.from_events` is the one path the other way, for traces built

@@ -194,6 +194,22 @@ class TestRetries:
             )
         assert run_sweep([healthy], jobs=1, cache=cache).hits == 1
 
+    def test_failure_message_counts_bad_input_apart_from_exhausted_retries(self, tmp_path):
+        source = tmp_path / "neg.trc"
+        source.write_text("0 W D 0x0 4 0x5\n1 W D 0x4 4 -0x2\n")
+        bad = SweepTask.make("e3_encoding", TraceSpec.file(source), {})
+        with pytest.raises(RuntimeError) as only_bad:
+            run_sweep([bad, small_sweep()[0]], jobs=1, retries=1, backoff_seconds=0.01)
+        assert str(only_bad.value).endswith(
+            "(1 of 2 tasks failed on bad input, not retried)"
+        )
+        doomed = flaky_task(tmp_path, "doomed-beside-bad", fail_times=99)
+        with pytest.raises(RuntimeError) as both:
+            run_sweep([doomed, bad], jobs=1, retries=0, backoff_seconds=0.01)
+        assert str(both.value).endswith(
+            "(1 of 2 tasks exhausted retries; 1 of 2 tasks failed on bad input, not retried)"
+        )
+
     @pytest.mark.parametrize(
         ("error", "retryable"),
         [

@@ -1,5 +1,6 @@
 """Unit tests for the bus model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -69,6 +70,29 @@ class TestBus:
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):
             Bus(width=0)
+
+    def test_rejects_width_past_64(self):
+        with pytest.raises(ValueError, match="got 65"):
+            Bus(width=65)
+
+    def test_drive_all_rejects_the_first_negative_word(self):
+        for words in ([3, -2, -5], np.array([3, -2, -5])):
+            with pytest.raises(ValueError, match="non-negative, got -2"):
+                Bus().drive_all(words)
+
+    def test_drive_all_masks_like_drive(self):
+        looped, streamed = Bus(width=8), Bus(width=8)
+        words = [0x1FF, 1 << 70, 0x0F]
+        energy = 0.0
+        for word in words:
+            energy += looped.drive(word)
+        assert streamed.drive_all(words) == energy
+        assert streamed.stats == looped.stats
+
+    def test_drive_all_of_nothing(self):
+        bus = Bus()
+        assert bus.drive_all([]) == 0.0
+        assert bus.stats.words == 0
 
     def test_drive_bytes_little_endian(self):
         bus = Bus(width=32)

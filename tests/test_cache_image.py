@@ -1,6 +1,8 @@
 """Unit tests for the sparse memory image."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import MemoryImage
 
@@ -62,3 +64,30 @@ class TestMemoryImage:
         image.store(4, 1)
         image.store(0, 2)
         assert image.footprint_words == 2
+
+
+@given(
+    stores=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=60),
+            st.integers(min_value=0, max_value=(1 << 40)),
+            st.sampled_from([1, 2, 4]),
+        ),
+        max_size=30,
+    ),
+    window=st.tuples(st.integers(min_value=0, max_value=64), st.integers(0, 24)),
+)
+@settings(max_examples=150, deadline=None)
+def test_image_matches_a_byte_array(stores, window):
+    """Aligned and unaligned stores, loads and line reads agree with plain bytes."""
+    image = MemoryImage()
+    memory = bytearray(96)
+    for address, value, size in stores:
+        image.store(address, value, size)
+        memory[address : address + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
+            size, "little"
+        )
+    start, length = window
+    assert image.line_bytes(start, length) == bytes(memory[start : start + length])
+    for size in (1, 2, 4):
+        assert image.load(start, size) == int.from_bytes(memory[start : start + size], "little")

@@ -327,6 +327,8 @@ class TestSweep:
         assert main(argv + ["--no-cache", "--cache-dir", str(tmp_path / "cache")]) == 1
         err = capsys.readouterr().err
         assert "failed after 1 attempts" in err
+        assert "(1 of 1 tasks failed on bad input, not retried)" in err
+        assert "exhausted retries" not in err
         assert "caused by: ValueError: trace 'neg': word 1 is -2" in err
         (parent,) = [shard for shard in load_shards(obs_dir) if shard.role == "parent"]
         events = [event["event"] for event in parent.lifecycle]

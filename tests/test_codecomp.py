@@ -135,3 +135,19 @@ class TestEvaluation:
             for f in (0.0, 0.5, 1.0)
         ]
         assert slowdowns == sorted(slowdowns)
+
+    def test_every_refill_decompresses_one_line(self, firmware, compressor, profiled):
+        trace, counts = profiled
+        layout = compressor.build_layout(firmware, counts, fraction=1.0)
+        report = compressor.evaluate(layout, trace)
+        assert report.compressed_refills == report.refills
+        # 2 cycles per refilled word, 8 words per 32-byte line.
+        assert report.decompression_cycles == 16 * report.refills
+
+    @pytest.mark.parametrize(
+        ("block_words", "line_size"), [(4, 32), (16, 32), (8, 64)]
+    )
+    def test_rejects_a_block_that_is_not_one_line(self, block_words, line_size):
+        icache = CacheConfig(size=1024, line_size=line_size, ways=2)
+        with pytest.raises(ValueError, match=f"block_words {block_words} .*{line_size} bytes"):
+            SelectiveCodeCompressor(block_words=block_words, icache=icache)

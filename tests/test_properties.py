@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import Cache, CacheConfig, ReplacementPolicy
+from repro.cache import Cache, CacheConfig
 from repro.compress import BDICodec, DifferentialCodec, LZWCodec, ZeroRunCodec
 from repro.core import BlockLayout, refine_order
 from repro.encoding import (
@@ -250,11 +250,12 @@ class ReferenceLRUCache:
 )
 @settings(max_examples=60, deadline=None)
 def test_cache_hits_match_reference_lru(addresses):
-    config = CacheConfig(size=256, line_size=32, ways=2, replacement=ReplacementPolicy.LRU)
-    cache = Cache(config)
+    config = CacheConfig(size=256, line_size=32, ways=2)
     reference = ReferenceLRUCache(config.num_sets, config.ways, config.line_size)
-    for address in addresses:
-        assert cache.access(address).hit == reference.access(address)
+    transfers = Cache(config).run(addresses)
+    missed = {index for index, transfer in transfers if not transfer.is_writeback}
+    for index, address in enumerate(addresses):
+        assert (index not in missed) == reference.access(address)
 
 
 @given(
@@ -266,15 +267,13 @@ def test_cache_writeback_conservation(addresses, writes):
     """Every dirty line eventually comes back out exactly once."""
     config = CacheConfig(size=128, line_size=32, ways=1)
     cache = Cache(config)
-    dirtied = set()
-    written_back = []
-    for address in addresses:
-        is_write = writes.draw(st.booleans())
-        result = cache.access(address, is_write=is_write)
-        if is_write:
-            dirtied.add(cache.line_address(address))
-        if result.writeback:
-            written_back.append(result.writeback.line_address)
+    flags = [writes.draw(st.booleans()) for _ in addresses]
+    dirtied = {cache.line_address(a) for a, is_write in zip(addresses, flags) if is_write}
+    written_back = [
+        transfer.line_address
+        for _index, transfer in cache.run(addresses, flags)
+        if transfer.is_writeback
+    ]
     written_back.extend(t.line_address for t in cache.flush())
     # Each write-back must be of a line that was dirtied at some point.
     assert set(written_back) <= dirtied

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.platforms import EnergyBreakdown
@@ -61,6 +62,9 @@ class TestAllocator:
         block = next(iter(allocation.blocks))
         assert allocation.holds(block * 32)
         assert allocation.holds(block * 32 + 31)
+        outside = next(b for b in range(1000) if b not in allocation.blocks)
+        mask = allocation.holds(np.array([block * 32, outside * 32, block * 32 + 31]))
+        assert mask.tolist() == [True, False, True]
 
     def test_cache_path_energy_validated(self):
         with pytest.raises(ValueError):
