@@ -164,7 +164,7 @@ class Bus:
         self._raw_previous = int(logical[-1])
         # A running sum, as ``energy += drive(word)`` adds: not ``sum()``,
         # which compensates float sums on Python 3.12+.
-        return float(np.cumsum(self.energy_model.e_per_transition * flips)[-1])
+        return float(np.cumsum(self.energy_model.energy(flips))[-1])
 
     def _logical_words(self, words: Iterable[int]) -> np.ndarray:
         """``words`` masked to the bus width, as ``uint64``."""

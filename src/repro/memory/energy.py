@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..units import bytes_to_bits, pw_ns_to_pj
 
 __all__ = [
@@ -133,10 +135,11 @@ class BusEnergyModel:
         """Typical off-chip (pad + board trace) wire."""
         return cls(e_per_transition=8.0)
 
-    def energy(self, transitions: int) -> float:
-        """Energy (pJ) of ``transitions`` bit toggles."""
-        if transitions < 0:
-            raise ValueError(f"transitions must be non-negative, got {transitions}")
+    def energy(self, transitions: int | np.ndarray) -> float | np.ndarray:
+        """Energy (pJ) of ``transitions`` bit toggles, or of each count in an array."""
+        lowest = transitions.min(initial=0) if isinstance(transitions, np.ndarray) else transitions
+        if lowest < 0:
+            raise ValueError(f"transitions must be non-negative, got {lowest}")
         return self.e_per_transition * transitions
 
 

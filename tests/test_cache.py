@@ -165,7 +165,6 @@ class TestReset:
         cache.reset()
         assert cache.stats.accesses == 0
         assert hits(cache, [0]) == [False]
-        cache.reset()
         assert cache.flush() == []  # nothing dirty survives reset
 
 

@@ -136,14 +136,6 @@ class TestEvaluation:
         ]
         assert slowdowns == sorted(slowdowns)
 
-    def test_every_refill_decompresses_one_line(self, firmware, compressor, profiled):
-        trace, counts = profiled
-        layout = compressor.build_layout(firmware, counts, fraction=1.0)
-        report = compressor.evaluate(layout, trace)
-        assert report.compressed_refills == report.refills
-        # 2 cycles per refilled word, 8 words per 32-byte line.
-        assert report.decompression_cycles == 16 * report.refills
-
     @pytest.mark.parametrize(
         ("block_words", "line_size"), [(4, 32), (16, 32), (8, 64)]
     )

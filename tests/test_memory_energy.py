@@ -5,6 +5,7 @@ picojoules: monotonicity with capacity, write > read, off-chip >> on-chip,
 decoder overhead growing with bank count.
 """
 
+import numpy as np
 import pytest
 
 from repro.memory import (
@@ -78,6 +79,15 @@ class TestBus:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             BusEnergyModel().energy(-1)
+
+    def test_array_of_counts_prices_each_count(self):
+        model = BusEnergyModel.on_chip()
+        energies = model.energy(np.array([0, 3, 17], dtype=np.int64))
+        assert [e.hex() for e in energies.tolist()] == [
+            model.energy(count).hex() for count in (0, 3, 17)
+        ]
+        with pytest.raises(ValueError, match="got -2"):
+            model.energy(np.array([0, 3, -2]))
 
 
 class TestDecoder:
