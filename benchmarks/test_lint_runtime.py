@@ -1,15 +1,13 @@
 """Lint-runtime budget: the whole-package lint must stay fast enough for CI.
 
-The PAR and SER families made ``repro lint`` interprocedural — call-graph
-construction plus an effect fixpoint over every function — so its cost now
-scales with the whole package, not per file.  The runner builds that call
-graph once and shares it across families (pinned by
-``tests/test_analysis_serialization.py``); this benchmark pins the cost
-two ways:
+The SER family made ``repro lint`` interprocedural: it builds a call graph
+of the whole package and walks it from every registered writer, so its
+cost scales with the whole package, not per file.  SER builds that graph
+once per lint (pinned by ``tests/test_analysis_serialization.py``); this
+benchmark pins the cost two ways:
 
 * a hard wall-clock **budget** asserted here (generous, so slow CI runners
-  never flake, but a quadratic blow-up in the fixpoint or the resolver
-  fails loudly);
+  never flake, but a quadratic blow-up in the resolver fails loudly);
 * a pytest-benchmark metric gated through ``compare.py`` like every other
   benchmark, so gradual creep shows up as a regression diff even while the
   budget still passes.
@@ -27,7 +25,7 @@ LINT_BUDGET_SECONDS = 20.0
 
 
 def test_full_package_lint_runtime(benchmark):
-    """One complete lint (every family, PAR included) of the shipped package."""
+    """One complete lint (every family) of the shipped package."""
     clock = WallClock()
     start = clock.now_seconds()
     report = benchmark(run_lint)
@@ -40,16 +38,6 @@ def test_full_package_lint_runtime(benchmark):
         f"{LINT_BUDGET_SECONDS:.0f}s); the interprocedural analysis has "
         f"likely regressed super-linearly"
     )
-
-
-def test_par_only_lint_runtime(benchmark):
-    """A lint reporting only PAR findings.
-
-    ``select`` filters findings after every family has run, so this costs
-    one full lint, like ``test_full_package_lint_runtime``.
-    """
-    report = benchmark(run_lint, select=["PAR"])
-    assert report.clean, report.render_text()
 
 
 def test_ser_only_lint_runtime(benchmark):

@@ -2,10 +2,10 @@
 
 This package machine-enforces the invariants ARCHITECTURE.md documents —
 the layering diagram, the determinism policy, the error-handling
-conventions, public-API hygiene, the parallel-safety contract of the batch
-worker path, and the serialization contracts of every persisted artifact —
-by parsing the package with :mod:`ast`.  It is a *leaf*: it imports
-nothing from the rest of ``repro``, so it can lint a broken tree.
+conventions, public-API hygiene, and the serialization contracts of every
+persisted artifact — by parsing the package with :mod:`ast`.  It is a
+*leaf*: it imports nothing from the rest of ``repro``, so it can lint a
+broken tree.
 
 Usage::
 
@@ -22,14 +22,7 @@ for the registry of checks.
 """
 
 from .callgraph import CallGraph, build_call_graph
-from .effects import ALL_EFFECTS, EffectSite, EffectSummary, infer_effects
 from .imports import REPRO_LAYER_MODEL, ImportEdge, LayerModel, extract_imports
-from .parallel import (
-    WORKER_ENTRY_POINTS,
-    WorkerEntryPoint,
-    check_parallel,
-    reachability_report,
-)
 from .rules import RULES, Finding, Rule, SourceModule, load_module
 from .runner import LintReport, run_lint
 from .schemamodel import (
@@ -54,14 +47,6 @@ __all__ = [
     "extract_imports",
     "CallGraph",
     "build_call_graph",
-    "ALL_EFFECTS",
-    "EffectSite",
-    "EffectSummary",
-    "infer_effects",
-    "WorkerEntryPoint",
-    "WORKER_ENTRY_POINTS",
-    "check_parallel",
-    "reachability_report",
     "SchemaModel",
     "SchemaSpec",
     "FingerprintSpec",

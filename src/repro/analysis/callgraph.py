@@ -1,10 +1,11 @@
 """Whole-package interprocedural call graph over :class:`SourceModule` ASTs.
 
-The PAR rule family (:mod:`repro.analysis.parallel`) needs to answer one
-question precisely: *which functions can run inside a batch worker process?*
-That is a reachability query over a call graph, so this module builds one —
-purely syntactically, from the same parsed sources every other check uses,
-with no imports of the analysed package (the analysis layer stays a leaf).
+The SER rule family (:mod:`repro.analysis.serialization`) resolves the
+functions a persisted artifact's writers call, the dataclasses they
+serialize and the module constants they read; this module builds the graph
+it walks — purely syntactically, from the same parsed sources every other
+check uses, with no imports of the analysed package (the analysis layer
+stays a leaf).
 
 Resolution strategy, in order of attempt for each ``Call`` node:
 
@@ -20,19 +21,14 @@ Resolution strategy, in order of attempt for each ``Call`` node:
 3. **Instantiation**: calling a known class edges to its ``__init__`` and
    ``__post_init__`` (dataclasses run both).
 
-Everything else — dict dispatch, higher-order values, methods on unknown
-types — lands in the **unresolved-call report** with a reason, so the
-analysis states what it cannot see instead of silently under-approximating.
-Calls into other distributions (stdlib, numpy) are classified *external*,
-not unresolved; known-effectful externals are handled by
-:mod:`repro.analysis.effects`.
+Everything else — calls into other distributions (stdlib, numpy), dict
+dispatch, higher-order values, methods on unknown types — gets no edge.
 
 Nested functions are modelled conservatively: a ``contains`` edge links the
 enclosing function to each inner ``def``, so anything an inner function does
 is considered reachable wherever the outer one is.  Module top-level code is
-its own pseudo-node (``modname.<module>``) — import-time work is never
-worker-reachable on a fork start, but its bindings feed the pre-fork
-resource analysis (``PAR003``).
+its own pseudo-node (``modname.<module>``), which is where module-level
+constants such as schema version numbers are read from.
 """
 
 from __future__ import annotations
@@ -50,10 +46,11 @@ __all__ = [
     "ClassNode",
     "FieldInfo",
     "ModuleBinding",
-    "UnresolvedCall",
     "CallGraph",
     "build_call_graph",
     "module_aliases",
+    "dotted_name",
+    "own_body",
 ]
 
 #: Suffix appended to a module name to form its top-level pseudo-node.
@@ -81,11 +78,10 @@ class CallSite:
 
 @dataclass(frozen=True)
 class FieldInfo:
-    """One known attribute of a class: its annotation and resolved type."""
+    """One known attribute of a class and its resolved type."""
 
     name: str
     line: int
-    annotation: str | None
     type_qualname: str | None
 
 
@@ -97,7 +93,6 @@ class FunctionNode:
     module: str
     path: str
     line: int
-    end_line: int
     node: ast.AST | None
     owner_class: str | None = None
     is_property: bool = False
@@ -122,39 +117,25 @@ class ModuleBinding:
 
     ``value_call`` is the resolved qualified name of the right-hand side when
     it is a plain call (``LOCK = threading.Lock()`` records
-    ``threading.Lock``) — the shape the pre-fork resource rule matches on.
+    ``threading.Lock``), so a module-level instance of a known class types
+    the name wherever it is used.
     """
 
     qualname: str
     module: str
     name: str
-    line: int
     value_call: str | None = None
-
-
-@dataclass(frozen=True)
-class UnresolvedCall:
-    """A call site the graph could not resolve, and why."""
-
-    caller: str
-    path: str
-    line: int
-    expression: str
-    reason: str
 
 
 @dataclass
 class CallGraph:
-    """The package call graph plus the indexes the effect analysis needs."""
+    """The package call graph plus the definition and alias indexes."""
 
     functions: dict[str, FunctionNode] = field(default_factory=dict)
     classes: dict[str, ClassNode] = field(default_factory=dict)
     calls: dict[str, list[CallSite]] = field(default_factory=dict)
-    unresolved: list[UnresolvedCall] = field(default_factory=list)
     module_bindings: dict[str, ModuleBinding] = field(default_factory=dict)
-    reads: dict[str, dict[str, int]] = field(default_factory=dict)
     aliases: dict[str, dict[str, str]] = field(default_factory=dict)
-    roots: frozenset[str] = frozenset()
 
     def callees(self, qualname: str) -> list[CallSite]:
         """Out-edges of one function node (empty for unknown names)."""
@@ -216,13 +197,6 @@ class CallGraph:
                 queue.append(site.callee)
         return chains
 
-    def unresolved_summary(self) -> dict[str, int]:
-        """Unresolved-call counts grouped by reason, sorted by reason."""
-        counts: dict[str, int] = {}
-        for call in self.unresolved:
-            counts[call.reason] = counts.get(call.reason, 0) + 1
-        return dict(sorted(counts.items()))
-
 
 def module_aliases(module: SourceModule) -> dict[str, str]:
     """Local name → absolute dotted target, relative imports included.
@@ -267,13 +241,13 @@ def module_aliases(module: SourceModule) -> dict[str, str]:
             if isinstance(target, ast.Name) and isinstance(
                 node.value, (ast.Name, ast.Attribute)
             ):
-                dotted = _dotted(node.value, aliases)
+                dotted = dotted_name(node.value, aliases)
                 if dotted is not None:
                     aliases.setdefault(target.id, dotted)
     return aliases
 
 
-def _dotted(node: ast.expr, aliases: Mapping[str, str]) -> str | None:
+def dotted_name(node: ast.expr, aliases: Mapping[str, str]) -> str | None:
     """Resolve a Name/Attribute chain through ``aliases`` to a dotted name."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -292,7 +266,7 @@ def _base_name(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-def _own_body(node: ast.AST) -> Iterator[ast.AST]:
+def own_body(node: ast.AST) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested defs or classes.
 
     Lambdas and comprehensions *are* descended into — they run as part of
@@ -313,9 +287,7 @@ class _Builder:
 
     def __init__(self, modules: list[SourceModule]) -> None:
         self.modules = modules
-        self.graph = CallGraph(
-            roots=frozenset(module.name.split(".")[0] for module in modules)
-        )
+        self.graph = CallGraph()
 
     # -- pass 1: definitions ------------------------------------------------------
 
@@ -328,7 +300,6 @@ class _Builder:
                 module=module.name,
                 path=str(module.path),
                 line=1,
-                end_line=len(module.lines) or 1,
                 node=module.tree,
             )
             self.graph.functions[module_node.qualname] = module_node
@@ -360,7 +331,7 @@ class _Builder:
             targets, value = [statement.target], statement.value
         value_call = None
         if isinstance(value, ast.Call):
-            value_call = _dotted(value.func, aliases)
+            value_call = dotted_name(value.func, aliases)
         for target in targets:
             if isinstance(target, ast.Name):
                 qualname = f"{module.name}.{target.id}"
@@ -370,7 +341,6 @@ class _Builder:
                         qualname=qualname,
                         module=module.name,
                         name=target.id,
-                        line=statement.lineno,
                         value_call=value_call,
                     ),
                 )
@@ -389,7 +359,6 @@ class _Builder:
             module=module.name,
             path=str(module.path),
             line=node.lineno,
-            end_line=getattr(node, "end_lineno", node.lineno) or node.lineno,
             node=node,
             owner_class=owner,
             is_property=_is_property(node),
@@ -415,7 +384,7 @@ class _Builder:
         qualname = f"{module.name}.{node.name}"
         bases = []
         for base in node.bases:
-            resolved = self._resolve_type_name(_dotted(base, aliases), module)
+            resolved = self._resolve_type_name(dotted_name(base, aliases), module)
             if resolved is not None:
                 bases.append(resolved)
         info = ClassNode(
@@ -433,12 +402,12 @@ class _Builder:
             elif isinstance(statement, ast.AnnAssign) and isinstance(
                 statement.target, ast.Name
             ):
-                annotation = statement.annotation
                 info.fields[statement.target.id] = FieldInfo(
                     name=statement.target.id,
                     line=statement.lineno,
-                    annotation=_annotation_text(annotation),
-                    type_qualname=self._resolve_annotation(annotation, module, aliases),
+                    type_qualname=self._resolve_annotation(
+                        statement.annotation, module, aliases
+                    ),
                 )
 
     # -- shared resolution helpers ------------------------------------------------
@@ -472,12 +441,12 @@ class _Builder:
                     return self._resolve_annotation(side, module, aliases)
             return None
         if isinstance(annotation, ast.Subscript):
-            head = _dotted(annotation.value, aliases)
+            head = dotted_name(annotation.value, aliases)
             if head in ("typing.Optional", "Optional"):
                 return self._resolve_annotation(annotation.slice, module, aliases)
             return None
         if isinstance(annotation, (ast.Name, ast.Attribute)):
-            dotted = _dotted(annotation, aliases)
+            dotted = dotted_name(annotation, aliases)
             resolved = self._resolve_type_name(dotted, module)
             if resolved in self.graph.classes:
                 return resolved
@@ -500,13 +469,10 @@ class _Builder:
                         self, module, aliases, qualname, owner=node.owner_class
                     )
                     function_scope.bind_parameters(node.node)
-                    function_scope.scan(list(_own_body(node.node)))
+                    function_scope.scan(list(own_body(node.node)))
 
     def _add_edge(self, site: CallSite) -> None:
         self.graph.calls.setdefault(site.caller, []).append(site)
-
-    def _add_unresolved(self, call: UnresolvedCall) -> None:
-        self.graph.unresolved.append(call)
 
 
 def _sub_bodies(statement: ast.stmt) -> Iterator[list[ast.stmt]]:
@@ -574,15 +540,6 @@ def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
-def _annotation_text(annotation: ast.expr | None) -> str | None:
-    if annotation is None:
-        return None
-    try:
-        return ast.unparse(annotation)
-    except Exception:  # pragma: no cover - unparse failure on exotic nodes
-        return None
-
-
 class _Scope:
     """Call-site resolution inside one function (or module) body."""
 
@@ -648,7 +605,7 @@ class _Scope:
                     return self._return_type(method)
             return None
         if isinstance(node, ast.Call):
-            target, _ = self.resolve_callable(node.func)
+            target = self.resolve_callable(node.func)
             if target is None:
                 return None
             if target in self.graph.classes:
@@ -679,61 +636,36 @@ class _Scope:
 
     # -- resolution ---------------------------------------------------------------
 
-    def resolve_callable(self, func: ast.expr) -> tuple[str | None, str]:
+    def resolve_callable(self, func: ast.expr) -> str | None:
         """Resolve a callable expression to a graph node qualname.
 
-        Returns ``(qualname, "")`` on success, ``(None, reason)`` when the
-        call is genuinely unresolvable, and ``(None, "external")`` for calls
-        into other distributions (stdlib, numpy, builtins).
+        ``None`` for calls into other distributions (stdlib, numpy,
+        builtins) and for calls no syntactic rule resolves (dict dispatch,
+        higher-order values, methods on values of unknown type).
         """
         if isinstance(func, ast.Name):
-            name = func.id
-            local = f"{self.module.name}.{name}"
+            local = f"{self.module.name}.{func.id}"
             if local in self.graph.functions or local in self.graph.classes:
-                return local, ""
-            dotted = self.aliases.get(name)
-            if dotted is not None:
-                return self._classify_dotted(dotted)
-            if name in self.env:
-                return None, "call of local variable"
-            if name in _BUILTIN_NAMES:
-                return None, "external"
-            return None, "unbound name"
+                return local
+            dotted = self.aliases.get(func.id)
+            return None if dotted is None else self._resolve_dotted(dotted)
         if isinstance(func, ast.Attribute):
             base_type = self.type_of(func.value)
             if base_type is not None:
-                method = self.graph.method_of(base_type, func.attr)
-                if method is not None:
-                    return method, ""
-                return None, "unknown method on known class"
-            dotted = _dotted(func, self.aliases)
-            head = _base_name(func)
-            if dotted is not None and (head is None or self._module_scope_name(head)):
-                return self._classify_dotted(dotted)
-            return None, "method on value of unknown type"
-        if isinstance(func, ast.Subscript):
-            return None, "dynamic dispatch (subscript)"
-        if isinstance(func, ast.Call):
-            return None, "call of call result"
-        if isinstance(func, ast.Lambda):
-            return None, "direct lambda call"
-        return None, "dynamic dispatch"
+                return self.graph.method_of(base_type, func.attr)
+            dotted = dotted_name(func, self.aliases)
+            if dotted is not None and self._module_scope_name(_base_name(func)):
+                return self._resolve_dotted(dotted)
+        return None
 
-    def _classify_dotted(self, dotted: str) -> tuple[str | None, str]:
+    def _resolve_dotted(self, dotted: str) -> str | None:
         if dotted in self.graph.functions or dotted in self.graph.classes:
-            return dotted, ""
+            return dotted
         # Class attribute chain: pkg.mod.Class.method resolved via the index.
         head, _, attr = dotted.rpartition(".")
         if head in self.graph.classes:
-            method = self.graph.method_of(head, attr)
-            if method is not None:
-                return method, ""
-        if self._head_is_external(dotted):
-            return None, "external"
-        return None, "unknown in-package target"
-
-    def _head_is_external(self, dotted: str) -> bool:
-        return dotted.split(".")[0] not in self.graph.roots
+            return self.graph.method_of(head, attr)
+        return None
 
     def _module_scope_name(self, name: str) -> bool:
         """True when ``name`` resolves at module scope, not to a local variable."""
@@ -749,15 +681,13 @@ class _Scope:
     # -- scanning -----------------------------------------------------------------
 
     def scan(self, nodes: list[ast.AST]) -> None:
-        """Record call edges, property reads, and module-binding reads."""
+        """Record call edges and property reads."""
         self._track_assignments(nodes)
         for node in nodes:
             if isinstance(node, ast.Call):
                 self._scan_call(node)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 self._scan_attribute(node)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                self._scan_name(node)
 
     def _track_assignments(self, nodes: list[ast.AST]) -> None:
         for node in nodes:
@@ -775,18 +705,8 @@ class _Scope:
                     self.env[node.target.id] = resolved
 
     def _scan_call(self, node: ast.Call) -> None:
-        target, reason = self.resolve_callable(node.func)
+        target = self.resolve_callable(node.func)
         if target is None:
-            if reason != "external":
-                self.builder._add_unresolved(
-                    UnresolvedCall(
-                        caller=self.caller,
-                        path=self.path,
-                        line=node.lineno,
-                        expression=_annotation_text(node.func) or "<call>",
-                        reason=reason,
-                    )
-                )
             return
         if target in self.graph.classes:
             for initializer in ("__init__", "__post_init__"):
@@ -809,14 +729,6 @@ class _Scope:
                 self.builder._add_edge(
                     CallSite(self.caller, method, self.path, node.lineno, "property")
                 )
-        dotted = _dotted(node, self.aliases)
-        if dotted is not None and dotted in self.graph.module_bindings:
-            self.graph.reads.setdefault(self.caller, {}).setdefault(dotted, node.lineno)
-
-    def _scan_name(self, node: ast.Name) -> None:
-        dotted = self.aliases.get(node.id, f"{self.module.name}.{node.id}")
-        if dotted in self.graph.module_bindings:
-            self.graph.reads.setdefault(self.caller, {}).setdefault(dotted, node.lineno)
 
 
 def build_call_graph(modules: list[SourceModule]) -> CallGraph:

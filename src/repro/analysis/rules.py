@@ -20,21 +20,15 @@ Rule families
 ``API``
     Public-surface hygiene — ``__all__`` consistency and docstrings
     (see :mod:`repro.analysis.api`).
-``PAR``
-    Parallel safety — nothing reachable from a batch worker entry point
-    mutates module globals, captures unpicklable state, acquires fork-unsafe
-    resources, goes nondeterministic, or emits undeclared telemetry; proved
-    interprocedurally over the package call graph
-    (see :mod:`repro.analysis.callgraph`, :mod:`repro.analysis.effects`,
-    and :mod:`repro.analysis.parallel`).
 ``SER``
     Serialization & schema contracts — every persisted artifact's
     writer/reader pair agrees on the field set, emission is canonical
     (``sort_keys=True``, no set-ordered values), field-set changes are
     pinned against the schema registry and its version constants, and
-    fingerprint functions cover every field that influences results
-    (see :mod:`repro.analysis.serialization` and
-    :mod:`repro.analysis.schemamodel`).
+    fingerprint functions cover every field that influences results;
+    proved over the package call graph
+    (see :mod:`repro.analysis.serialization`,
+    :mod:`repro.analysis.schemamodel` and :mod:`repro.analysis.callgraph`).
 ``SYN``
     Files the linter could not parse at all.
 """
@@ -141,38 +135,6 @@ RULES: dict[str, Rule] = _registry(
     Rule("API001", "all-drift", "__all__ names a symbol the module does not define", "module"),
     Rule("API002", "missing-from-all", "public definition missing from __all__", "module"),
     Rule("API003", "missing-docstring", "public function or class without a docstring", "module"),
-    Rule(
-        "PAR001",
-        "worker-global-mutation",
-        "a worker-reachable function mutates module-level state",
-        "project",
-    ),
-    Rule(
-        "PAR002",
-        "unpicklable-task-capture",
-        "a pickle-boundary task type holds state that cannot cross to a worker",
-        "project",
-    ),
-    Rule(
-        "PAR003",
-        "fork-unsafe-resource",
-        "a fork-unsafe resource is acquired pre-fork and used from a worker, "
-        "or a worker spawns/writes concurrently-shared state",
-        "project",
-    ),
-    Rule(
-        "PAR004",
-        "worker-nondeterminism",
-        "a worker-reachable function carries a DET fact interprocedurally",
-        "project",
-    ),
-    Rule(
-        "PAR005",
-        "undeclared-worker-counter",
-        "a worker-reachable function emits an obs counter missing from the "
-        "declared vocabulary",
-        "project",
-    ),
     Rule(
         "SER001",
         "writer-reader-field-drift",

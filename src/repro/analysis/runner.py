@@ -2,7 +2,8 @@
 
 The entry point is :func:`run_lint`, which parses every ``.py`` file under
 the given paths, runs the module-scoped rules file by file and the
-project-scoped layering rules over the whole import graph, then drops any
+project-scoped rules over the whole package (layering over the import
+graph, serialization over the call graph), then drops any
 finding suppressed by a ``# repro: lint-ignore[RULE]`` pragma on the
 offending line (or on line 1 for a whole file).
 
@@ -30,11 +31,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .api import check_api
-from .callgraph import build_call_graph
 from .conventions import check_conventions
 from .determinism import check_determinism
 from .imports import REPRO_LAYER_MODEL, LayerModel, check_layering
-from .parallel import check_parallel
 from .rules import RULES, Finding, SourceModule, is_suppressed, load_module, parse_pragmas
 from .serialization import check_serialization
 
@@ -225,7 +224,7 @@ def _validated_selection(select: Iterable[str] | None) -> set[str] | None:
         if item in RULES:
             selection.add(item)
             continue
-        # A bare family prefix ("PAR", "LAY") selects the whole family.
+        # A bare family prefix ("SER", "LAY") selects the whole family.
         family = {rule for rule in RULES if rule.startswith(item)}
         if family:
             selection.update(family)
@@ -247,7 +246,7 @@ def run_lint(
     """Lint ``paths`` (default: the installed package) and return a report.
 
     ``select`` restricts the run to the given rule ids; a bare family prefix
-    (``"PAR"``, ``"LAY"``) selects every rule in the family, and unknown ids
+    (``"SER"``, ``"LAY"``) selects every rule in the family, and unknown ids
     raise :class:`ValueError` listing the known rules.  ``model`` parameterises the
     layering rules so synthetic trees can be checked in tests.
     """
@@ -271,13 +270,8 @@ def run_lint(
         for check in _MODULE_CHECKS:
             findings.extend(check(module))
 
-    # One shared call graph for every project-scope family (PAR, SER):
-    # building it is the dominant interprocedural cost, so it is computed
-    # once here rather than per family.
-    graph = build_call_graph(modules)
     findings.extend(check_layering(modules, model))
-    findings.extend(check_parallel(modules, graph=graph))
-    findings.extend(check_serialization(modules, graph=graph))
+    findings.extend(check_serialization(modules))
 
     findings = [
         finding

@@ -3,8 +3,8 @@
 Every artifact the package writes to disk — cache entries, JSONL run
 logs, manifests, golden flow results, bench baselines, lint reports — is
 registered in :data:`repro.analysis.schemamodel.REPRO_SCHEMA_MODEL`, and
-this module proves the registered contracts statically over the same call
-graph the PAR family uses:
+this module proves the registered contracts statically over the package
+call graph (:mod:`repro.analysis.callgraph`), built once per run:
 
 ``SER001``
     Writer/reader field drift.  Dict-key abstract interpretation extracts
@@ -51,7 +51,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Mapping
 
-from .callgraph import CallGraph, FunctionNode, build_call_graph
+from .callgraph import (
+    CallGraph,
+    FunctionNode,
+    build_call_graph,
+    dotted_name,
+    own_body,
+)
 from .rules import Finding, SourceModule
 from .schemamodel import REPRO_SCHEMA_MODEL, FingerprintSpec, SchemaModel, SchemaSpec
 
@@ -68,19 +74,14 @@ _SET_CONSTRUCTORS = frozenset({"set", "frozenset"})
 
 
 def check_serialization(
-    modules: list[SourceModule],
-    model: SchemaModel = REPRO_SCHEMA_MODEL,
-    graph: CallGraph | None = None,
+    modules: list[SourceModule], model: SchemaModel = REPRO_SCHEMA_MODEL
 ) -> Iterator[Finding]:
     """Run SER001–SER005 over the registered schemas of ``model``.
 
     ``model`` is a parameter so synthetic trees can be checked in tests;
-    the default is the shipped registry.  ``graph`` accepts a pre-built
-    call graph (the runner shares one across all project-scope families);
-    when ``None`` one is built from ``modules``.
+    the default is the shipped registry.
     """
-    if graph is None:
-        graph = build_call_graph(modules)
+    graph = build_call_graph(modules)
     for spec in model.schemas:
         yield from _check_schema(graph, spec)
     for fingerprint in model.fingerprints:
@@ -88,9 +89,7 @@ def check_serialization(
 
 
 def schema_report(
-    modules: list[SourceModule],
-    model: SchemaModel = REPRO_SCHEMA_MODEL,
-    graph: CallGraph | None = None,
+    modules: list[SourceModule], model: SchemaModel = REPRO_SCHEMA_MODEL
 ) -> dict:
     """Extracted per-schema field sets and versions, as plain JSON.
 
@@ -100,8 +99,7 @@ def schema_report(
     reviewable diff.  Schemas whose writers are not all in the scanned
     tree are omitted.
     """
-    if graph is None:
-        graph = build_call_graph(modules)
+    graph = build_call_graph(modules)
     schemas: dict = {}
     for spec in model.schemas:
         if not _all_present(graph, spec.writers):
@@ -118,34 +116,6 @@ def schema_report(
 
 
 # -- key extraction ---------------------------------------------------------------
-
-
-def _function_body(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk one function body without descending into nested defs/classes.
-
-    Comprehensions and lambdas run as part of the enclosing function, so
-    they *are* descended into; nested ``def``/``class`` bodies belong to
-    their own call-graph nodes.
-    """
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(child))
-
-
-def _dotted(node: ast.expr, aliases: Mapping[str, str]) -> str | None:
-    """Resolve a Name/Attribute chain through ``aliases`` to a dotted name."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    head = aliases.get(node.id, node.id)
-    return ".".join([head, *reversed(parts)])
 
 
 def _function_node(graph: CallGraph, qualname: str) -> FunctionNode | None:
@@ -224,7 +194,7 @@ def _written_keys(
     if node is None:
         return written, values, complete
     aliases = graph.aliases.get(node.module, {})
-    for child in _function_body(node.node):
+    for child in own_body(node.node):
         if isinstance(child, ast.Dict):
             for key, value in zip(child.keys, child.values):
                 if isinstance(key, ast.Constant) and isinstance(key.value, str):
@@ -249,7 +219,7 @@ def _written_keys(
                     if keyword.arg is not None:
                         written.setdefault(keyword.arg, keyword.value.lineno)
                         values.append((keyword.arg, keyword.value))
-            dotted = _dotted(child.func, aliases)
+            dotted = dotted_name(child.func, aliases)
             if dotted in ("dataclasses.asdict", "asdict"):
                 subject = _asdict_subject(graph, node, child)
                 if subject is not None and subject in graph.classes:
@@ -291,7 +261,7 @@ def _read_keys(graph: CallGraph, qualname: str) -> tuple[dict[str, int], bool]:
     if node is None:
         return reads, dynamic
     parameters = _parameter_names(node.node)
-    for child in _function_body(node.node):
+    for child in own_body(node.node):
         if (
             isinstance(child, ast.Subscript)
             and isinstance(child.ctx, ast.Load)
@@ -463,10 +433,10 @@ def _check_canonical_emission(graph: CallGraph, spec: SchemaSpec) -> Iterator[Fi
         if node is None:
             continue
         aliases = graph.aliases.get(node.module, {})
-        for child in _function_body(node.node):
+        for child in own_body(node.node):
             if not isinstance(child, ast.Call):
                 continue
-            dotted = _dotted(child.func, aliases)
+            dotted = dotted_name(child.func, aliases)
             if dotted not in _JSON_EMITTERS:
                 continue
             if not _has_sort_keys(child):

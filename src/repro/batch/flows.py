@@ -313,12 +313,13 @@ def _run_flaky(
     # fails softly inside the worker; mode "exit" kills the worker process
     # outright, exercising the BrokenProcessPool path.
     markers = Path(marker_dir)
-    # The marker writes are this flow's entire purpose: it *injects* the
-    # cross-process filesystem race PAR003 exists to catch, so the retry
-    # tests can watch the runner survive it.  Never dispatched outside tests.
-    markers.mkdir(parents=True, exist_ok=True)  # repro: lint-ignore[PAR003]
+    # The marker writes are this flow's entire purpose: they are worker-side
+    # filesystem state shared across processes, the one thing a real flow
+    # never writes, so the retry tests can watch the runner survive worker
+    # failures.  Never dispatched outside tests.
+    markers.mkdir(parents=True, exist_ok=True)
     attempt = len(list(markers.glob("attempt-*")))
-    (markers / f"attempt-{attempt}-{os.getpid()}").touch()  # repro: lint-ignore[PAR003]
+    (markers / f"attempt-{attempt}-{os.getpid()}").touch()
     if attempt < fail_times:
         if mode == "exit":
             os._exit(3)

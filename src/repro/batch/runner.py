@@ -200,7 +200,7 @@ def _worker_shard_recorder(shard: ShardConfig) -> ShardRecorder:
             role="worker",
             clock_factory=shard.clock_factory,
         )
-        _RECORDERS[key] = recorder  # repro: lint-ignore[PAR001]
+        _RECORDERS[key] = recorder
     return recorder
 
 
@@ -243,8 +243,8 @@ def _load_task_trace(spec: TraceSpec, store_map: dict | None = None):
     if trace is None:
         trace = spec.load()
     if len(_TRACE_MEMO) >= _TRACE_MEMO_CAP:
-        _TRACE_MEMO.clear()  # repro: lint-ignore[PAR001]
-    _TRACE_MEMO[key] = trace  # repro: lint-ignore[PAR001]
+        _TRACE_MEMO.clear()
+    _TRACE_MEMO[key] = trace
     return trace
 
 

@@ -83,7 +83,7 @@ def _generators() -> dict:
         # Idempotent memo fill: every process computes the identical mapping
         # from the same import graph, and it is read-only afterwards — no
         # per-worker divergence is observable.
-        GENERATORS.update(  # repro: lint-ignore[PAR001]
+        GENERATORS.update(
             {
                 "hot_cold": HotColdGenerator,
                 "loop_nest": LoopNestGenerator,

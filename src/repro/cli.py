@@ -56,7 +56,7 @@ Subcommands
 ``lint [PATHS]``
     Run the architecture & determinism linter over the package (or the given
     files/directories); exit 1 if there are findings.  ``--select`` narrows
-    to rule ids or family prefixes (``PAR``), ``--statistics`` appends
+    to rule ids or family prefixes (``SER``), ``--statistics`` appends
     per-rule and per-family counts, and ``--schemas`` prints the extracted
     persisted-schema report (the ``tests/golden/schemas.json`` pin).
 """
@@ -81,6 +81,7 @@ from .trace import (
     region_stickiness,
     save_npz,
 )
+from .trace.store import DEFAULT_CHUNK_EVENTS
 
 __all__ = ["main", "build_parser"]
 
@@ -388,9 +389,12 @@ def _cmd_bist(args) -> int:
         two_tower,
     )
 
-    netlist = two_tower(args.width)
+    try:
+        netlist = two_tower(args.width)
+        patterns = lfsr_patterns(netlist.inputs, args.patterns, seed=args.seed)
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
     simulator = FaultSimulator(netlist)
-    patterns = lfsr_patterns(netlist.inputs, args.patterns, seed=args.seed)
     checkpoints = sorted({max(1, args.patterns // 64), args.patterns // 8, args.patterns})
     curve = simulator.coverage_curve(patterns, checkpoints)
     print(
@@ -572,7 +576,7 @@ def _cmd_phases(args) -> int:
 def _cmd_trace_pack(args) -> int:
     import json
 
-    from .trace.store import DEFAULT_CHUNK_EVENTS, STORE_SUFFIX, save_store
+    from .trace.store import STORE_SUFFIX, save_store
 
     trace = _load_trace(args.source)
     out = Path(args.out)
@@ -580,8 +584,7 @@ def _cmd_trace_pack(args) -> int:
         raise SystemExit(
             f"error: output path {args.out!r} must end in {STORE_SUFFIX}"
         )
-    chunk_size = args.chunk_size if args.chunk_size else DEFAULT_CHUNK_EVENTS
-    path = save_store(trace, out, chunk_size=chunk_size)
+    path = save_store(trace, out, chunk_size=args.chunk_size)
     header = json.loads((path / "header.json").read_text())
     chunks = -(-header["events"] // header["chunk_size"]) if header["events"] else 0
     print(f"packed {header['events']} events from {trace.name!r} into {path}")
@@ -842,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bist = subparsers.add_parser("bist", help="BIST coverage + top-up demo (EX8)")
     bist.add_argument("--width", type=int, default=32)
-    bist.add_argument("--patterns", type=int, default=512)
+    bist.add_argument("--patterns", type=_positive_int, default=512)
     bist.add_argument("--seed", type=int, default=7)
     bist.set_defaults(func=_cmd_bist)
 
@@ -856,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
     lint.add_argument(
         "--select", action="append", metavar="RULE,...", default=[],
-        help="restrict to the given rule ids or family prefixes like PAR "
+        help="restrict to the given rule ids or family prefixes like SER "
         "(repeatable, comma-separated)",
     )
     lint.add_argument(
@@ -923,10 +926,10 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument("out", metavar="OUT.tstore", help="output store directory")
     pack.add_argument(
         "--chunk-size",
-        type=int,
-        default=None,
+        type=_positive_int,
+        default=DEFAULT_CHUNK_EVENTS,
         metavar="EVENTS",
-        help="streaming chunk size recorded in the header (default 65536)",
+        help="streaming chunk size recorded in the header (default %(default)s)",
     )
     pack.set_defaults(func=_cmd_trace_pack)
     info = trace_sub.add_parser(

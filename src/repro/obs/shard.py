@@ -34,9 +34,8 @@ Two properties make the shards safe and mergeable:
   per task, not per event, keeps write volume linear in the log size
   (a whole-file rewrite per task is quadratic and blows the <5% sweep
   overhead budget).  One file per worker means no two processes ever
-  write the same path; this module is the sanctioned worker-side
-  filesystem writer (``repro.analysis.parallel.SANCTIONED_FS_MODULES``),
-  the shard counterpart of the ``batch/cache.py`` discipline.
+  write the same path: the shard counterpart of the ``batch/cache.py``
+  discipline.
 * **Per-task clock reset.**  ``begin_task`` restarts span ids and creates
   a fresh clock from ``clock_factory``, so a task's span/counter block is
   a pure function of the task — under

@@ -1,30 +1,17 @@
-"""Call-graph construction tests plus the golden worker-reachability pin.
+"""Call-graph construction tests.
 
 The synthetic-tree tests exercise each resolution strategy the graph
 builder implements (imports, typed attribute dispatch, dataclass fields,
-instantiation, properties, nested defs) and the unresolved-call report.
-
-``TestGoldenReachability`` pins the *real* worker-reachable function set
-of ``src/repro`` under ``tests/golden/par_reachability.json``: any change
-to what a batch worker can execute — new call edge, new entry point,
-resolution improvement — shows up as a reviewable diff.  Regenerate after
-an intentional change with::
-
-    pytest tests/test_analysis_callgraph.py --update-golden
+instantiation, properties, nested defs, module bindings); calls that leave
+the scanned tree get no edge.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
 from repro.analysis import build_call_graph, load_module
-from repro.analysis.parallel import reachability_report
-
-GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "par_reachability.json"
-
-SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def graph_of(tmp_path: Path, files: dict[str, str]):
@@ -89,8 +76,8 @@ class TestDirectResolution:
                 ),
             },
         )
+        assert "pkg.main.run" in graph.functions
         assert graph.callees("pkg.main.run") == []
-        assert graph.unresolved == []
 
 
 class TestTypedDispatch:
@@ -247,52 +234,6 @@ class TestNestingAndReachability:
         assert graph.reachable(["pkg.main.missing"]) == {}
 
 
-class TestUnresolvedReport:
-    def test_dict_dispatch_is_reported(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/main.py": (
-                    "HANDLERS = {}\n"
-                    "def run(name):\n"
-                    "    return HANDLERS[name]()\n"
-                ),
-            },
-        )
-        reasons = {call.reason for call in graph.unresolved}
-        assert "dynamic dispatch (subscript)" in reasons
-
-    def test_local_variable_call_is_reported(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/main.py": (
-                    "def run(fn):\n"
-                    "    handler = fn\n"
-                    "    return handler()\n"
-                ),
-            },
-        )
-        reasons = {call.reason for call in graph.unresolved}
-        assert reasons & {"call of local variable", "unbound name"}
-
-    def test_summary_counts_by_reason(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/main.py": (
-                    "TABLE = {}\n"
-                    "def run(name):\n"
-                    "    return TABLE[name]() + TABLE[name]()\n"
-                ),
-            },
-        )
-        assert graph.unresolved_summary()["dynamic dispatch (subscript)"] == 2
-
-
 class TestModuleBindings:
     def test_module_level_constructor_binding_recorded(self, tmp_path):
         graph = graph_of(
@@ -307,55 +248,3 @@ class TestModuleBindings:
         )
         binding = graph.module_bindings["pkg.main.LOCK"]
         assert binding.value_call == "threading.Lock"
-
-    def test_binding_reads_are_indexed_with_lines(self, tmp_path):
-        graph = graph_of(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/main.py": (
-                    "REGISTRY = {}\n"
-                    "def run():\n"
-                    "    return REGISTRY\n"
-                ),
-            },
-        )
-        assert graph.reads["pkg.main.run"]["pkg.main.REGISTRY"] == 3
-
-
-class TestGoldenReachability:
-    def test_worker_reachability_matches_golden(self, update_golden):
-        modules = [
-            load_module(path) for path in sorted(SRC_ROOT.rglob("*.py"))
-        ]
-        report = reachability_report(modules)
-        if update_golden:
-            GOLDEN_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            return
-        assert GOLDEN_PATH.exists(), (
-            "golden reachability file missing; regenerate with "
-            "pytest tests/test_analysis_callgraph.py --update-golden"
-        )
-        pinned = json.loads(GOLDEN_PATH.read_text())
-        assert report["entry_points"] == pinned["entry_points"]
-        assert sorted(report["reachable"]) == sorted(pinned["reachable"]), (
-            "worker-reachable function set drifted; review the diff, then "
-            "regenerate with --update-golden"
-        )
-        assert report["unresolved_by_reason"] == pinned["unresolved_by_reason"]
-        assert report["unresolved_calls"] == pinned["unresolved_calls"]
-
-    def test_report_shape_is_stable(self):
-        modules = [
-            load_module(path) for path in sorted(SRC_ROOT.rglob("*.py"))
-        ]
-        report = reachability_report(modules)
-        assert report["schema"] == 1
-        assert "repro.batch.runner._execute_task" in report["entry_points"]
-        # The worker closure must include the full flow stack, not stop at
-        # the adapter layer: resolution through dataclass fields is what
-        # makes the PAR rules trustworthy.
-        assert "repro.batch.spec._generators" in report["reachable"]
-        assert report["unresolved_calls"] == sum(
-            report["unresolved_by_reason"].values()
-        )

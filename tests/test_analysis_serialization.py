@@ -573,10 +573,10 @@ class TestReporting:
 
 
 class TestSingleGraphBuild:
-    """The runner builds ONE call graph shared by every project-scope family."""
+    """A lint builds ONE call graph, in the SER family that walks it."""
 
     def test_run_lint_builds_the_graph_exactly_once(self, tmp_path, monkeypatch):
-        from repro.analysis import callgraph, parallel, runner, serialization
+        from repro.analysis import callgraph, runner, serialization
 
         builds = []
         real_build = callgraph.build_call_graph
@@ -585,15 +585,7 @@ class TestSingleGraphBuild:
             builds.append(len(modules))
             return real_build(modules)
 
-        def forbidden_build(modules):
-            raise AssertionError(
-                "a rule family rebuilt the call graph instead of using the "
-                "runner's shared one"
-            )
-
-        monkeypatch.setattr(runner, "build_call_graph", counting_build)
-        monkeypatch.setattr(parallel, "build_call_graph", forbidden_build)
-        monkeypatch.setattr(serialization, "build_call_graph", forbidden_build)
+        monkeypatch.setattr(serialization, "build_call_graph", counting_build)
 
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "__init__.py").write_text("")

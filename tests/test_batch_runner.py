@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import io
 import json
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.batch import ResultCache, SweepTask, TraceSpec, run_sweep
 from repro.batch import runner
+from repro.batch.flows import FLOW_NAMES
 from repro.obs import JsonlRecorder
 from repro.obs.clock import TickClock
 from repro.obs.counters import (
@@ -108,6 +110,32 @@ class TestMergeContract:
         assert first.misses == 1
         assert second.hits == 1
         assert first.results == second.results
+
+
+class TestWorkerReuse:
+    """A worker that has run other tasks returns what a fresh worker returns.
+
+    Every task shares one spec, so the per-process trace memo hands each of
+    them the same ``Trace`` object: a flow that mutated it, or left any
+    other state behind, would change the next task's result.
+    """
+
+    def test_reused_worker_matches_fresh_workers_in_both_orders(self):
+        spec = TraceSpec.synthetic("value", lines=64, seed=3)
+        tasks = [SweepTask.make(flow, spec) for flow in FLOW_NAMES]
+
+        def pool():
+            return ProcessPoolExecutor(max_workers=1, mp_context=runner._pool_context())
+
+        fresh = {}
+        for task in tasks:
+            with pool() as single:
+                fresh[task] = single.submit(runner._execute_task, task).result()
+        with pool() as shared:
+            for order in (tasks, tasks[::-1]):
+                for task in order:
+                    result = shared.submit(runner._execute_task, task).result()
+                    assert result == fresh[task], task.label()
 
 
 class TestValidation:

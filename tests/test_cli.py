@@ -80,6 +80,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: must be a positive integer" in err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_trace_pack_nonpositive_chunk_size_is_a_usage_error(
+        self, tmp_path, capsys, value
+    ):
+        out = tmp_path / "packed.tstore"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "pack", "synth:hot_cold:accesses=100", str(out),
+                  "--chunk-size", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --chunk-size: must be a positive integer" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_profile_unknown_source_exits(self):
         with pytest.raises(SystemExit, match="neither"):
             main(["profile", "no_such_thing"])
@@ -120,6 +133,27 @@ class TestCodecompCommand:
         assert main(["bist", "--width", "16", "--patterns", "128"]) == 0
         out = capsys.readouterr().out
         assert "coverage" in out and "BIST" in out
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_bist_nonpositive_patterns_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bist", "--width", "8", "--patterns", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --patterns: must be a positive integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--width", "3", "width must be a power of two >= 4, got 3"),
+            ("--seed", "0", "LFSR seed must be non-zero, got 0"),
+        ],
+    )
+    def test_bist_invalid_circuit_exits_with_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit, match=re.escape(f"error: {message}")):
+            main(["bist", flag, value])
+        assert capsys.readouterr().out == ""
 
 
 class TestLintCommand:

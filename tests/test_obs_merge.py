@@ -4,7 +4,8 @@ The canonical-timeline determinism contract itself is pinned end-to-end
 (on real sweeps) by the hypothesis suite; these tests cover the parsing
 and merging machinery directly on hand-built shards: torn-block framing,
 duplicate-block deduplication, lifecycle-derived metrics, and the
-discovery/validation behavior of :func:`load_shards`.
+discovery/validation behavior of :func:`load_shards`.  One real jobs=2
+sweep checks that every counter its workers emit is a declared name.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import json
 
 import pytest
 
-from repro.obs import ShardRecorder, load_merged, load_shards, merge_shards
+from repro.batch import SweepTask, TraceSpec, run_sweep
+from repro.batch.flows import FLOW_NAMES
+from repro.obs import ShardRecorder, counters, load_merged, load_shards, merge_shards
 from repro.obs.clock import TickClock
 from repro.obs.merge import _parse_shard
 from repro.obs.spans import span
@@ -205,3 +208,21 @@ class TestLoadShards:
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="no observability shards"):
             load_shards(tmp_path)
+
+
+class TestWorkerCounters:
+    def test_worker_counter_names_are_declared(self, tmp_path):
+        # Every counter a worker emits on a real sweep is one of the names
+        # repro.obs.counters declares, so `repro obs` and the tests agree on
+        # the vocabulary.
+        spec = TraceSpec.synthetic("value", lines=64, seed=3)
+        tasks = [SweepTask.make(flow, spec) for flow in FLOW_NAMES]
+        run_sweep(tasks, jobs=2, shard_dir=tmp_path)
+        declared = {
+            value
+            for value in (getattr(counters, name) for name in counters.__all__)
+            if isinstance(value, str)
+        }
+        emitted = load_merged(tmp_path).counter_totals().names()
+        assert emitted
+        assert set(emitted) <= declared, sorted(set(emitted) - declared)
