@@ -1,20 +1,21 @@
 """Benchmark harness configuration.
 
-Each benchmark runs its experiment for ``bench_rounds()`` rounds (see
-``benchmarks/_rounds.py``): one round by default — these are
-*result-regeneration* harnesses, and one run of each experiment is what
-the paper reports — and ``REPRO_BENCH_ROUNDS=5`` in CI so the export
-carries per-iteration samples for the distribution-aware gate.  Run
-locally with::
+Each benchmark runs its experiment once per pytest run (``rounds=1``):
+these are *result-regeneration* harnesses, and one run of each experiment
+is what the paper reports.  Run locally with::
 
     pytest benchmarks/ --benchmark-only -s
 
-``-s`` shows the regenerated tables.  The gate's input needs the raw
-samples in the JSON export::
+``-s`` shows the regenerated tables.  The regression gate takes one
+sample per run, so it needs several exports of each side, run in
+alternating order on one machine::
 
-    REPRO_BENCH_ROUNDS=5 pytest benchmarks/ --benchmark-only \\
-        --benchmark-json=bench.json --benchmark-save-data
-    python benchmarks/compare.py bench.json
+    pytest benchmarks/ --benchmark-only --benchmark-json=change-1.json
+    python benchmarks/compare.py --base base-*.json --change change-*.json
+
+A benchmark whose timed body changes gets a new name, so the gate reports
+the old name as missing and the new one as new instead of comparing
+different work.
 
 The bare-checkout import fallback lives in the repository-root conftest.py,
 which pytest loads before this file.

@@ -21,8 +21,6 @@ from repro.core import FlowConfig, MemoryOptimizationFlow
 from repro.report import render_table
 from repro.trace import ScatteredHotGenerator
 
-from _rounds import bench_rounds
-
 STRATEGIES = [
     ("identity", {}),
     ("random", {"seed": 3}),
@@ -56,7 +54,7 @@ def run_ablation() -> list[dict]:
 
 
 def test_ablation_clustering_strategies(benchmark):
-    rows = benchmark.pedantic(run_ablation, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
     print(
         render_table(
             ["strategy", "energy (pJ)", "saving vs identity"],
@@ -89,7 +87,7 @@ def test_ablation_block_size(benchmark):
             rows.append({"block": block_size, "saving": flow.saving_vs_partitioned})
         return rows
 
-    rows = benchmark.pedantic(run, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
         render_table(
             ["block bytes", "saving vs partitioned"],

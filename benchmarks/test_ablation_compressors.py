@@ -21,8 +21,6 @@ from repro.platforms import risc_platform
 from repro.report import render_table
 from repro.trace import ValueTraceGenerator
 
-from _rounds import bench_rounds
-
 # LZW's dictionary CAM makes it several times costlier per byte in hardware.
 UNIT_COSTS = {"differential": 1.0, "zero_run": 0.8, "bdi": 0.9, "lzw": 4.0}
 
@@ -71,7 +69,7 @@ def ratio_grid() -> list[dict]:
 
 
 def test_ablation_codec_ratios(benchmark):
-    rows = benchmark.pedantic(ratio_grid, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(ratio_grid, rounds=1, iterations=1)
     print(
         render_table(
             ["data class", "differential", "zero_run", "bdi", "lzw"],
@@ -121,7 +119,7 @@ def platform_energy_per_codec() -> list[dict]:
 
 
 def test_ablation_codec_platform_energy(benchmark):
-    rows = benchmark.pedantic(platform_energy_per_codec, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(platform_energy_per_codec, rounds=1, iterations=1)
     print(
         render_table(
             ["codec", "energy (pJ)", "saving"],

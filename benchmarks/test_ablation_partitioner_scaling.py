@@ -18,8 +18,6 @@ import pytest
 from repro.partition import OptimalPartitioner, PartitionCostModel
 from repro.report import render_table
 
-from _rounds import bench_rounds
-
 
 def make_model(num_blocks: int = 2000, seed: int = 0) -> PartitionCostModel:
     rng = np.random.default_rng(seed)
@@ -58,7 +56,7 @@ def test_table_a3_coalescing_quality(benchmark):
             )
         return results
 
-    rows = benchmark.pedantic(run, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     finest_energy = rows[-1]["energy"]
     print(
         render_table(

@@ -12,8 +12,6 @@ import numpy as np
 from repro.memory import PartitionedMemory
 from repro.trace import Trace
 
-from _rounds import bench_rounds
-
 NUM_EVENTS = 1_000_000
 BANK_SIZES = [16384, 16384, 16384, 16384]
 
@@ -40,5 +38,5 @@ def vectorized_play_1m() -> float:
 
 def test_columnar_play_1m(benchmark):
     """Vectorized 1M-event playback alone, tracked by the regression gate."""
-    total_pj = benchmark.pedantic(vectorized_play_1m, rounds=bench_rounds(), iterations=1)
+    total_pj = benchmark.pedantic(vectorized_play_1m, rounds=1, iterations=1)
     assert total_pj > 0.0

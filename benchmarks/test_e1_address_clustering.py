@@ -28,8 +28,6 @@ from repro.partition import OptimalPartitioner, PartitionCostModel, PartitionSpe
 from repro.report import PaperComparison, render_comparisons, render_table
 from repro.trace import AccessProfile, ScatteredHotGenerator
 
-from _rounds import bench_rounds
-
 # The application suite: (label, trace factory, block_size, max_banks).
 # Kernels provide the realistic-trace anchors; the scattered generators stand
 # in for the paper's larger applications with fragmented hot sets (see
@@ -101,7 +99,7 @@ def run_suite() -> list[dict]:
 
 def test_table_e1_clustering_savings(benchmark):
     """Regenerates the paper's main table: per-application energy savings."""
-    rows = benchmark.pedantic(run_suite, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run_suite, rounds=1, iterations=1)
 
     table = render_table(
         ["application", "banks", "monolithic pJ", "partitioned pJ", "clustered pJ",
@@ -153,7 +151,7 @@ def bank_sweep(max_k: int = 16) -> list[dict]:
 
 def test_figure_e1a_bank_sweep(benchmark):
     """Figure-like series: energy vs bank count shows an interior optimum."""
-    rows = benchmark.pedantic(bank_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(bank_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["banks", "energy (pJ)"],
@@ -185,7 +183,7 @@ def test_table_e1b_partitioner_comparison(benchmark):
             )
         return results
 
-    rows = benchmark.pedantic(run, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
         render_table(
             ["partitioner", "clustered energy (pJ)"],

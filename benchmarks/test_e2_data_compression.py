@@ -24,8 +24,6 @@ from repro.platforms import Platform, PlatformConfig, risc_platform, vliw_platfo
 from repro.report import PaperComparison, render_comparisons, render_table
 from repro.trace import ValueTraceGenerator
 
-from _rounds import bench_rounds
-
 # Media-class streaming kernels, sized past the D-cache like the paper's
 # MediaBench workloads.
 PROGRAMS = [
@@ -60,7 +58,7 @@ def run_platform_suite() -> list[dict]:
 
 def test_table_e2_compression_savings(benchmark):
     """Regenerates the paper's platform table: savings per kernel per platform."""
-    rows = benchmark.pedantic(run_platform_suite, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run_platform_suite, rounds=1, iterations=1)
     print(
         render_table(
             ["platform", "kernel", "base pJ", "compressed pJ", "saving", "ratio",
@@ -119,7 +117,7 @@ def line_size_sweep() -> list[dict]:
 
 def test_figure_e2a_line_size_sweep(benchmark):
     """Figure-like series: larger lines compress better (more deltas per base)."""
-    rows = benchmark.pedantic(line_size_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(line_size_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["line bytes", "saving", "mean ratio"],
@@ -151,7 +149,7 @@ def smoothness_sweep() -> list[dict]:
 
 def test_figure_e2b_entropy_sweep(benchmark):
     """Figure-like series: savings vs data smoothness (value entropy)."""
-    rows = benchmark.pedantic(smoothness_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(smoothness_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["smoothness", "saving", "mean ratio"],

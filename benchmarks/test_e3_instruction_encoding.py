@@ -20,8 +20,6 @@ from repro.encoding import TransformSelector
 from repro.isa import CPU, load_kernel
 from repro.report import PaperComparison, render_comparisons, render_table
 
-from _rounds import bench_rounds
-
 KERNELS = ["fir", "dot_product", "matmul", "idct_rows", "crc32", "saxpy", "histogram"]
 
 
@@ -45,7 +43,7 @@ def run_encoder_grid() -> dict[str, dict[str, float]]:
 
 def test_table_e3_functional_transform(benchmark):
     """Regenerates the main E3 table: per-kernel reduction of the trained transform."""
-    grid = benchmark.pedantic(run_encoder_grid, rounds=bench_rounds(), iterations=1)
+    grid = benchmark.pedantic(run_encoder_grid, rounds=1, iterations=1)
 
     rows = [
         [kernel,
@@ -119,7 +117,7 @@ def test_table_e3b_address_bus(benchmark):
             )
         return results
 
-    results = benchmark.pedantic(run, rounds=bench_rounds(), iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
         render_table(
             ["kernel", "gray(byte)", "gray(word)", "t0", "xor_diff"],
@@ -157,7 +155,7 @@ def test_figure_e3a_selection_is_per_application(benchmark):
             )
         return results
 
-    results = benchmark.pedantic(run, rounds=bench_rounds(), iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
         render_table(
             ["kernel", "selected transform", "reduction", "all decodable"],

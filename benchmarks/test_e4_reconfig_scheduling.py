@@ -26,8 +26,6 @@ from repro.reconfig import (
 )
 from repro.report import PaperComparison, render_comparisons, render_table
 
-from _rounds import bench_rounds
-
 APPS = [
     ("pipeline6", lambda: build_pipeline_app(stages=6)),
     ("pipeline10", lambda: build_pipeline_app(stages=10, frame_bytes=2048)),
@@ -60,7 +58,7 @@ def run_suite() -> list[dict]:
 
 def test_table_e4_scheduler_savings(benchmark):
     """Regenerates the E4 table: scheduler vs naive placement per application."""
-    rows = benchmark.pedantic(run_suite, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     print(
         render_table(
             ["application", "naive pJ", "scheduled pJ", "saving", "data saving",
@@ -104,7 +102,7 @@ def l0_sweep() -> list[dict]:
 
 def test_figure_e4a_l0_capacity_sweep(benchmark):
     """Figure-like series: scheduled energy vs L0 capacity (monotone, saturating)."""
-    rows = benchmark.pedantic(l0_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(l0_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["L0 bytes", "scheduled energy (pJ)", "saving vs naive"],
@@ -141,7 +139,7 @@ def test_figure_e4b_context_slots_sweep(benchmark):
                          "smart_loads": smart.context_loads})
         return rows
 
-    rows = benchmark.pedantic(run, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
         render_table(
             ["context slots", "loads (naive order)", "loads (grouped schedule)"],

@@ -20,8 +20,6 @@ from repro.core import FlowConfig, PhasedMemoryOptimizationFlow
 from repro.report import render_table
 from repro.trace import MemoryAccess, PhaseDetector, ScatteredHotGenerator, Trace
 
-from _rounds import bench_rounds
-
 
 def two_phase_trace(accesses_per_phase: int) -> Trace:
     """Two long program phases with disjoint fragmented hot sets."""
@@ -62,7 +60,7 @@ def phase_length_sweep() -> list[dict]:
 
 
 def test_figure_ex1_phase_length_crossover(benchmark):
-    rows = benchmark.pedantic(phase_length_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(phase_length_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["accesses/phase", "phases found", "static pJ", "phased pJ",

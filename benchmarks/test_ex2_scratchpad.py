@@ -22,8 +22,6 @@ from repro.report import render_table
 from repro.spm import SPMAllocator, SPMConfig, SPMPlatform
 from repro.trace import AccessProfile, ScatteredHotGenerator
 
-from _rounds import bench_rounds
-
 WORKLOADS = [
     ("table_lookup", lambda: trace_from_kernel("table_lookup")),
     (
@@ -58,7 +56,7 @@ def spm_sweep() -> list[dict]:
 
 
 def test_figure_ex2_spm_capacity_sweep(benchmark):
-    rows = benchmark.pedantic(spm_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(spm_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["workload", "SPM bytes", "coverage", "energy saving"],

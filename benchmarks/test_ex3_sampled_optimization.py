@@ -27,8 +27,6 @@ from repro.trace import (
     scale_counts,
 )
 
-from _rounds import bench_rounds
-
 
 def layout_from_sample(sample_profile, full_profile):
     order = list(FrequencyClustering().build_layout(sample_profile).order)
@@ -77,7 +75,7 @@ def sampling_sweep() -> list[dict]:
 
 
 def test_figure_ex3_sampling_speed_accuracy(benchmark):
-    rows = benchmark.pedantic(sampling_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(sampling_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["sampling rate", "events profiled", "count error", "energy overhead"],

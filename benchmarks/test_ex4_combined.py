@@ -26,8 +26,6 @@ from repro.isa import CPU, load_kernel
 from repro.platforms import Platform, risc_platform
 from repro.report import render_table
 
-from _rounds import bench_rounds
-
 KERNELS = ["fir", "matmul", "idct_rows", "histogram"]
 
 
@@ -55,7 +53,7 @@ def run_combinations() -> list[dict]:
 
 
 def test_table_ex4_combined_savings(benchmark):
-    rows = benchmark.pedantic(run_combinations, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(run_combinations, rounds=1, iterations=1)
 
     def saving(row, label):
         return 1 - row[label] / row["baseline"]

@@ -20,8 +20,6 @@ from repro.codecomp import SelectiveCodeCompressor
 from repro.isa.programs import build_firmware
 from repro.report import render_table
 
-from _rounds import bench_rounds
-
 
 def fraction_sweep() -> list[dict]:
     program = build_firmware(hot_functions=12, cold_functions=48, hot_calls=100)
@@ -50,7 +48,7 @@ def fraction_sweep() -> list[dict]:
 
 
 def test_table_ex5_selective_code_compression(benchmark):
-    rows = benchmark.pedantic(fraction_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(fraction_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["fraction", "policy", "size reduction", "slowdown", "compressed refills"],

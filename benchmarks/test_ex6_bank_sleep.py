@@ -24,8 +24,6 @@ from repro.memory import SleepPolicy, SRAMEnergyModel, simulate_bank_sleep
 from repro.report import render_table
 from repro.trace import MemoryAccess, ScatteredHotGenerator, Trace
 
-from _rounds import bench_rounds
-
 LEAKY_MODEL = SRAMEnergyModel(leakage_pw_per_bit=10.0)  # 90 nm-class leakage
 
 
@@ -87,7 +85,7 @@ def organization_comparison() -> list[dict]:
 
 
 def test_table_ex6_sleep_by_organization(benchmark):
-    rows = benchmark.pedantic(organization_comparison, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(organization_comparison, rounds=1, iterations=1)
     print(
         render_table(
             ["organization", "banks", "dynamic pJ", "leakage saving", "bank-cycles asleep",
@@ -149,7 +147,7 @@ def timeout_sweep() -> list[dict]:
 
 
 def test_figure_ex6a_timeout_sweep(benchmark):
-    rows = benchmark.pedantic(timeout_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(timeout_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["timeout (cycles)", "bank-cycles asleep", "leakage saving", "wakes"],

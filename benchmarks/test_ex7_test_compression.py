@@ -24,8 +24,6 @@ from repro.testcomp import (
     repeat_fill,
 )
 
-from _rounds import bench_rounds
-
 
 def strategy_comparison() -> list[dict]:
     test_set = clustered_test_set(
@@ -42,7 +40,7 @@ def strategy_comparison() -> list[dict]:
 
 
 def test_table_ex7_fill_strategies(benchmark):
-    rows = benchmark.pedantic(strategy_comparison, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(strategy_comparison, rounds=1, iterations=1)
     print(
         render_table(
             ["fill strategy", "LZW ratio", "tester-memory reduction"],
@@ -72,7 +70,7 @@ def density_sweep() -> list[dict]:
 
 
 def test_figure_ex7a_care_density_sweep(benchmark):
-    rows = benchmark.pedantic(density_sweep, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(density_sweep, rounds=1, iterations=1)
     print(
         render_table(
             ["care density", "LZW ratio (repeat-fill)"],

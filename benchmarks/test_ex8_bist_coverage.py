@@ -26,8 +26,6 @@ from repro.circuit import (
 )
 from repro.report import render_table
 
-from _rounds import bench_rounds
-
 
 def saturation_curve() -> list[dict]:
     netlist = random_netlist(num_inputs=12, num_gates=80, num_outputs=6, seed=1)
@@ -39,7 +37,7 @@ def saturation_curve() -> list[dict]:
 
 
 def test_figure_ex8_lfsr_saturation(benchmark):
-    rows = benchmark.pedantic(saturation_curve, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(saturation_curve, rounds=1, iterations=1)
     print(
         render_table(
             ["LFSR patterns", "stuck-at coverage"],
@@ -78,7 +76,7 @@ def mixed_mode() -> dict:
 
 def test_table_ex8b_mixed_mode(benchmark):
     """Mixed-mode BIST: LFSR base + a few stored deterministic patterns."""
-    result = benchmark.pedantic(mixed_mode, rounds=bench_rounds(), iterations=1)
+    result = benchmark.pedantic(mixed_mode, rounds=1, iterations=1)
     print(
         render_table(
             ["metric", "value"],
@@ -112,7 +110,7 @@ def weighting_comparison() -> list[dict]:
 
 
 def test_table_ex8a_weighted_patterns(benchmark):
-    rows = benchmark.pedantic(weighting_comparison, rounds=bench_rounds(), iterations=1)
+    rows = benchmark.pedantic(weighting_comparison, rounds=1, iterations=1)
     print(
         render_table(
             ["pattern source", "coverage (AND-tree, 512 patterns)"],

@@ -27,8 +27,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from _rounds import bench_rounds
-
 from repro.batch import TraceSpec
 from repro.obs.clock import WallClock
 from repro.report import render_table
@@ -109,7 +107,7 @@ def test_trace_store_load_vs_reparse(benchmark, tmp_path):
     result = benchmark.pedantic(
         measure_load_speedup,
         args=(tmp_path,),
-        rounds=bench_rounds(),
+        rounds=1,
         iterations=1,
     )
     print(

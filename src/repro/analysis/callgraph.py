@@ -201,11 +201,11 @@ class CallGraph:
 def module_aliases(module: SourceModule) -> dict[str, str]:
     """Local name → absolute dotted target, relative imports included.
 
-    Extends the purely-absolute resolution of
-    :func:`repro.analysis.determinism.resolve_aliases` with relative imports
-    (``from .spec import SweepTask`` inside ``repro.batch.runner`` maps
-    ``SweepTask`` to ``repro.batch.spec.SweepTask``) and with module-level
-    assignment aliases of dotted names (``now = time.time``).
+    ``import numpy as np`` maps ``np`` to ``numpy``; ``from .spec import
+    SweepTask`` inside ``repro.batch.runner`` maps ``SweepTask`` to
+    ``repro.batch.spec.SweepTask``; module-level assignment aliases of
+    dotted names (``now = time.time``) resolve in statement order.  The
+    call graph and the DET rules both resolve names through it.
     """
     aliases: dict[str, str] = {}
     package = module.package_parts

@@ -24,9 +24,10 @@ machine-enforce it:
     seedable, so unlike DET002 there is no "use a generator instead" fix —
     the value must come from configuration.
 
-Resolution is purely syntactic over the module's own import aliases
-(``import numpy as np`` makes ``np.random.seed`` resolve to
-``numpy.random.seed``), so the checks need no imports to run and cannot be
+Resolution is purely syntactic over the module's own import aliases, through
+the call graph's resolver (:func:`repro.analysis.callgraph.module_aliases`):
+``import numpy as np`` makes ``np.random.seed`` resolve to
+``numpy.random.seed``, so the checks need no imports to run and cannot be
 fooled by runtime monkey-patching — by design: the *source* is the contract.
 Module-level *assignment* aliases are resolved too: ``now = time.time``
 followed by ``now()`` fires DET001 — re-binding a clock does not launder it.
@@ -37,9 +38,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from .callgraph import dotted_name, module_aliases
 from .rules import Finding, SourceModule
 
-__all__ = ["check_determinism", "resolve_aliases", "qualified_name", "ENTROPY_CALLS"]
+__all__ = ["check_determinism", "ENTROPY_CALLS"]
 
 #: Fully-qualified callables that read the clock.
 WALL_CLOCK_CALLS = frozenset(
@@ -88,54 +90,6 @@ ENTROPY_CALLS = frozenset(
 )
 
 
-def resolve_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the absolute dotted names they were imported as.
-
-    ``import numpy as np`` yields ``{"np": "numpy"}``; ``from numpy.random
-    import default_rng`` yields ``{"default_rng": "numpy.random.default_rng"}``.
-    Module-level assignment aliases of dotted chains resolve too:
-    ``now = time.time`` yields ``{"now": "time.time"}`` (in statement order,
-    so ``t = time`` followed by ``clock = t.perf_counter`` chains through).
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    # ``import numpy.random`` binds the name ``numpy``; the
-                    # attribute chain resolves the rest.
-                    top = alias.name.split(".")[0]
-                    aliases[top] = top
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and isinstance(
-                node.value, (ast.Name, ast.Attribute)
-            ):
-                dotted = qualified_name(node.value, aliases)
-                if dotted is not None and dotted != target.id:
-                    aliases.setdefault(target.id, dotted)
-    return aliases
-
-
-def qualified_name(node: ast.expr, aliases: dict[str, str]) -> str | None:
-    """Resolve an attribute/name chain to an absolute dotted name, if possible."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    head = aliases.get(node.id, node.id)
-    return ".".join([head, *reversed(parts)])
-
-
 def _mentions_seed(node: ast.expr) -> bool:
     """True if the expression visibly derives from a seed or literal."""
     for child in ast.walk(node):
@@ -150,12 +104,12 @@ def _mentions_seed(node: ast.expr) -> bool:
 
 def check_determinism(module: SourceModule) -> Iterator[Finding]:
     """Run DET001–DET004 over one module."""
-    aliases = resolve_aliases(module.tree)
+    aliases = module_aliases(module)
     path = str(module.path)
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
-        name = qualified_name(node.func, aliases)
+        name = dotted_name(node.func, aliases)
         if name is None:
             continue
         if name in WALL_CLOCK_CALLS:

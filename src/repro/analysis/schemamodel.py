@@ -2,7 +2,7 @@
 
 The package persists several schema'd artifacts — result-cache entries,
 JSONL run logs, run manifests, golden-corpus flow results, bench
-baselines, lint reports — and each one carries contracts the tests can
+reports, lint reports — and each one carries contracts the tests can
 only probe dynamically: writers and readers must agree on the field set,
 emission must be canonical (``sort_keys=True``), field-set changes must
 bump the schema version, and fingerprint functions must cover every field
@@ -432,39 +432,13 @@ REPRO_SCHEMA_MODEL = SchemaModel(
             ),
         ),
         SchemaSpec(
-            name="bench-baseline",
-            writers=("repro.benchstats.baseline.build_baseline_payload",),
-            readers=("repro.benchstats.baseline.parse_baseline",),
-            persist=("repro.benchstats.baseline.save_baseline",),
-            version_constant=(
-                "repro.benchstats.baseline.BENCH_BASELINE_SCHEMA_VERSION"
-            ),
-            version=2,
-            fields=(
-                "benchmarks",
-                "manifest",
-                "median_seconds",
-                "note",
-                "samples",
-                "schema",
-                "suite_median_seconds",
-            ),
-            write_only=(
-                (
-                    "note",
-                    "human-facing provenance line in the committed "
-                    "baseline.json; the gate never parses it",
-                ),
-            ),
-        ),
-        SchemaSpec(
             name="bench-report",
             writers=("repro.benchstats.report.build_report_payload",),
             persist=("repro.cli._cmd_benchreport",),
             version_constant=(
                 "repro.benchstats.report.BENCH_REPORT_SCHEMA_VERSION"
             ),
-            version=1,
+            version=2,
             fields=(
                 "benchmarks",
                 "ci_high",
@@ -475,18 +449,14 @@ REPRO_SCHEMA_MODEL = SchemaModel(
                 "iqr",
                 "jitter_p95",
                 "jitter_p99",
-                "manifest",
                 "median_ratio",
                 "median_regressed",
-                "median_seconds",
-                "mode",
                 "p50",
                 "p95",
                 "p99",
                 "p99_ratio",
                 "samples",
                 "schema",
-                "suite_median_seconds",
                 "tail_regressed",
             ),
             external_reader=(

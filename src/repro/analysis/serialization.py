@@ -1,7 +1,7 @@
 """SER rule family: round-trip and determinism contracts of persisted data.
 
 Every artifact the package writes to disk — cache entries, JSONL run
-logs, manifests, golden flow results, bench baselines, lint reports — is
+logs, manifests, golden flow results, bench reports, lint reports — is
 registered in :data:`repro.analysis.schemamodel.REPRO_SCHEMA_MODEL`, and
 this module proves the registered contracts statically over the package
 call graph (:mod:`repro.analysis.callgraph`), built once per run:

@@ -3,8 +3,9 @@
 The statistics layer under the benchmark pipeline: percentile summaries
 and seeded bootstrap confidence intervals (:mod:`~repro.benchstats.stats`),
 the CI-overlap + tail regression gate (:mod:`~repro.benchstats.gate`),
-the versioned committed-baseline document (:mod:`~repro.benchstats.baseline`),
-and the zero-dependency HTML perf report (:mod:`~repro.benchstats.report`).
+the reader that turns pytest-benchmark exports into one sample per run
+(:mod:`~repro.benchstats.runs`), and the zero-dependency HTML perf report
+(:mod:`~repro.benchstats.report`).
 
 A *leaf* package in the layer model: it imports nothing from the rest of
 the package, so both the standalone CI gate (``benchmarks/compare.py``)
@@ -14,18 +15,10 @@ creating cycles.
 
 from __future__ import annotations
 
-from .baseline import (
-    BENCH_BASELINE_SCHEMA_VERSION,
-    BenchRecord,
-    BenchRun,
-    build_baseline_payload,
-    extract_run,
-    parse_baseline,
-    save_baseline,
-)
 from .gate import (
     BenchComparison,
     GateConfig,
+    compare_runs,
     evaluate_benchmark,
 )
 from .report import (
@@ -33,6 +26,7 @@ from .report import (
     build_report_payload,
     render_html,
 )
+from .runs import BenchRun, load_runs
 from .stats import (
     DistributionSummary,
     RatioCI,
@@ -46,26 +40,22 @@ from .svg import BASE_STYLE, fmt, scale
 from .timeline import render_timeline_html
 
 __all__ = [
-    "BENCH_BASELINE_SCHEMA_VERSION",
     "BENCH_REPORT_SCHEMA_VERSION",
     "BenchComparison",
-    "BenchRecord",
     "BenchRun",
     "DistributionSummary",
     "GateConfig",
     "RatioCI",
     "bootstrap_median_ci",
     "bootstrap_median_ratio_ci",
-    "build_baseline_payload",
     "build_report_payload",
+    "compare_runs",
     "evaluate_benchmark",
-    "extract_run",
+    "load_runs",
     "median",
-    "parse_baseline",
     "percentile",
     "render_html",
     "render_timeline_html",
-    "save_baseline",
     "summarize",
     "BASE_STYLE",
     "fmt",

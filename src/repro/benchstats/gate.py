@@ -1,7 +1,6 @@
 """The distribution-aware regression gate: CI overlap plus a tail gate.
 
-Replaces the raw 25%-median-threshold verdict with two statistically
-grounded questions per benchmark:
+Two statistically grounded questions per benchmark:
 
 * **Median gate** — is the candidate's median *credibly* slower?  The
   bootstrap confidence interval on ``median(candidate)/median(baseline)``
@@ -15,10 +14,10 @@ grounded questions per benchmark:
   (:attr:`GateConfig.tail_threshold_ratio`) catches the regressions a
   median-only gate is structurally blind to.
 
-When either side has fewer than :attr:`GateConfig.min_samples` iterations
-(a single-round benchmark) the gate falls back to the
-:data:`DEFAULT_LEGACY_THRESHOLD_RATIO` median threshold for that benchmark
-and says so in the verdict — the sample counts alone pick the mode.
+Fewer than :attr:`GateConfig.min_samples` samples on either side is an
+error, not a weaker verdict: an interval over so few values says nothing.
+:func:`compare_runs` asks both questions of every benchmark that two
+:class:`~repro.benchstats.runs.BenchRun` sides measured.
 """
 
 from __future__ import annotations
@@ -33,17 +32,17 @@ from .stats import (
     DistributionSummary,
     RatioCI,
     bootstrap_median_ratio_ci,
-    median,
     summarize,
 )
+from .runs import BenchRun
 
 __all__ = [
     "DEFAULT_MIN_EFFECT_RATIO",
     "DEFAULT_TAIL_THRESHOLD_RATIO",
-    "DEFAULT_LEGACY_THRESHOLD_RATIO",
     "DEFAULT_MIN_SAMPLES",
     "GateConfig",
     "BenchComparison",
+    "compare_runs",
     "evaluate_benchmark",
 ]
 
@@ -55,12 +54,7 @@ DEFAULT_MIN_EFFECT_RATIO = 0.05
 #: before the (deliberately looser) tail verdict fires.
 DEFAULT_TAIL_THRESHOLD_RATIO = 0.5
 
-#: Fallback threshold on the bare median ratio, used when either side has
-#: too few samples for a meaningful interval.
-DEFAULT_LEGACY_THRESHOLD_RATIO = 0.25
-
-#: Fewer per-iteration samples than this on either side and the CI gate
-#: degrades to the legacy median threshold for that benchmark.
+#: Fewer samples than this on either side and the gate refuses to judge.
 DEFAULT_MIN_SAMPLES = 4
 
 
@@ -78,18 +72,12 @@ class GateConfig:
 
 @dataclass(frozen=True)
 class BenchComparison:
-    """One benchmark's verdict: distributions, ratios, and gate results.
-
-    ``mode`` is ``"ci"`` when the interval gate ran and ``"legacy"`` when
-    the benchmark fell back to the bare median threshold (too few samples
-    on either side).  ``ci`` is ``None`` in legacy mode.
-    """
+    """One benchmark's verdict: distributions, ratios, and gate results."""
 
     name: str
-    mode: str
     median_ratio: float
     p99_ratio: float
-    ci: "RatioCI | None"
+    ci: RatioCI
     median_regressed: bool
     tail_regressed: bool
     baseline: DistributionSummary
@@ -102,14 +90,11 @@ class BenchComparison:
 
     def describe(self) -> str:
         """One human-readable gate line for this benchmark."""
-        parts = [f"{self.name}: median {self.median_ratio - 1.0:+.1%}"]
-        if self.ci is not None:
-            parts.append(
-                f"ratio CI [{self.ci.low:.3f}, {self.ci.high:.3f}] "
-                f"@{self.ci.confidence:.0%}"
-            )
-        else:
-            parts.append(f"legacy threshold {DEFAULT_LEGACY_THRESHOLD_RATIO:.0%}")
+        parts = [
+            f"{self.name}: median {self.median_ratio - 1.0:+.1%}",
+            f"ratio CI [{self.ci.low:.3f}, {self.ci.high:.3f}] "
+            f"@{self.ci.confidence:.0%}",
+        ]
         if self.tail_regressed:
             parts.append(f"p99 {self.p99_ratio - 1.0:+.1%} (tail gate)")
         return ", ".join(parts)
@@ -123,66 +108,79 @@ def evaluate_benchmark(
 ) -> BenchComparison:
     """Gate one benchmark's candidate samples against its baseline samples.
 
-    Both sample sequences must be non-empty and measured in the same
-    (arbitrary, typically suite-normalized) unit.  Never raises on
-    degenerate inputs: single-sample and constant-value inputs flow
-    through the legacy fallback or a collapsed interval.
+    Both sample sequences are in the same unit (seconds, one sample per run
+    in the benchmark gate) and hold at least ``config.min_samples`` values
+    each; fewer raise a ``ValueError`` naming both counts, and so does a
+    non-positive baseline median.  Constant samples collapse the interval.
     """
-    if not baseline_samples or not candidate_samples:
+    if min(len(baseline_samples), len(candidate_samples)) < config.min_samples:
         raise ValueError(
-            f"benchmark {name!r}: empty sample set "
-            f"(baseline {len(baseline_samples)}, candidate "
-            f"{len(candidate_samples)}); nothing to gate"
+            f"benchmark {name!r}: too few samples (baseline "
+            f"{len(baseline_samples)}, candidate {len(candidate_samples)}); "
+            f"the gate needs at least {config.min_samples} on each side"
         )
     baseline_summary = summarize(baseline_samples)
     candidate_summary = summarize(candidate_samples)
-    baseline_median = median(baseline_samples)
-    median_ratio = (
-        candidate_summary.p50 / baseline_median if baseline_median > 0.0 else 1.0
+    ci = bootstrap_median_ratio_ci(
+        baseline_samples,
+        candidate_samples,
+        resamples=config.resamples,
+        confidence=config.confidence,
+        seed=config.seed,
     )
-    p99_ratio = (
-        candidate_summary.p99 / baseline_summary.p99
-        if baseline_summary.p99 > 0.0
-        else 1.0
-    )
-    use_legacy = (
-        baseline_median <= 0.0
-        or len(baseline_samples) < config.min_samples
-        or len(candidate_samples) < config.min_samples
-    )
-    if use_legacy:
-        ci = None
-        median_regressed = median_ratio - 1.0 > DEFAULT_LEGACY_THRESHOLD_RATIO
-        mode = "legacy"
-    else:
-        ci = bootstrap_median_ratio_ci(
-            baseline_samples,
-            candidate_samples,
-            resamples=config.resamples,
-            confidence=config.confidence,
-            seed=config.seed,
-        )
-        # Regression = the whole interval sits above "no change" AND the
-        # effect is big enough to matter.
-        median_regressed = (
-            ci.low > 1.0 and median_ratio - 1.0 > config.min_effect_ratio
-        )
-        mode = "ci"
-    tail_eligible = (
-        len(baseline_samples) >= config.min_samples
-        and len(candidate_samples) >= config.min_samples
-    )
-    tail_regressed = (
-        tail_eligible and p99_ratio - 1.0 > config.tail_threshold_ratio
-    )
+    p99_ratio = candidate_summary.p99 / baseline_summary.p99
     return BenchComparison(
         name=name,
-        mode=mode,
-        median_ratio=median_ratio,
+        median_ratio=ci.value,
         p99_ratio=p99_ratio,
         ci=ci,
-        median_regressed=median_regressed,
-        tail_regressed=tail_regressed,
+        # Regression = the whole interval sits above "no change" AND the
+        # effect is big enough to matter.
+        median_regressed=ci.low > 1.0 and ci.value - 1.0 > config.min_effect_ratio,
+        tail_regressed=p99_ratio - 1.0 > config.tail_threshold_ratio,
         baseline=baseline_summary,
         candidate=candidate_summary,
     )
+
+
+def compare_runs(
+    base: BenchRun, change: BenchRun, config: GateConfig = GateConfig()
+) -> tuple:
+    """Gate every base benchmark on the change: ``(comparisons, warnings, notes)``.
+
+    Either side with fewer than ``config.min_samples`` runs raises a
+    ``ValueError`` naming both counts.  A base benchmark measured in fewer
+    runs than that on either side is a *warning*: the gate did not check
+    it, and a silently skipped benchmark would read as a pass.  A change
+    benchmark the base runs lack is a note.  A renamed benchmark therefore
+    shows as both, instead of comparing different work under one name.
+    """
+    if min(base.runs, change.runs) < config.min_samples:
+        raise ValueError(
+            f"{base.runs} base and {change.runs} change runs; the gate needs "
+            f"at least {config.min_samples} runs per side (one sample per run)"
+        )
+    comparisons: list = []
+    warnings: list = []
+    for name in base.names():
+        base_count = len(base.samples[name])
+        change_count = len(change.samples.get(name, ()))
+        if change_count == 0:
+            warnings.append(f"missing from the change runs (not gated): {name}")
+        elif min(base_count, change_count) < config.min_samples:
+            warnings.append(
+                f"measured in {base_count} base and {change_count} change "
+                f"runs (not gated): {name}"
+            )
+        else:
+            comparisons.append(
+                evaluate_benchmark(
+                    name, base.samples[name], change.samples[name], config
+                )
+            )
+    notes = [
+        f"new benchmark (not in the base runs): {name}"
+        for name in change.names()
+        if name not in base.samples
+    ]
+    return comparisons, warnings, notes

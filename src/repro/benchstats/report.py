@@ -1,7 +1,7 @@
 """Zero-dependency static HTML perf report with inline SVG strips.
 
-Renders a benchmark run (plus optional committed baseline and gate
-verdicts, plus optional ``repro.obs`` per-stage timing/energy sections)
+Renders the runs of a change (plus optional base runs and gate verdicts,
+plus optional ``repro.obs`` per-stage timing/energy sections)
 into one self-contained HTML file: no JavaScript, no external assets,
 inline SVG distribution strips per benchmark, and full data tables so
 every number shown in a mark is also readable as text.
@@ -17,8 +17,8 @@ from __future__ import annotations
 import html
 from typing import Iterable, Mapping, Sequence
 
-from .baseline import BenchRun
 from .gate import BenchComparison
+from .runs import BenchRun
 from .stats import summarize
 from .svg import BASE_STYLE, fmt, scale
 
@@ -29,8 +29,9 @@ __all__ = [
 ]
 
 #: Version of the ``bench-report`` JSON payload layout (the machine-
-#: readable summary written next to the HTML report).
-BENCH_REPORT_SCHEMA_VERSION = 1
+#: readable summary written next to the HTML report).  v2 samples are
+#: per-run medians in seconds; v1 carried suite-normalized samples.
+BENCH_REPORT_SCHEMA_VERSION = 2
 
 
 def build_report_payload(
@@ -39,18 +40,18 @@ def build_report_payload(
 ) -> dict:
     """Assemble the machine-readable report document for ``run``.
 
-    One entry per benchmark: the distribution summary of its
-    suite-normalized samples, plus — when a gate comparison exists for it
-    — the median/p99 ratios, the bootstrap interval, and both verdicts.
+    One entry per benchmark: the distribution summary of its samples
+    (one median in seconds per run), plus — when a gate comparison exists
+    for it — the median/p99 ratios, the bootstrap interval, and both
+    verdicts.
     """
     verdicts = {comparison.name: comparison for comparison in comparisons}
     benchmarks: dict = {}
     for name in run.names():
-        record = run.records[name]
-        summary = summarize(record.samples)
+        samples = run.samples[name]
+        summary = summarize(samples)
         entry: dict = {
-            "median_seconds": record.median_seconds,
-            "samples": list(record.samples),
+            "samples": list(samples),
             "count": summary.count,
             "p50": summary.p50,
             "p95": summary.p95,
@@ -61,25 +62,19 @@ def build_report_payload(
         }
         comparison = verdicts.get(name)
         if comparison is not None:
-            entry["mode"] = comparison.mode
             entry["median_ratio"] = comparison.median_ratio
             entry["p99_ratio"] = comparison.p99_ratio
             entry["median_regressed"] = comparison.median_regressed
             entry["tail_regressed"] = comparison.tail_regressed
-            if comparison.ci is not None:
-                entry["ci_low"] = comparison.ci.low
-                entry["ci_high"] = comparison.ci.high
-                entry["confidence"] = comparison.ci.confidence
+            entry["ci_low"] = comparison.ci.low
+            entry["ci_high"] = comparison.ci.high
+            entry["confidence"] = comparison.ci.confidence
         benchmarks[name] = entry
-    payload: dict = {
+    return {
         "schema": BENCH_REPORT_SCHEMA_VERSION,
         "generated_by": "repro benchreport",
-        "suite_median_seconds": run.suite_median_seconds,
         "benchmarks": benchmarks,
     }
-    if run.manifest is not None:
-        payload["manifest"] = run.manifest
-    return payload
 
 
 # -- rendering --------------------------------------------------------------------
@@ -254,7 +249,7 @@ def render_html(
     """Render the full report document as a standalone HTML string.
 
     ``payload`` is the :func:`build_report_payload` document; ``baseline``
-    supplies the second series of each distribution strip; each obs
+    (the base runs) supplies the second series of each strip; each obs
     section is a mapping with ``label``, ``stages`` (rows with ``name``,
     ``depth``, ``elapsed_seconds``, ``status``) and ``energy``
     (``(stage, component, pj)`` tuples), pre-parsed by the caller so this
@@ -267,7 +262,7 @@ def render_html(
     ]
     summary_line = (
         f"{len(benchmarks)} benchmarks; {len(gated)} gated against the "
-        f"baseline, {len(failed)} regressed"
+        f"base runs, {len(failed)} regressed"
         if gated
         else f"{len(benchmarks)} benchmarks (no baseline comparison)"
     )
@@ -276,20 +271,11 @@ def render_html(
         f"<title>{html.escape(title)}</title>",
         f"<style>{BASE_STYLE}</style></head><body>",
         f"<h1>{html.escape(title)}</h1>",
-        f'<p class="meta">{summary_line}. Times are suite-normalized '
-        "(shares of the run's suite median); the gate compares bootstrap "
-        "confidence intervals on the median ratio, with a separate looser "
-        "p99 tail gate (Kalibera &amp; Jones, ISMM 2013).</p>",
+        f'<p class="meta">{summary_line}. Each sample is the median of one '
+        "run, in seconds; the gate compares bootstrap confidence intervals on "
+        "the median ratio, with a separate looser p99 tail gate "
+        "(Kalibera &amp; Jones, ISMM 2013).</p>",
     ]
-    manifest = payload.get("manifest")
-    if manifest:
-        env = ", ".join(
-            f"{key}={manifest.get(key)}"
-            for key in ("package_version", "python_version", "platform")
-            if manifest.get(key) is not None
-        )
-        if env:
-            parts.append(f'<p class="meta">environment: {html.escape(env)}</p>')
     parts.append("<h2>Distribution summary</h2>")
     parts.append(_benchmark_table(payload))
     parts.append("<h2>Distribution strips</h2>")
@@ -312,8 +298,8 @@ def render_html(
     for name in sorted(benchmarks):
         entry = benchmarks[name]
         baseline_samples: Sequence[float] = ()
-        if baseline is not None and name in baseline.records:
-            baseline_samples = baseline.records[name].samples
+        if baseline is not None:
+            baseline_samples = baseline.samples.get(name, ())
         parts.append(f"<h3>{html.escape(name)} {_verdict_badge(entry)}</h3>")
         parts.append(_benchmark_strip(name, entry["samples"], baseline_samples))
     obs_sections = list(obs_sections)

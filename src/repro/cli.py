@@ -48,11 +48,12 @@ Subcommands
     result caching (``--cache-dir`` / ``--no-cache``), process fan-out
     (``--jobs``), retry with capped backoff, and a merged results table
     (``--format table|json|csv``).
-``benchreport RUN.json``
-    Render a pytest-benchmark JSON export (plus, optionally, the committed
-    baseline and ``repro.obs`` JSONL run logs) into a zero-dependency
-    static HTML perf report with inline SVG distribution strips, and
-    optionally a machine-readable JSON summary (``--json-out``).
+``benchreport RUN.json [RUN.json...]``
+    Render pytest-benchmark JSON exports, one sample per run (plus,
+    optionally, the base commit's runs via ``--baseline`` and ``repro.obs``
+    JSONL run logs), into a zero-dependency static HTML perf report with
+    inline SVG distribution strips, and optionally a machine-readable JSON
+    summary (``--json-out``).
 ``lint [PATHS]``
     Run the architecture & determinism linter over the package (or the given
     files/directories); exit 1 if there are findings.  ``--select`` narrows
@@ -490,39 +491,14 @@ def _obs_report_section(path: Path) -> dict:
 def _cmd_benchreport(args) -> int:
     import json
 
-    from .benchstats import (
-        GateConfig,
-        build_report_payload,
-        evaluate_benchmark,
-        extract_run,
-        parse_baseline,
-        render_html,
-    )
+    from .benchstats import build_report_payload, compare_runs, load_runs, render_html
 
     try:
-        run = extract_run(json.loads(Path(args.run).read_text()))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-        raise SystemExit(f"error: cannot read benchmark run {args.run!r}: {error}")
-    baseline = None
-    comparisons = []
-    if args.baseline:
-        try:
-            baseline = parse_baseline(json.loads(Path(args.baseline).read_text()))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-            raise SystemExit(
-                f"error: cannot read baseline {args.baseline!r}: {error}"
-            )
-        config = GateConfig()
-        comparisons = [
-            evaluate_benchmark(
-                name,
-                baseline.records[name].samples,
-                run.records[name].samples,
-                config,
-            )
-            for name in sorted(baseline.records)
-            if name in run.records
-        ]
+        run = load_runs(args.run)
+        baseline = load_runs(args.baseline) if args.baseline else None
+        comparisons = compare_runs(baseline, run)[0] if baseline is not None else []
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
     try:
         obs_sections = [_obs_report_section(path) for path in args.obs or []]
     except (OSError, ValueError) as error:
@@ -546,7 +522,7 @@ def _cmd_benchreport(args) -> int:
     ]
     if regressed:
         print(
-            f"note: {len(regressed)} benchmark(s) regressed vs baseline "
+            f"note: {len(regressed)} benchmark(s) regressed vs the base runs "
             "(the report shows which; the CI verdict belongs to "
             "benchmarks/compare.py)"
         )
@@ -875,14 +851,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     benchreport = subparsers.add_parser(
         "benchreport",
-        help="render a pytest-benchmark run as a static HTML perf report",
+        help="render pytest-benchmark runs as a static HTML perf report",
     )
     benchreport.add_argument(
-        "run", metavar="RUN.json", help="pytest-benchmark JSON export"
+        "run", metavar="RUN.json", nargs="+",
+        help="pytest-benchmark JSON exports of the change, one per run",
     )
     benchreport.add_argument(
-        "--baseline", metavar="BASELINE.json", default=None,
-        help="committed baseline to draw as the second series and gate against",
+        "--baseline", metavar="BASE.json", nargs="+", default=None,
+        help="exports of the base commit, one per run, to draw as the second "
+        "series and gate against",
     )
     benchreport.add_argument(
         "--obs", action="append", metavar="RUN.jsonl", default=None,

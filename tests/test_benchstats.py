@@ -135,15 +135,17 @@ class TestDegenerateInputs:
         ci = bootstrap_median_ci(values, resamples=FAST_RESAMPLES)
         assert ci.low == ci.high == value
 
-    def test_single_sample_comparison_uses_legacy_mode(self):
-        comparison = evaluate_benchmark("one", [1.0], [1.2])
-        assert comparison.mode == "legacy"
-        assert comparison.ci is None
-        assert not comparison.regressed  # 20% < the 25% legacy threshold
+    def test_fewer_than_min_samples_raise_with_counts(self):
+        # No weaker verdict for few samples: an interval over one or three
+        # values says nothing, so the gate refuses and names both counts.
+        with pytest.raises(ValueError, match=r"baseline 1, candidate 1\).*at least 4"):
+            evaluate_benchmark("one", [1.0], [1.2])
+        with pytest.raises(ValueError, match="baseline 4, candidate 3"):
+            evaluate_benchmark("three", [1.0] * 4, [1.0] * 3)
 
     def test_constant_comparison_is_not_a_regression(self):
         comparison = evaluate_benchmark("flat", [2.0] * 8, [2.0] * 8)
-        assert comparison.mode == "ci"
+        assert comparison.ci.low == comparison.ci.high == 1.0
         assert not comparison.regressed
 
 

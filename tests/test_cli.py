@@ -465,28 +465,29 @@ class TestFileBackedSources:
 
 class TestBenchreport:
     @staticmethod
-    def _write_run(path, scale=1.0):
+    def _write_runs(directory, side, scale=1.0, runs=5):
+        """One export per run: s::a scaled by ``scale``, s::b and s::c not."""
         import json
 
-        jitter = (-0.02, -0.01, 0.0, 0.005, 0.01, 0.015, 0.02, -0.005)
-        benchmarks = []
-        for index, name in enumerate(["s::a", "s::b", "s::c"]):
-            base = 0.01 * (index + 1) * (scale if name == "s::a" else 1.0)
-            data = sorted(base * (1.0 + j) for j in jitter)
-            benchmarks.append(
-                {
-                    "fullname": name,
-                    "name": name,
-                    "stats": {"median": data[len(data) // 2], "data": data},
-                }
-            )
-        path.write_text(json.dumps({"benchmarks": benchmarks}))
-        return path
+        jitter = (-0.02, 0.0, 0.01, -0.01, 0.02, 0.015, -0.015, 0.005)
+        paths = []
+        for run in range(runs):
+            benchmarks = []
+            for index, name in enumerate(["s::a", "s::b", "s::c"]):
+                base = 0.01 * (index + 1) * (scale if name == "s::a" else 1.0)
+                median = base * (1.0 + jitter[(run + index) % len(jitter)])
+                benchmarks.append(
+                    {"fullname": name, "name": name, "stats": {"median": median}}
+                )
+            path = directory / f"{side}-{run}.json"
+            path.write_text(json.dumps({"benchmarks": benchmarks}))
+            paths.append(str(path))
+        return paths
 
     def test_benchreport_writes_standalone_html(self, tmp_path, capsys):
-        run = self._write_run(tmp_path / "run.json")
+        runs = self._write_runs(tmp_path, "change", runs=1)
         out = tmp_path / "report.html"
-        assert main(["benchreport", str(run), "--out", str(out)]) == 0
+        assert main(["benchreport", *runs, "--out", str(out)]) == 0
         html = out.read_text()
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html  # inline distribution strips
@@ -497,31 +498,19 @@ class TestBenchreport:
     def test_benchreport_with_baseline_gates_and_draws_two_series(
         self, tmp_path, capsys
     ):
-        import importlib.util
         import json
-        from pathlib import Path
 
-        compare_path = (
-            Path(__file__).resolve().parents[1] / "benchmarks" / "compare.py"
-        )
-        spec = importlib.util.spec_from_file_location("bench_compare_cli", compare_path)
-        compare_module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(compare_module)
-
-        baseline = tmp_path / "baseline.json"
-        compare_module.update_baseline(
-            self._write_run(tmp_path / "base_run.json"), baseline
-        )
-        run = self._write_run(tmp_path / "run.json", scale=1.5)
+        base = self._write_runs(tmp_path, "base", runs=4)
+        change = self._write_runs(tmp_path, "change", scale=1.5, runs=5)
         out = tmp_path / "report.html"
         summary = tmp_path / "summary.json"
         assert (
             main(
                 [
                     "benchreport",
-                    str(run),
+                    *change,
                     "--baseline",
-                    str(baseline),
+                    *base,
                     "--out",
                     str(out),
                     "--json-out",
@@ -534,13 +523,23 @@ class TestBenchreport:
         assert "baseline" in html and "candidate" in html
         assert "regressed" in html  # s::a is 50% slower: badge + note
         payload = json.loads(summary.read_text())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
+        assert payload["benchmarks"]["s::a"]["count"] == 5  # one sample per run
         assert payload["benchmarks"]["s::a"]["median_regressed"] is True
         assert payload["benchmarks"]["s::b"]["median_regressed"] is False
-        assert "regressed vs baseline" in capsys.readouterr().out
+        assert "regressed vs the base runs" in capsys.readouterr().out
+
+    def test_benchreport_with_too_few_base_runs_exits(self, tmp_path):
+        base = self._write_runs(tmp_path, "base", runs=3)
+        change = self._write_runs(tmp_path, "change")
+        with pytest.raises(SystemExit, match="3 base and 5 change runs"):
+            main(
+                ["benchreport", *change, "--baseline", *base,
+                 "--out", str(tmp_path / "report.html")]
+            )
 
     def test_benchreport_embeds_obs_stage_timings(self, tmp_path, capsys):
-        run = self._write_run(tmp_path / "run.json")
+        (run,) = self._write_runs(tmp_path, "change", runs=1)
         log = tmp_path / "run.jsonl"
         assert main(["optimize", "dot_product", "--obs-out", str(log)]) == 0
         capsys.readouterr()

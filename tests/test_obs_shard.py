@@ -96,6 +96,54 @@ class TestShardRecorder:
         assert second.startswith(first)  # publishes append, never rewrite
         assert second.endswith("\n")
 
+    def test_sweep_writes_each_shard_byte_once(self, tmp_path, monkeypatch):
+        # Publishes append only the new lines, so the bytes os.write sends
+        # to each shard sum to its final size.  A whole-file rewrite per
+        # task (quadratic volume) would pass every other test here, and
+        # timing cannot tell it apart from one append per task.
+        from repro.batch import SweepTask, TraceSpec, run_sweep
+
+        real_open, real_write, real_close = os.open, os.write, os.close
+        open_paths: dict = {}
+        publishes: dict = {}
+        written: dict = {}
+
+        def counting_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            open_paths[fd] = os.path.realpath(path)
+            publishes[open_paths[fd]] = publishes.get(open_paths[fd], 0) + 1
+            return fd
+
+        def counting_write(fd, data):
+            count = real_write(fd, data)
+            if fd in open_paths:
+                written[open_paths[fd]] = written.get(open_paths[fd], 0) + count
+            return count
+
+        def forgetting_close(fd):
+            open_paths.pop(fd, None)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        monkeypatch.setattr(os, "write", counting_write)
+        monkeypatch.setattr(os, "close", forgetting_close)
+        tasks = [
+            SweepTask.make(
+                "e1_clustering",
+                TraceSpec.synthetic("scattered_hot", accesses=600, num_blocks=40, seed=seed),
+                {"max_banks": 2},
+            )
+            for seed in (1, 2, 3, 4)
+        ]
+        run_sweep(tasks, jobs=1, cache=None, shard_dir=tmp_path / "obs")
+        monkeypatch.undo()
+        shards = sorted((tmp_path / "obs").rglob("*.jsonl"))
+        assert {path.stem.startswith("w") for path in shards} == {True, False}
+        for path in shards:
+            assert written[os.path.realpath(path)] == path.stat().st_size, path.name
+        worker = next(path for path in shards if path.stem.startswith("w"))
+        assert publishes[os.path.realpath(worker)] == len(tasks)
+
     def test_first_publish_truncates_a_stale_shard(self, tmp_path):
         path = tmp_path / "w1.jsonl"
         path.write_text('{"stale": true}\n')
