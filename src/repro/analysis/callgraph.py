@@ -38,7 +38,7 @@ import builtins
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .rules import SourceModule
+from .rules import SourceModule, dotted_name
 
 __all__ = [
     "CallSite",
@@ -48,8 +48,6 @@ __all__ = [
     "ModuleBinding",
     "CallGraph",
     "build_call_graph",
-    "module_aliases",
-    "dotted_name",
     "own_body",
 ]
 
@@ -198,67 +196,6 @@ class CallGraph:
         return chains
 
 
-def module_aliases(module: SourceModule) -> dict[str, str]:
-    """Local name → absolute dotted target, relative imports included.
-
-    ``import numpy as np`` maps ``np`` to ``numpy``; ``from .spec import
-    SweepTask`` inside ``repro.batch.runner`` maps ``SweepTask`` to
-    ``repro.batch.spec.SweepTask``; module-level assignment aliases of
-    dotted names (``now = time.time``) resolve in statement order.  The
-    call graph and the DET rules both resolve names through it.
-    """
-    aliases: dict[str, str] = {}
-    package = module.package_parts
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".")[0]
-                    aliases[top] = top
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                if node.level > len(package):
-                    continue
-                stem = package[: len(package) - (node.level - 1)]
-                base = ".".join(stem)
-                if node.module:
-                    base = f"{base}.{node.module}" if base else node.module
-            if not base:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                aliases[local] = f"{base}.{alias.name}"
-    # Module-level assignment aliases: NAME = dotted.chain
-    for node in module.tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name) and isinstance(
-                node.value, (ast.Name, ast.Attribute)
-            ):
-                dotted = dotted_name(node.value, aliases)
-                if dotted is not None:
-                    aliases.setdefault(target.id, dotted)
-    return aliases
-
-
-def dotted_name(node: ast.expr, aliases: Mapping[str, str]) -> str | None:
-    """Resolve a Name/Attribute chain through ``aliases`` to a dotted name."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    head = aliases.get(node.id, node.id)
-    return ".".join([head, *reversed(parts)])
-
-
 def _base_name(node: ast.expr) -> str | None:
     """The root ``Name`` id of an attribute chain, or ``None``."""
     while isinstance(node, ast.Attribute):
@@ -293,7 +230,7 @@ class _Builder:
 
     def index(self) -> None:
         for module in self.modules:
-            aliases = module_aliases(module)
+            aliases = module.aliases
             self.graph.aliases[module.name] = aliases
             module_node = FunctionNode(
                 qualname=module.name + MODULE_NODE_SUFFIX,

@@ -24,9 +24,9 @@ machine-enforce it:
     seedable, so unlike DET002 there is no "use a generator instead" fix —
     the value must come from configuration.
 
-Resolution is purely syntactic over the module's own import aliases, through
-the call graph's resolver (:func:`repro.analysis.callgraph.module_aliases`):
-``import numpy as np`` makes ``np.random.seed`` resolve to
+Resolution is purely syntactic over the module's own import aliases
+(:attr:`repro.analysis.rules.SourceModule.aliases`, which the call graph
+resolves through too): ``import numpy as np`` makes ``np.random.seed`` resolve to
 ``numpy.random.seed``, so the checks need no imports to run and cannot be
 fooled by runtime monkey-patching — by design: the *source* is the contract.
 Module-level *assignment* aliases are resolved too: ``now = time.time``
@@ -38,8 +38,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .callgraph import dotted_name, module_aliases
-from .rules import Finding, SourceModule
+from .rules import Finding, SourceModule, dotted_name
 
 __all__ = ["check_determinism", "ENTROPY_CALLS"]
 
@@ -104,7 +103,7 @@ def _mentions_seed(node: ast.expr) -> bool:
 
 def check_determinism(module: SourceModule) -> Iterator[Finding]:
     """Run DET001–DET004 over one module."""
-    aliases = module_aliases(module)
+    aliases = module.aliases
     path = str(module.path)
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):

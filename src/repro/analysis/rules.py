@@ -38,7 +38,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Mapping
 
 __all__ = [
     "Rule",
@@ -47,6 +49,8 @@ __all__ = [
     "SourceModule",
     "load_module",
     "module_name_for",
+    "module_aliases",
+    "dotted_name",
     "parse_pragmas",
     "is_suppressed",
     "ALL_RULES",
@@ -214,6 +218,11 @@ class SourceModule:
             return parts
         return parts[:-1]
 
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """This module's import aliases (:func:`module_aliases`), walked once per module."""
+        return module_aliases(self)
+
 
 def module_name_for(path: Path) -> str:
     """Compute the dotted module name of ``path`` from its package ancestry.
@@ -245,6 +254,68 @@ def load_module(path: Path) -> SourceModule:
     return SourceModule(
         path=path, name=module_name_for(path), tree=tree, lines=source.splitlines()
     )
+
+
+def module_aliases(module: SourceModule) -> dict[str, str]:
+    """Local name → absolute dotted target, relative imports included.
+
+    ``import numpy as np`` maps ``np`` to ``numpy``; ``from .spec import
+    SweepTask`` inside ``repro.batch.runner`` maps ``SweepTask`` to
+    ``repro.batch.spec.SweepTask``; module-level assignment aliases of
+    dotted names (``now = time.time``) resolve in statement order.  The
+    call graph and the DET rules both resolve names through it, by way of
+    :attr:`SourceModule.aliases`, which walks each module once.
+    """
+    aliases: dict[str, str] = {}
+    package = module.package_parts
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    aliases[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                base = node.module or ""
+            else:
+                if node.level > len(package):
+                    continue
+                stem = package[: len(package) - (node.level - 1)]
+                base = ".".join(stem)
+                if node.module:
+                    base = f"{base}.{node.module}" if base else node.module
+            if not base:
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                aliases[local] = f"{base}.{alias.name}"
+    # Module-level assignment aliases: NAME = dotted.chain
+    for node in module.tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and isinstance(
+                node.value, (ast.Name, ast.Attribute)
+            ):
+                dotted = dotted_name(node.value, aliases)
+                if dotted is not None:
+                    aliases.setdefault(target.id, dotted)
+    return aliases
+
+
+def dotted_name(node: ast.expr, aliases: Mapping[str, str]) -> str | None:
+    """Resolve a Name/Attribute chain through ``aliases`` to a dotted name."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    head = aliases.get(node.id, node.id)
+    return ".".join([head, *reversed(parts)])
 
 
 _PRAGMA = re.compile(r"#\s*repro:\s*lint-ignore(?:\[([A-Za-z0-9_,\s]+)\])?")

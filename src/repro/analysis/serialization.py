@@ -51,14 +51,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Mapping
 
-from .callgraph import (
-    CallGraph,
-    FunctionNode,
-    build_call_graph,
-    dotted_name,
-    own_body,
-)
-from .rules import Finding, SourceModule
+from .callgraph import CallGraph, FunctionNode, build_call_graph, own_body
+from .rules import Finding, SourceModule, dotted_name
 from .schemamodel import REPRO_SCHEMA_MODEL, FingerprintSpec, SchemaModel, SchemaSpec
 
 __all__ = ["check_serialization", "schema_report", "SCHEMA_REPORT_VERSION"]

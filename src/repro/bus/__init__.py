@@ -1,5 +1,5 @@
 """Bus models: transition counting, energy, encoder plug-ins."""
 
-from .bus import Bus, BusStats, count_transitions, hamming
+from .bus import Bus, BusStats, count_transitions, hamming, word_flips, xor_deltas
 
-__all__ = ["Bus", "BusStats", "count_transitions", "hamming"]
+__all__ = ["Bus", "BusStats", "count_transitions", "hamming", "word_flips", "xor_deltas"]

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..memory.energy import BusEnergyModel
 
-__all__ = ["Bus", "BusStats", "hamming", "count_transitions"]
+__all__ = ["Bus", "BusStats", "hamming", "count_transitions", "word_flips", "xor_deltas"]
 
 
 #: Set-bit count of every 16-bit value.  Built by doubling: each step appends
@@ -53,8 +53,32 @@ def count_transitions(words: Iterable[int], initial: int = 0) -> int:
     return total
 
 
+def xor_deltas(words: np.ndarray, first: int = 0) -> np.ndarray:
+    """Each word of a ``uint64`` stream XOR the word before it (``first`` before the first)."""
+    diff = words.copy()
+    diff[1:] ^= words[:-1]
+    if diff.size:
+        diff[0] ^= np.uint64(first)
+    return diff
+
+
+def word_flips(words: np.ndarray, first: int = 0, width: int = 64) -> np.ndarray:
+    """Bit transitions per word of a ``uint64`` stream on wires that start at ``first``.
+
+    One 16-bit table popcount per XOR of consecutive words; only the low
+    ``width`` bits of every word are counted.
+    """
+    diff = xor_deltas(words, first)
+    flips = np.zeros(diff.size, dtype=np.int64)
+    for shift in range(0, width, 16):
+        flips += _POPCOUNT16_TABLE[(diff >> np.uint64(shift)) & np.uint64(0xFFFF)]
+    return flips
+
+
 class _EncoderProtocol(Protocol):  # pragma: no cover - typing aid
     def encode(self, word: int) -> int: ...
+    def check_stream(self, words: np.ndarray) -> np.ndarray: ...
+    def encode_stream(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]: ...
     def reset(self) -> None: ...
 
 
@@ -91,7 +115,9 @@ class Bus:
         :class:`~repro.memory.energy.BusEnergyModel`).
     encoder:
         Optional encoder applied to every word before it is driven.  Must
-        expose ``encode(word) -> int`` and ``reset()``.
+        expose ``encode(word) -> int``, ``check_stream(words)``,
+        ``encode_stream(words)`` and ``reset()``, as
+        :class:`~repro.encoding.BusEncoder` does.
     name:
         Label for reports.
     """
@@ -140,8 +166,9 @@ class Bus:
         Leaves the statistics, the wires and the encoder as a :meth:`drive`
         loop over ``words`` would, and returns the same energy to the bit:
         the per-word energies summed in drive order.  The encoder, if any,
-        still sees one word at a time (encoders keep state); the rest is one
-        array pass.
+        encodes the whole stream with its ``encode_stream`` kernel, which
+        leaves its state where an ``encode`` loop would; the transition
+        count is one array pass.
         """
         logical = self._logical_words(words)
         if not logical.size:
@@ -149,14 +176,12 @@ class Bus:
         if self.encoder is None:
             physical = logical
         else:
-            encode, mask = self.encoder.encode, self.mask
-            physical = np.fromiter(
-                (encode(word) & mask for word in logical.tolist()),
-                dtype=np.uint64,
-                count=logical.size,
-            )
-        flips = self._flips(self._wires, physical)
-        raw_flips = flips if self.encoder is None else self._flips(self._raw_previous, logical)
+            physical, _wire = self.encoder.encode_stream(self.encoder.check_stream(logical))
+            physical = physical & np.uint64(self.mask)
+        flips = word_flips(physical, self._wires, self.width)
+        raw_flips = (
+            flips if self.encoder is None else word_flips(logical, self._raw_previous, self.width)
+        )
         self.stats.words += logical.size
         self.stats.transitions += int(flips.sum())
         self.stats.raw_transitions += int(raw_flips.sum())
@@ -168,24 +193,18 @@ class Bus:
 
     def _logical_words(self, words: Iterable[int]) -> np.ndarray:
         """``words`` masked to the bus width, as ``uint64``."""
-        array = np.asarray(words if isinstance(words, np.ndarray) else list(words))
-        negative = np.flatnonzero(array < 0)
-        if negative.size:
-            raise ValueError(f"bus words must be non-negative, got {array[negative[0]]}")
-        if array.dtype.kind in "ui":
-            return array.astype(np.uint64) & np.uint64(self.mask)
-        # Empty, or Python ints past 64 bits: mask them one by one, as drive does.
-        return np.array([word & self.mask for word in array.tolist()], dtype=np.uint64)
-
-    def _flips(self, first: int, words: np.ndarray) -> np.ndarray:
-        """Bit transitions per word of ``words`` on wires that start at ``first``."""
-        diff = words.copy()
-        diff[1:] ^= words[:-1]
-        diff[0] ^= np.uint64(first)
-        flips = np.zeros(diff.size, dtype=np.int64)
-        for shift in range(0, self.width, 16):
-            flips += _POPCOUNT16_TABLE[(diff >> np.uint64(shift)) & np.uint64(0xFFFF)]
-        return flips
+        if isinstance(words, np.ndarray) and words.dtype.kind in "ui":
+            negative = words[words < 0]
+            logical = words.astype(np.uint64) & np.uint64(self.mask)
+        else:
+            # Python ints of any size (numpy infers float64 for a mix of words
+            # past 2**63 and others): mask them one by one, as drive does.
+            values = words.tolist() if isinstance(words, np.ndarray) else list(words)
+            negative = [word for word in values if word < 0]
+            logical = np.array([word & self.mask for word in values], dtype=np.uint64)
+        if len(negative):
+            raise ValueError(f"bus words must be non-negative, got {negative[0]}")
+        return logical
 
     def drive_bytes(self, payload: bytes) -> float:
         """Drive a byte string as consecutive little-endian bus words.

@@ -12,11 +12,16 @@ compares its application-specific functional transform against:
   temporal decorrelator that turns repetition into zero wires;
 * :class:`BusInvertEncoder` — invert the word when more than half the wires
   would flip; one extra polarity wire.
+
+Each also scores whole ``uint64`` streams with array kernels
+(``encode_stream``/``decode_stream``) equal to a loop of its per-word form.
 """
 
 from __future__ import annotations
 
-from ..bus import hamming
+import numpy as np
+
+from ..bus import hamming, word_flips, xor_deltas
 from .base import BusEncoder
 
 __all__ = [
@@ -41,6 +46,14 @@ class RawEncoder(BusEncoder):
         """Return ``word`` unchanged (after range checking)."""
         return self._check(word)
 
+    def encode_stream(self, words: np.ndarray) -> tuple[np.ndarray, None]:
+        """The stream unchanged."""
+        return words, None
+
+    def decode_stream(self, physical: np.ndarray, wire: None) -> np.ndarray:
+        """The stream unchanged."""
+        return physical
+
 
 class GrayEncoder(BusEncoder):
     """Binary-reflected Gray code."""
@@ -59,6 +72,19 @@ class GrayEncoder(BusEncoder):
         while word:
             logical ^= word
             word >>= 1
+        return logical
+
+    def encode_stream(self, words: np.ndarray) -> tuple[np.ndarray, None]:
+        """Gray-encode every word: ``w ^ (w >> 1)``."""
+        return words ^ (words >> np.uint64(1)), None
+
+    def decode_stream(self, physical: np.ndarray, wire: None) -> np.ndarray:
+        """Prefix-XOR of each word's higher bits, by shift-XOR in ⌈log₂ width⌉ steps."""
+        logical = physical.copy()
+        shift = 1
+        while shift < self.width:
+            logical ^= logical >> np.uint64(shift)
+            shift *= 2
         return logical
 
 
@@ -82,6 +108,7 @@ class T0Encoder(BusEncoder):
         self._previous_logical: int | None = None
         self._physical = 0
         self._inc_wire = 0
+        self._dec_previous = 0
         self.extra_transitions = 0
 
     @property
@@ -106,18 +133,62 @@ class T0Encoder(BusEncoder):
         return self._physical
 
     def decode(self, word: int) -> int:
-        """Reconstruct the logical word at the receiver."""
-        # Receiver-side reconstruction mirrors encode(): it tracks the same
-        # previous logical word and the INC wire state set by the encoder.
-        if self._inc_wire and self._previous_logical is not None:
-            return self._previous_logical
-        return self._check(word)
+        """Reconstruct the logical word at the receiver.
+
+        While the INC wire is high the receiver regenerates the word from its
+        own previous word plus the stride; otherwise the bus carries the word.
+        """
+        if self._inc_wire:
+            logical = (self._dec_previous + self.stride) & self.mask
+        else:
+            logical = self._check(word)
+        self._dec_previous = logical
+        return logical
+
+    def encode_stream(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Freeze the bus on every stride hit; return the words and the INC wire.
+
+        A word raises INC when it is its predecessor plus the stride; the bus
+        then holds the last word sent raw (``np.maximum.accumulate`` over the
+        indices without INC).
+        """
+        if not words.size:
+            return words, np.zeros(0, dtype=bool)
+        inc = np.empty(words.size, dtype=bool)
+        stride, mask = np.uint64(self.stride & self.mask), np.uint64(self.mask)
+        inc[1:] = words[1:] == (words[:-1] + stride) & mask
+        inc[0] = self._previous_logical is not None and int(words[0]) == (
+            (self._previous_logical + self.stride) & self.mask
+        )
+        held = np.concatenate(([np.uint64(self._physical)], words))
+        physical = held[np.maximum.accumulate(np.where(inc, 0, np.arange(1, words.size + 1)))]
+        self.extra_transitions += int(inc[0] != bool(self._inc_wire)) + int(
+            np.count_nonzero(inc[1:] != inc[:-1])
+        )
+        self._previous_logical = int(words[-1])
+        self._physical = int(physical[-1])
+        self._inc_wire = int(inc[-1])
+        return physical, inc
+
+    def decode_stream(self, physical: np.ndarray, wire: np.ndarray) -> np.ndarray:
+        """Rebuild each word as the last word sent raw plus ``stride`` per INC step since."""
+        positions = np.arange(1, physical.size + 1)
+        last_raw = np.maximum.accumulate(np.where(wire, 0, positions))
+        held = np.concatenate(([np.uint64(self._dec_previous)], physical))
+        steps = (positions - last_raw).astype(np.uint64)
+        logical = (held[last_raw] + np.uint64(self.stride & self.mask) * steps) & np.uint64(
+            self.mask
+        )
+        if logical.size:
+            self._dec_previous = int(logical[-1])
+        return logical
 
     def reset(self) -> None:
-        """Clear stride history, the INC wire, and the transition counter."""
+        """Clear stride history at both ends, the INC wire, and the transition counter."""
         self._previous_logical = None
         self._physical = 0
         self._inc_wire = 0
+        self._dec_previous = 0
         self.extra_transitions = 0
 
 
@@ -148,6 +219,20 @@ class XorDiffEncoder(BusEncoder):
         word = self._check(word)
         logical = word ^ self._dec_previous
         self._dec_previous = logical
+        return logical
+
+    def encode_stream(self, words: np.ndarray) -> tuple[np.ndarray, None]:
+        """Each word XOR the one before it; update encoder-side history."""
+        physical = xor_deltas(words, self._enc_previous)
+        if words.size:
+            self._enc_previous = int(words[-1])
+        return physical, None
+
+    def decode_stream(self, physical: np.ndarray, wire: None) -> np.ndarray:
+        """Running XOR of the physical words from the decoder's previous word."""
+        logical = np.bitwise_xor.accumulate(physical) ^ np.uint64(self._dec_previous)
+        if logical.size:
+            self._dec_previous = int(logical[-1])
         return logical
 
     def reset(self) -> None:
@@ -197,6 +282,33 @@ class BusInvertEncoder(BusEncoder):
         """Undo the inversion indicated by the polarity wire."""
         word = self._check(word)
         return word ^ self.mask if self._polarity else word
+
+    def encode_stream(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Invert where the polarity wire is high; return the words and that wire.
+
+        With ``d`` the bits in which a word differs from the logical word
+        before it, the polarity keeps its value when ``2d < width``, toggles
+        when ``2d > width`` and drops to 0 when ``2d == width``.  So it is the
+        parity of the toggles since the last such reset: one ``cumsum`` and
+        one ``np.maximum.accumulate``.
+        """
+        previous = self._physical ^ (self.mask if self._polarity else 0)
+        twice = 2 * word_flips(words, previous, self.width)
+        toggles = np.cumsum(twice > self.width) + self._polarity
+        at_reset = np.maximum.accumulate(np.where(twice == self.width, toggles, 0))
+        polarity = (toggles - at_reset) % 2 == 1
+        physical = np.where(polarity, words ^ np.uint64(self.mask), words)
+        if words.size:
+            self.extra_transitions += int(polarity[0] != bool(self._polarity)) + int(
+                np.count_nonzero(polarity[1:] != polarity[:-1])
+            )
+            self._physical = int(physical[-1])
+            self._polarity = int(polarity[-1])
+        return physical, polarity
+
+    def decode_stream(self, physical: np.ndarray, wire: np.ndarray) -> np.ndarray:
+        """Undo the inversion wherever the polarity wire is high."""
+        return np.where(wire, physical ^ np.uint64(self.mask), physical)
 
     def reset(self) -> None:
         """Clear bus state, the polarity wire, and the transition counter."""

@@ -17,8 +17,9 @@ Training (``fit``): for each bit position, pick the partner whose XOR
 minimizes the *transition count* of that output bit over the profiled word
 stream — bits of instruction words are heavily correlated (opcode fields,
 register fields, sign bits), and XORing correlated bits cancels their common
-toggles.  Training is a pure profiling pass; the learned transform is then a
-static piece of (reprogrammable) hardware.
+toggles.  One Gram matrix of the per-bit toggles scores every pair at once.
+Training is a pure profiling pass; the learned transform is then a static
+piece of (reprogrammable) hardware.
 
 The optional ``xor_previous`` stage composes the learned spatial transform
 with a temporal decorrelator (physical = transformed ⊕ previous
@@ -32,16 +33,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from ..bus import xor_deltas
 from .base import BusEncoder
 
 __all__ = ["FunctionalEncoder"]
-
-
-def _bit_matrix(words: Sequence[int], width: int) -> np.ndarray:
-    """Words as a (num_words, width) 0/1 matrix, bit 0 in column 0."""
-    array = np.asarray(words, dtype=np.uint64)
-    columns = [(array >> np.uint64(bit)) & np.uint64(1) for bit in range(width)]
-    return np.stack(columns, axis=1).astype(np.uint8)
 
 
 def _forward_images(partners: Sequence[int]) -> list[int]:
@@ -92,6 +87,15 @@ def _apply(tables: Sequence[Sequence[int]], word: int) -> int:
     for table in tables:
         out ^= table[word & 0xFF]
         word >>= 8
+    return out
+
+
+def _apply_stream(tables: Sequence[Sequence[int]], words: np.ndarray) -> np.ndarray:
+    """:func:`_apply` over a ``uint64`` stream: one ``np.take`` per byte table."""
+    out = np.zeros(words.size, dtype=np.uint64)
+    for byte, table in enumerate(tables):
+        index = (words >> np.uint64(8 * byte)) & np.uint64(0xFF)
+        out ^= np.take(np.array(table, dtype=np.uint64), index.astype(np.intp))
     return out
 
 
@@ -157,25 +161,27 @@ class FunctionalEncoder(BusEncoder):
         For each bit ``i`` (LSB upward), evaluate every candidate partner
         ``j > i``: the transitions of the stream ``b_i ⊕ b_j`` versus the
         transitions of ``b_i`` alone.  Keep the best strictly-improving
-        partner (or none).  O(width² · n) with vectorized numpy — a one-off
+        partner, the smallest on a tie (or none).
+
+        With ``D`` the ``(n−1) × width`` matrix of per-bit toggles between
+        consecutive words, ``b_i ⊕ b_j`` toggles ``|D_i| + |D_j| − 2·D_iᵀD_j``
+        times, so the one Gram matrix ``DᵀD`` scores every pair.  It is a
+        ``float64`` matmul of 0/1 entries, exact below 2⁵³ words — a one-off
         profiling cost, exactly like the paper's software profiling step.
         """
-        word_list = [w for w in words]
-        if not word_list:
-            return cls(width=width, xor_previous=xor_previous)
-        bits = _bit_matrix(word_list, width)  # (n, width)
-        # Per-column transition counts of every candidate XOR pair.
-        transitions = np.abs(np.diff(bits.astype(np.int8), axis=0)).sum(axis=0)
-        partners = [-1] * width
-        for bit in range(width):
-            best_partner, best_count = -1, int(transitions[bit])
-            for partner in range(bit + 1, width):
-                combined = bits[:, bit] ^ bits[:, partner]
-                count = int(np.abs(np.diff(combined.astype(np.int8))).sum())
-                if count < best_count:
-                    best_count, best_partner = count, partner
-            partners[bit] = best_partner
-        return cls(width=width, xor_previous=xor_previous, partners=partners)
+        array = np.asarray(
+            words if isinstance(words, np.ndarray) else list(words), dtype=np.uint64
+        )
+        steps = array[1:] ^ array[:-1]
+        toggles = ((steps[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)).astype(
+            np.float64
+        )
+        alone = toggles.sum(axis=0)
+        paired = alone[:, None] + alone[None, :] - 2.0 * (toggles.T @ toggles)
+        paired[np.tril_indices(width)] = np.inf  # a partner sits above its bit
+        best = paired.argmin(axis=1)
+        partners = np.where(paired[np.arange(width), best] < alone, best, -1)
+        return cls(width=width, xor_previous=xor_previous, partners=partners.tolist())
 
     # -- the transform ---------------------------------------------------------
 
@@ -202,6 +208,22 @@ class FunctionalEncoder(BusEncoder):
             word ^= self._dec_previous
             self._dec_previous = word
         return self._inverse_transform(word)
+
+    def encode_stream(self, words: np.ndarray) -> tuple[np.ndarray, None]:
+        """The transform by byte-table lookups, then the temporal XOR stage when enabled."""
+        physical = _apply_stream(self._forward_tables, words)
+        if self.xor_previous and physical.size:
+            transformed = physical
+            physical = xor_deltas(transformed, self._enc_previous)
+            self._enc_previous = int(transformed[-1])
+        return physical, None
+
+    def decode_stream(self, physical: np.ndarray, wire: None) -> np.ndarray:
+        """Undo the temporal stage by a running XOR, then invert the transform."""
+        if self.xor_previous and physical.size:
+            physical = np.bitwise_xor.accumulate(physical) ^ np.uint64(self._dec_previous)
+            self._dec_previous = int(physical[-1])
+        return _apply_stream(self._inverse_tables, physical)
 
     def reset(self) -> None:
         """Zero the temporal-XOR state at both ends."""

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from ..bus import count_transitions, hamming
+import numpy as np
+
+from ..bus import count_transitions, word_flips
 from .base import BusEncoder
 
 __all__ = ["EncodedStreamReport", "measure_encoder", "stream_transitions"]
@@ -42,32 +44,28 @@ class EncodedStreamReport:
 
 def measure_encoder(
     encoder: BusEncoder,
-    words: list[int],
+    words: Sequence[int] | np.ndarray,
     verify: bool = True,
 ) -> EncodedStreamReport:
     """Drive ``words`` through ``encoder``; count transitions; check decodability.
 
-    The encoder object models both bus ends: each word is encoded and (when
-    ``verify``) immediately decoded, which matches how the physical wires and
-    any redundant lines evolve in hardware.
+    The encoder object models both bus ends: the stream is encoded from reset
+    and (when ``verify``) decoded from the physical words and the redundant
+    wire, as the receiver sees them.  The words are range-checked once, by
+    :meth:`~repro.encoding.BusEncoder.check_stream`, and the first one
+    outside the width raises.
     """
     encoder.reset()
-    raw = stream_transitions(words)
-    encoded_total = 0
-    previous_physical = 0
-    decodable = True
-    for word in words:
-        physical = encoder.encode(word)
-        encoded_total += hamming(previous_physical, physical)
-        previous_physical = physical
-        if verify and encoder.decode(physical) != word:
-            decodable = False
-    extra = getattr(encoder, "extra_transitions", 0)
+    logical = encoder.check_stream(words)
+    physical, wire = encoder.encode_stream(logical)
+    decodable = not verify or bool(
+        np.array_equal(encoder.decode_stream(physical, wire), logical)
+    )
     return EncodedStreamReport(
         encoder_name=encoder.name,
-        words=len(words),
-        raw_transitions=raw,
-        encoded_transitions=encoded_total,
-        extra_wire_transitions=extra,
+        words=int(logical.size),
+        raw_transitions=int(word_flips(logical, 0, encoder.width).sum()),
+        encoded_transitions=int(word_flips(physical, 0, encoder.width).sum()),
+        extra_wire_transitions=getattr(encoder, "extra_transitions", 0),
         decodable=decodable,
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .base import BusEncoder
 from .classic import BusInvertEncoder, GrayEncoder, RawEncoder, T0Encoder, XorDiffEncoder
 from .functional import FunctionalEncoder
@@ -78,7 +80,8 @@ class TransformSelector:
 
         The stream is checked once, before training: the first word outside
         ``[0, 2**width)`` raises a ``ValueError`` naming its index, its value
-        and the width.
+        and the width.  Every candidate must decode its own stream: one that
+        does not raises a ``ValueError`` naming it instead of being ranked.
         """
         if not words:
             raise ValueError(
@@ -95,15 +98,22 @@ class TransformSelector:
                 f"word {index} is {word}, outside the {self.width}-bit bus "
                 f"range [0, 2**{self.width})"
             )
+        stream = np.array(words, dtype=np.uint64)
         if self.include_functional:
             cut = max(1, int(len(words) * self.train_fraction))
             for xor_previous in (False, True):
                 trained = FunctionalEncoder.fit(
-                    words[:cut], width=self.width, xor_previous=xor_previous
+                    stream[:cut], width=self.width, xor_previous=xor_previous
                 )
                 trained.name = f"functional{'+xor' if xor_previous else ''}"
                 candidates.append(trained)
-        scoreboard = [measure_encoder(encoder, words) for encoder in candidates]
+        scoreboard = [measure_encoder(encoder, stream) for encoder in candidates]
+        for report in scoreboard:
+            if not report.decodable:
+                raise ValueError(
+                    f"encoder {report.encoder_name!r} does not decode its own stream "
+                    f"of {report.words} words; it cannot be ranked"
+                )
         best_index = min(
             range(len(scoreboard)), key=lambda index: scoreboard[index].total_transitions
         )

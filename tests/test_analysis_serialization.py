@@ -595,6 +595,32 @@ class TestSingleGraphBuild:
         assert report.files_scanned == 2
 
 
+class TestSingleAliasWalk:
+    """A lint walks each module's imports for aliases ONCE, for DET and the graph."""
+
+    def test_run_lint_walks_each_module_once(self, tmp_path, monkeypatch):
+        from repro.analysis import rules, runner
+
+        walks = []
+        real_walk = rules.module_aliases
+
+        def counting_walk(module):
+            walks.append(module.name)
+            return real_walk(module)
+
+        monkeypatch.setattr(rules, "module_aliases", counting_walk)
+
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        (tmp_path / "pkg" / "mod.py").write_text(
+            "from time import time as now\n\n\ndef run():\n    return now()\n"
+        )
+        report = runner.run_lint([tmp_path])
+        assert sorted(walks) == ["pkg", "pkg.mod"]
+        # DET still resolves names through the shared aliases.
+        assert "DET001" in {finding.rule for finding in report.findings}
+
+
 class TestPackageBaseline:
     """The shipped package is SER-clean — the CI gate, run as a test."""
 

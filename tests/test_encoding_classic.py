@@ -1,5 +1,6 @@
 """Unit tests for the classic bus encoders."""
 
+import numpy as np
 import pytest
 
 from repro.encoding import (
@@ -12,6 +13,28 @@ from repro.encoding import (
     stream_transitions,
 )
 
+from .encoding_oracle import oracle_measure
+
+
+class TwoStrideT0(T0Encoder):
+    """A faulty T0 that also raises INC on a two-stride step.
+
+    The receiver regenerates one stride per INC word, so it cannot follow.
+    """
+
+    def encode(self, word: int) -> int:
+        previous = self._previous_logical
+        if previous is not None and word == (previous + 2 * self.stride) & self.mask:
+            self._previous_logical = (previous + self.stride) & self.mask
+        return super().encode(word)
+
+    def encode_stream(self, words):
+        physical, inc = [], []
+        for word in words.tolist():
+            physical.append(self.encode(word))
+            inc.append(self._inc_wire)
+        return np.array(physical, dtype=np.uint64), np.array(inc, dtype=bool)
+
 
 class TestStreamTransitions:
     def test_counts_from_idle(self):
@@ -19,6 +42,20 @@ class TestStreamTransitions:
 
     def test_sequence(self):
         assert stream_transitions([1, 2, 3]) == 1 + 2 + 1
+
+
+class TestWidthAndRange:
+    @pytest.mark.parametrize("width", [0, 65])
+    def test_width_outside_1_to_64_rejected(self, width):
+        with pytest.raises(ValueError, match=f"got {width}"):
+            RawEncoder(width)
+
+    def test_measure_names_the_first_word_outside_the_width(self):
+        # One range check before conversion: no OverflowError from numpy.
+        for words in ([3, 1 << 70, -1], [3, -1, 1 << 70]):
+            bad = words[1]
+            with pytest.raises(ValueError, match=f"word {bad:#x} outside 8-bit range"):
+                measure_encoder(GrayEncoder(8), words)
 
 
 class TestRaw:
@@ -72,6 +109,21 @@ class TestT0:
         words = [0, 4, 8, 100, 104, 7, 11, 15]
         report = measure_encoder(encoder, words)
         assert report.decodable
+
+    def test_decodable_fails_when_inc_skips_a_stride(self):
+        # The receiver rebuilds 12 as 4 + 4 = 8 from its own previous word.
+        words = [0, 4, 12, 16]
+        assert measure_encoder(TwoStrideT0(32, stride=4), words).decodable is False
+        assert oracle_measure(TwoStrideT0(32, stride=4), words).decodable is False
+        assert measure_encoder(T0Encoder(32, stride=4), words).decodable is True
+
+    def test_receiver_keeps_its_own_previous_word(self):
+        encoder = T0Encoder(16, stride=4)
+        for word in (8, 12, 16):
+            assert encoder.decode(encoder.encode(word)) == word
+        assert encoder._dec_previous == 16
+        encoder.reset()
+        assert encoder._dec_previous == 0
 
     def test_stride_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from repro.encoding import (
     TransformSelector,
     measure_encoder,
 )
+from repro.encoding import selector as selector_module
 
 
 def per_bit_transform(partners, word):
@@ -177,6 +178,23 @@ class TestSelector:
             f"word {index} is {word}, outside the 32-bit bus range [0, 2**32)"
         )
         assert "hamming" not in message
+
+    def test_undecodable_candidate_is_never_ranked(self, monkeypatch):
+        class BitFlipDecoder(RawEncoder):
+            name = "bit_flip"
+
+            def decode_stream(self, physical, wire):
+                return physical ^ np.uint64(1)
+
+        monkeypatch.setattr(
+            selector_module,
+            "default_candidates",
+            lambda width: [RawEncoder(width), BitFlipDecoder(width)],
+        )
+        with pytest.raises(ValueError, match="'bit_flip' does not decode"):
+            TransformSelector(width=16, include_functional=False).select(
+                correlated_stream(seed=15, n=50)
+            )
 
     def test_report_for_unknown_raises(self):
         words = correlated_stream(seed=14, n=300)
