@@ -9,7 +9,7 @@ benchmark measured on both sides goes through one verdict path,
 :func:`repro.benchstats.evaluate_benchmark` (Kalibera & Jones, ISMM 2013):
 it fails when the bootstrap confidence interval on its change/base median
 ratio sits entirely above 1 **and** the slowdown exceeds ``--min-effect``,
-or when its p99 grew by more than ``GateConfig.tail_threshold_ratio``.
+or when its p99 grew by more than ``DEFAULT_TAIL_THRESHOLD_RATIO``.
 
 Usage::
 
@@ -20,7 +20,7 @@ Usage::
         --select '*play*' --min-effect 0.03     # gate a subset
 
 Exit status: 0 no regression, 1 regression, 2 usage error (a side with
-fewer than ``GateConfig.min_samples`` runs, an unreadable export, or
+fewer than ``DEFAULT_MIN_SAMPLES`` runs, an unreadable export, or
 nothing to gate).
 """
 
@@ -109,8 +109,9 @@ def main(argv: list[str] | None = None) -> int:
         scope = f" matching --select {args.select!r}" if args.select else ""
         print(
             f"error: no benchmark{scope} was measured in at least "
-            f"{config.min_samples} runs on both sides ({len(base.samples)} "
-            f"in the base runs, {len(change.samples)} in the change runs); "
+            f"{benchstats.gate.DEFAULT_MIN_SAMPLES} runs on both sides "
+            f"({len(base.samples)} in the base runs, {len(change.samples)} "
+            "in the change runs); "
             "refusing to pass vacuously",
             file=sys.stderr,
         )
@@ -118,8 +119,9 @@ def main(argv: list[str] | None = None) -> int:
 
     gate_label = (
         f"{base.runs} base vs {change.runs} change runs, CI overlap "
-        f"@{config.confidence:.0%} (min effect {config.min_effect_ratio:.0%}, "
-        f"tail {config.tail_threshold_ratio:.0%})"
+        f"@{benchstats.stats.DEFAULT_CONFIDENCE:.0%} (min effect "
+        f"{config.min_effect_ratio:.0%}, tail "
+        f"{benchstats.gate.DEFAULT_TAIL_THRESHOLD_RATIO:.0%})"
     )
     for warning in warnings:
         print(f"warning: {warning}")

@@ -3,11 +3,12 @@
 The observability contract (ARCHITECTURE.md "Observability") is that the
 default no-recorder path costs one flag check per playback call.  This
 benchmark pins it: a 1M-event vectorized play with an explicit
-:class:`~repro.obs.NullRecorder` may take at most 3% (plus a 0.5 ms floor
-against timer noise) longer than with ``recorder=None``.  Both run on the
-same trace in the same process, in pairs that alternate which side runs
-first, and the gate reads the median of the per-pair ratios — a
-machine-independent statistic, unlike raw wall-clock gates.
+:class:`~repro.obs.NullRecorder` made active by ``recording(...)`` may take
+at most 3% (plus a 0.5 ms floor against timer noise) longer than a bare
+play.  Both run on the same trace in the same process, in pairs that
+alternate which side runs first, and the gate reads the median of the
+per-pair ratios — a machine-independent statistic, unlike raw wall-clock
+gates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import statistics
 import time
 
 from repro.memory import PartitionedMemory
-from repro.obs import JsonlRecorder, NullRecorder
+from repro.obs import JsonlRecorder, NullRecorder, recording
 
 from test_columnar_engine import BANK_SIZES, million_event_trace
 
@@ -52,7 +53,11 @@ def timed_play_pairs() -> dict:
 
     def timed(recorder, seconds: list) -> None:
         start_s = time.perf_counter()
-        totals.add(memory.play(columnar, recorder=recorder).total)
+        if recorder is None:
+            totals.add(memory.play(columnar).total)
+        else:
+            with recording(recorder):
+                totals.add(memory.play(columnar).total)
         seconds.append(time.perf_counter() - start_s)
 
     for index in range(PAIRS):
@@ -169,8 +174,8 @@ def test_jsonl_recorder_counts_events(tmp_path, benchmark):
     log_path = tmp_path / "play.jsonl"
 
     def instrumented_play() -> float:
-        with JsonlRecorder(log_path) as recorder:
-            return memory.play(columnar, recorder=recorder).total
+        with JsonlRecorder(log_path) as recorder, recording(recorder):
+            return memory.play(columnar).total
 
     total_pj = benchmark.pedantic(instrumented_play, rounds=1, iterations=1)
     log = read_log(log_path)

@@ -28,7 +28,7 @@ Quickstart::
 
 from .core.api import optimize_memory_layout, trace_from_kernel
 from .core.pipeline import FlowConfig, FlowResult, MemoryOptimizationFlow
-from .obs import JsonlRecorder, NullRecorder, Recorder, RunManifest, read_log
+from .obs import JsonlRecorder, NullRecorder, Recorder, RunManifest, read_log, recording
 
 __version__ = "1.0.0"
 
@@ -41,6 +41,7 @@ __all__ = [
     "Recorder",
     "NullRecorder",
     "JsonlRecorder",
+    "recording",
     "RunManifest",
     "read_log",
     "__version__",

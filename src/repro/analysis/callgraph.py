@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -300,19 +301,22 @@ class _Builder:
             owner_class=owner,
             is_property=_is_property(node),
         )
-        for child in ast.walk(node):
-            if child is node:
+        # The defs nested directly in this one, in ``ast.walk`` order: the
+        # walk stops at each nested def, whose own nested defs the recursive
+        # call indexes, but passes through classes, so a method of a class
+        # defined in a function is that function's ``<locals>``.
+        todo = deque(ast.iter_child_nodes(node))
+        while todo:
+            child = todo.popleft()
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.extend(ast.iter_child_nodes(child))
                 continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # Only immediate children get indexed here; deeper nesting is
-                # handled by the recursive call.
-                if _parent_function(node, child) is node:
-                    inner = self._index_function(
-                        module, child, owner=None, prefix=f"{qualname}.<locals>"
-                    )
-                    self._add_edge(
-                        CallSite(qualname, inner, str(module.path), child.lineno, "contains")
-                    )
+            inner = self._index_function(
+                module, child, owner=None, prefix=f"{qualname}.<locals>"
+            )
+            self._add_edge(
+                CallSite(qualname, inner, str(module.path), child.lineno, "contains")
+            )
         return qualname
 
     def _index_class(
@@ -435,29 +439,6 @@ def _module_own_statements(tree: ast.Module) -> list[ast.AST]:
             continue
         stack.extend(ast.iter_child_nodes(node))
     return collected
-
-
-def _parent_function(root: ast.AST, target: ast.AST) -> ast.AST | None:
-    """The nearest enclosing def of ``target`` within ``root`` (or ``root``)."""
-    parent: ast.AST | None = None
-
-    def visit(node: ast.AST, enclosing: ast.AST) -> None:
-        nonlocal parent
-        for child in ast.iter_child_nodes(node):
-            if child is target:
-                parent = enclosing
-                return
-            next_enclosing = (
-                child
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                else enclosing
-            )
-            visit(child, next_enclosing)
-            if parent is not None:
-                return
-
-    visit(root, root)
-    return parent
 
 
 def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

@@ -119,30 +119,20 @@ REPRO_LAYER_MODEL = LayerModel(
 def extract_imports(module: SourceModule) -> list[ImportEdge]:
     """Resolve every import statement in ``module`` to absolute dotted names.
 
-    Relative imports are resolved against the module's package, so
-    ``from ..memory import banks`` inside ``repro.cache.cache`` yields the
-    target ``repro.memory.banks``.  Imports nested in functions count too:
+    Relative imports are resolved against the module's package
+    (:meth:`SourceModule.import_base`), so ``from ..memory import banks``
+    inside ``repro.cache.cache`` yields the target ``repro.memory``.  Imports nested in functions count too:
     a lazily imported dependency is still a dependency of the layer.
     """
     edges: list[ImportEdge] = []
-    package = module.package_parts
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 edges.append(ImportEdge(module.name, alias.name, node.lineno))
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                if node.level > len(package):
-                    continue  # relative import escaping the scanned tree
-                stem = package[: len(package) - (node.level - 1)]
-                base = ".".join(stem)
-                if node.module:
-                    base = f"{base}.{node.module}" if base else node.module
-            if not base:
-                continue
-            edges.append(ImportEdge(module.name, base, node.lineno))
+            base = module.import_base(node)
+            if base is not None:
+                edges.append(ImportEdge(module.name, base, node.lineno))
     return edges
 
 

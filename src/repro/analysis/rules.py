@@ -223,6 +223,24 @@ class SourceModule:
         """This module's import aliases (:func:`module_aliases`), walked once per module."""
         return module_aliases(self)
 
+    def import_base(self, node: ast.ImportFrom) -> str | None:
+        """The absolute dotted module a ``from`` import reads from.
+
+        Relative imports resolve against this module's package, so ``from
+        ..memory import banks`` inside ``repro.cache.cache`` reads from
+        ``repro.memory``.  ``None`` for a relative import that escapes the
+        scanned tree, or one that names no module.
+        """
+        if node.level == 0:
+            return node.module or None
+        package = self.package_parts
+        if node.level > len(package):
+            return None
+        base = ".".join(package[: len(package) - (node.level - 1)])
+        if node.module:
+            base = f"{base}.{node.module}" if base else node.module
+        return base or None
+
 
 def module_name_for(path: Path) -> str:
     """Compute the dotted module name of ``path`` from its package ancestry.
@@ -267,7 +285,6 @@ def module_aliases(module: SourceModule) -> dict[str, str]:
     :attr:`SourceModule.aliases`, which walks each module once.
     """
     aliases: dict[str, str] = {}
-    package = module.package_parts
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -277,16 +294,8 @@ def module_aliases(module: SourceModule) -> dict[str, str]:
                     top = alias.name.split(".")[0]
                     aliases[top] = top
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                if node.level > len(package):
-                    continue
-                stem = package[: len(package) - (node.level - 1)]
-                base = ".".join(stem)
-                if node.module:
-                    base = f"{base}.{node.module}" if base else node.module
-            if not base:
+            base = module.import_base(node)
+            if base is None:
                 continue
             for alias in node.names:
                 if alias.name == "*":

@@ -228,11 +228,6 @@ REPRO_SCHEMA_MODEL = SchemaModel(
             ),
             write_only=(
                 (
-                    "t_seconds",
-                    "absolute span timeline for external log viewers; replay "
-                    "derives all timing views from elapsed_seconds",
-                ),
-                (
                     "span",
                     "counter-to-span attribution kept for external analysis; "
                     "replay aggregates counters by name and attrs only",
@@ -289,7 +284,11 @@ REPRO_SCHEMA_MODEL = SchemaModel(
         ),
         SchemaSpec(
             name="obs-report",
-            writers=("repro.obs.replay.ObsLog.to_report",),
+            writers=(
+                "repro.obs.replay.ObsLog.to_report",
+                "repro.obs.replay.SpanRecord.row",
+                "repro.obs.counters.CounterRegistry.rows",
+            ),
             persist=("repro.cli._cmd_obs",),
             version_constant="repro.obs.replay.OBS_REPORT_SCHEMA_VERSION",
             version=2,

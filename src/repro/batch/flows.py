@@ -1,6 +1,6 @@
 """Flow adapters: the sweepable entry points of the four benchmark flows.
 
-Each adapter takes ``(trace, recorder)`` plus its config and returns a
+Each adapter takes a trace plus its config and returns a
 JSON-serializable dict of plain builtins — the contract the batch cache
 and the golden corpus both rely on: results must survive a round-trip
 through canonical JSON and compare ``==`` afterwards.  Each flow declares
@@ -56,10 +56,10 @@ PositiveInt = Annotated[int, _POSITIVE]
 # -- E1: memory-optimization pipeline -----------------------------------------------
 
 
-def _run_e1(trace: Trace, recorder, *, flow_config) -> dict:
+def _run_e1(trace: Trace, *, flow_config) -> dict:
     from ..core.pipeline import MemoryOptimizationFlow
 
-    result = MemoryOptimizationFlow(flow_config, recorder=recorder).run(trace)
+    result = MemoryOptimizationFlow(flow_config).run(trace)
     return result.to_dict()
 
 
@@ -80,7 +80,6 @@ def _codec_registry() -> dict:
 
 def _run_e2(
     trace: Trace,
-    recorder,
     *,
     platform: Literal["risc", "vliw"] = "risc",
     codec: Literal["differential", "zero_run", "lzw", "bdi", "none"] = "none",
@@ -90,7 +89,7 @@ def _run_e2(
     factories = {"risc": risc_platform, "vliw": vliw_platform}
     codec_cls = _codec_registry()[codec]
     system = factories[platform](codec_cls() if codec_cls else None)
-    report = system.run_traces(trace.data_accesses(), recorder=recorder)
+    report = system.run_traces(trace.data_accesses())
     result = {
         "trace_name": trace.name,
         "platform": platform,
@@ -120,7 +119,6 @@ def _payloads(trace: Trace) -> list[int]:
 
 def _run_e3(
     trace: Trace,
-    recorder,
     *,
     width: PositiveInt = 32,
     include_functional: bool = True,
@@ -256,7 +254,6 @@ def trace_to_application(
 
 def _run_e4(
     trace: Trace,
-    recorder,
     *,
     scheduler: Literal["naive", "energy"] = "energy",
     window_events: PositiveInt = 4096,
@@ -280,9 +277,7 @@ def _run_e4(
         num_contexts=num_contexts,
     )
     architecture = ReconfigArchitecture(l0_size=l0_size, context_slots=context_slots)
-    schedule = schedulers[scheduler]().schedule(
-        application, architecture, recorder=recorder
-    )
+    schedule = schedulers[scheduler]().schedule(application, architecture)
     energy = evaluate_schedule(application, architecture, schedule)
     return {
         "trace_name": trace.name,
@@ -306,7 +301,7 @@ def _run_e4(
 
 
 def _run_flaky(
-    trace: Trace, recorder, *, marker_dir: str, fail_times: int = 1, mode: str = "raise"
+    trace: Trace, *, marker_dir: str, fail_times: int = 1, mode: str = "raise"
 ) -> dict:
     # Fails `fail_times` attempts before succeeding, counting attempts via
     # marker files so the count survives worker-process death.  mode "raise"
@@ -428,7 +423,7 @@ def _reject_unknown_keys(flow: str, config: Mapping, keys) -> None:
         )
 
 
-def run_flow(flow: str, trace: Trace, config: Mapping, recorder=None) -> dict:
+def run_flow(flow: str, trace: Trace, config: Mapping) -> dict:
     """Run ``flow`` on ``trace`` under ``config``; returns a JSON-safe dict.
 
     ``config`` goes through :func:`check_config` first.  The returned dict
@@ -437,4 +432,4 @@ def run_flow(flow: str, trace: Trace, config: Mapping, recorder=None) -> dict:
     addressing depends on.
     """
     arguments = check_config(flow, config)
-    return _FLOWS[flow](trace, recorder, **arguments)
+    return _FLOWS[flow](trace, **arguments)

@@ -45,16 +45,10 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..obs.clock import Clock, WallClock
-from ..obs.counters import (
-    BATCH_CACHE_HITS,
-    BATCH_CACHE_MISSES,
-    BATCH_RETRIES,
-    BATCH_TASKS,
-)
 from ..obs.manifest import config_fingerprint
 from ..obs.recorder import NullRecorder
 from ..obs.shard import WORKER_SHARD_SCHEMA_VERSION, ShardRecorder
-from ..obs.spans import span
+from ..obs.spans import recording, span
 from ..trace.io import trace_digest
 from ..trace.store import StoreError, store_digest
 from .cache import CacheEntry, ResultCache, cache_key, shard_path
@@ -261,24 +255,30 @@ def _execute_task(
     — the parent parses it, which keeps the pickled payload small and the
     normalization single-sourced.
 
-    With a :class:`ShardConfig`, the task runs instrumented: its spans and
-    counters land in this worker's shard as a self-contained task block
-    (fresh clock, restarted span ids — see
+    The task runs with exactly one recorder active: this worker's shard
+    when there is a :class:`ShardConfig`, else a :class:`NullRecorder`.  A
+    recorder active in the caller (or inherited across a fork) therefore
+    never receives task events.  With a shard, the task's spans and
+    counters land in it as a self-contained task block (fresh clock,
+    restarted span ids — see
     :meth:`repro.obs.shard.ShardRecorder.begin_task`), framed so the
     merger can reassemble the sweep regardless of which worker ran what.
     """
     if shard is None:
-        trace = _load_task_trace(task.trace, store_map)
-        result = run_flow(task.flow, trace, task.config_dict, recorder=None)
+        with recording(NullRecorder()):
+            trace = _load_task_trace(task.trace, store_map)
+            result = run_flow(task.flow, trace, task.config_dict)
         return json.dumps(result, sort_keys=True)
     recorder = _worker_shard_recorder(shard)
     recorder.begin_task(
         task.spec_fingerprint(), label=task.label(), flow=task.flow
     )
     try:
-        with span(recorder, "sweep.task", label=task.label(), flow=task.flow):
+        with recording(recorder), span(
+            "sweep.task", label=task.label(), flow=task.flow
+        ):
             trace = _load_task_trace(task.trace, store_map)
-            result = run_flow(task.flow, trace, task.config_dict, recorder=recorder)
+            result = run_flow(task.flow, trace, task.config_dict)
     except BaseException as error:
         recorder.end_task(status="error", error=type(error).__name__)
         raise
@@ -303,7 +303,6 @@ def run_sweep(
     tasks,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    recorder=None,
     retries: int = 2,
     backoff_seconds: float = 0.05,
     max_backoff_seconds: float = 1.0,
@@ -325,9 +324,6 @@ def run_sweep(
     cache:
         Optional :class:`~repro.batch.cache.ResultCache`; hits skip
         execution entirely and fresh results are stored back.
-    recorder:
-        Optional obs recorder: gets a ``sweep`` span, per-task spans, and
-        the ``batch.*`` counters.
     retries:
         Extra attempts per failing task.  A failed attempt is retried in
         the next wave; a task still failing after ``retries`` retries
@@ -349,6 +345,8 @@ def run_sweep(
         merged / failed / retry) — the inputs :mod:`repro.obs.merge`
         reassembles into one canonical timeline.  ``None`` (the default)
         records nothing and leaves the sweep byte-identical to before.
+        Shards are a sweep's only record: a recorder active in the caller
+        receives no task events (see :func:`_execute_task`).
     shard_clock:
         Clock *class* used for shard timing (default
         :class:`~repro.obs.clock.WallClock`); inject
@@ -406,7 +404,7 @@ def run_sweep(
     # The parent shard is flushed even when the sweep raises (exhausted
     # retries), so a failed run still leaves its lifecycle evidence.
     closer = parent_shard if parent_shard is not None else NullRecorder()
-    with closer, span(recorder, "sweep", tasks=len(tasks), jobs=jobs):
+    with closer:
         # Resolve every task's cache key up front: load each distinct trace
         # spec once (memoized), digest it, and satisfy what we can from cache.
         # Store-backed specs are digested from their header alone — no event
@@ -422,13 +420,9 @@ def run_sweep(
                     digests[task.trace] = trace_digest(_load_task_trace(task.trace))
             key = cache_key(task.flow, task.config_hash, digests[task.trace])
             shard = shard_of(task.spec_fingerprint(), max(jobs, 1))
-            if recorder is not None:
-                recorder.counter(BATCH_TASKS, 1, flow=task.flow)
             entry = cache.load(key) if cache is not None else None
             if entry is not None:
                 hits += 1
-                if recorder is not None:
-                    recorder.counter(BATCH_CACHE_HITS, 1, flow=task.flow)
                 outcomes[index] = TaskOutcome(
                     task=task,
                     result=entry.result,
@@ -445,8 +439,6 @@ def run_sweep(
                 _notify("cache_hit", task.label())
             else:
                 misses += 1
-                if recorder is not None:
-                    recorder.counter(BATCH_CACHE_MISSES, 1, flow=task.flow)
                 pending.append(_Pending(index=index, task=task, key=key, shard=shard))
 
         # Spill each distinct spec that still has work into the cache's
@@ -514,14 +506,7 @@ def run_sweep(
                 wave, jobs, shard_config, store_map, submitted
             ):
                 try:
-                    with span(
-                        recorder,
-                        "sweep.task",
-                        label=item.task.label(),
-                        shard=item.shard,
-                        attempt=item.attempts,
-                    ):
-                        merge(item, outcome())
+                    merge(item, outcome())
                 except Exception as error:  # noqa: BLE001 - judged below
                     item.error = error
                     failed.append(item)
@@ -559,8 +544,6 @@ def run_sweep(
                 wave_number += 1
                 retry_count += len(failed)
                 for item in failed:
-                    if recorder is not None:
-                        recorder.counter(BATCH_RETRIES, 1, flow=item.task.flow)
                     if parent_shard is not None:
                         parent_shard.task_event(
                             "retry",

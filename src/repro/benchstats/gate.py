@@ -11,11 +11,13 @@ Two statistically grounded questions per benchmark:
   it overlaps 1, which is exactly what kills flaky gate failures.
 * **Tail gate** — did p99 blow up while the median stayed flat?  A
   separate, deliberately looser threshold on the p99 ratio
-  (:attr:`GateConfig.tail_threshold_ratio`) catches the regressions a
+  (:data:`DEFAULT_TAIL_THRESHOLD_RATIO`) catches the regressions a
   median-only gate is structurally blind to.
 
-Fewer than :attr:`GateConfig.min_samples` samples on either side is an
-error, not a weaker verdict: an interval over so few values says nothing.
+Fewer than :data:`DEFAULT_MIN_SAMPLES` samples on either side is an error,
+not a weaker verdict: an interval over so few values says nothing.  The
+interval's confidence, resample count and seed are the
+:mod:`repro.benchstats.stats` defaults.
 :func:`compare_runs` asks both questions of every benchmark that two
 :class:`~repro.benchstats.runs.BenchRun` sides measured.
 """
@@ -26,9 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .stats import (
-    DEFAULT_BOOTSTRAP_SEED,
-    DEFAULT_CONFIDENCE,
-    DEFAULT_RESAMPLES,
     DistributionSummary,
     RatioCI,
     bootstrap_median_ratio_ci,
@@ -60,14 +59,13 @@ DEFAULT_MIN_SAMPLES = 4
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Tunables of the distribution gate (all ratios are fractional)."""
+    """The gate's one tunable: the minimum practical effect (fractional).
 
-    confidence: float = DEFAULT_CONFIDENCE
-    resamples: int = DEFAULT_RESAMPLES
+    ``benchmarks/compare.py --min-effect`` sets it; every other setting of
+    the gate is a module default.
+    """
+
     min_effect_ratio: float = DEFAULT_MIN_EFFECT_RATIO
-    tail_threshold_ratio: float = DEFAULT_TAIL_THRESHOLD_RATIO
-    min_samples: int = DEFAULT_MIN_SAMPLES
-    seed: int = DEFAULT_BOOTSTRAP_SEED
 
 
 @dataclass(frozen=True)
@@ -109,25 +107,20 @@ def evaluate_benchmark(
     """Gate one benchmark's candidate samples against its baseline samples.
 
     Both sample sequences are in the same unit (seconds, one sample per run
-    in the benchmark gate) and hold at least ``config.min_samples`` values
-    each; fewer raise a ``ValueError`` naming both counts, and so does a
-    non-positive baseline median.  Constant samples collapse the interval.
+    in the benchmark gate) and hold at least :data:`DEFAULT_MIN_SAMPLES`
+    values each; fewer raise a ``ValueError`` naming both counts, and so
+    does a non-positive baseline median.  Constant samples collapse the
+    interval.
     """
-    if min(len(baseline_samples), len(candidate_samples)) < config.min_samples:
+    if min(len(baseline_samples), len(candidate_samples)) < DEFAULT_MIN_SAMPLES:
         raise ValueError(
             f"benchmark {name!r}: too few samples (baseline "
             f"{len(baseline_samples)}, candidate {len(candidate_samples)}); "
-            f"the gate needs at least {config.min_samples} on each side"
+            f"the gate needs at least {DEFAULT_MIN_SAMPLES} on each side"
         )
     baseline_summary = summarize(baseline_samples)
     candidate_summary = summarize(candidate_samples)
-    ci = bootstrap_median_ratio_ci(
-        baseline_samples,
-        candidate_samples,
-        resamples=config.resamples,
-        confidence=config.confidence,
-        seed=config.seed,
-    )
+    ci = bootstrap_median_ratio_ci(baseline_samples, candidate_samples)
     p99_ratio = candidate_summary.p99 / baseline_summary.p99
     return BenchComparison(
         name=name,
@@ -137,7 +130,7 @@ def evaluate_benchmark(
         # Regression = the whole interval sits above "no change" AND the
         # effect is big enough to matter.
         median_regressed=ci.low > 1.0 and ci.value - 1.0 > config.min_effect_ratio,
-        tail_regressed=p99_ratio - 1.0 > config.tail_threshold_ratio,
+        tail_regressed=p99_ratio - 1.0 > DEFAULT_TAIL_THRESHOLD_RATIO,
         baseline=baseline_summary,
         candidate=candidate_summary,
     )
@@ -148,17 +141,17 @@ def compare_runs(
 ) -> tuple:
     """Gate every base benchmark on the change: ``(comparisons, warnings, notes)``.
 
-    Either side with fewer than ``config.min_samples`` runs raises a
+    Either side with fewer than :data:`DEFAULT_MIN_SAMPLES` runs raises a
     ``ValueError`` naming both counts.  A base benchmark measured in fewer
     runs than that on either side is a *warning*: the gate did not check
     it, and a silently skipped benchmark would read as a pass.  A change
     benchmark the base runs lack is a note.  A renamed benchmark therefore
     shows as both, instead of comparing different work under one name.
     """
-    if min(base.runs, change.runs) < config.min_samples:
+    if min(base.runs, change.runs) < DEFAULT_MIN_SAMPLES:
         raise ValueError(
             f"{base.runs} base and {change.runs} change runs; the gate needs "
-            f"at least {config.min_samples} runs per side (one sample per run)"
+            f"at least {DEFAULT_MIN_SAMPLES} runs per side (one sample per run)"
         )
     comparisons: list = []
     warnings: list = []
@@ -167,7 +160,7 @@ def compare_runs(
         change_count = len(change.samples.get(name, ()))
         if change_count == 0:
             warnings.append(f"missing from the change runs (not gated): {name}")
-        elif min(base_count, change_count) < config.min_samples:
+        elif min(base_count, change_count) < DEFAULT_MIN_SAMPLES:
             warnings.append(
                 f"measured in {base_count} base and {change_count} change "
                 f"runs (not gated): {name}"

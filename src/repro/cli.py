@@ -191,25 +191,21 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    from .obs import JsonlRecorder, span
+    from .obs import JsonlRecorder, NullRecorder, recording, span
 
-    recorder = JsonlRecorder(args.obs_out) if args.obs_out else None
-    try:
-        with span(recorder, "trace_load", source=args.source):
+    recorder = JsonlRecorder(args.obs_out) if args.obs_out else NullRecorder()
+    with recorder, recording(recorder):
+        with span("trace_load", source=args.source):
             # Store-backed sources stream: the flow plays the trace
             # chunk-by-chunk off the mmap'd columns, so peak memory is
             # bounded by the chunk size, not the trace length.
             trace = _load_trace(args.source, stream=True)
         flow = optimize_memory_layout(
             trace,
-            recorder=recorder,
             block_size=args.block_size,
             max_banks=args.banks,
             strategy=args.strategy,
         )
-    finally:
-        if recorder is not None:
-            recorder.close()
     rows = [
         ["monolithic", 1, flow.monolithic.simulated.total, "baseline"],
         [
@@ -597,7 +593,6 @@ def _cmd_sweep(args) -> int:
     import json
 
     from .batch import ResultCache, SweepTask, TraceSpec, parse_assignments, run_sweep
-    from .obs import JsonlRecorder
 
     try:
         specs = [TraceSpec.from_source(source) for source in args.sources]
@@ -614,7 +609,6 @@ def _cmd_sweep(args) -> int:
         for config in configs
     ]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    recorder = JsonlRecorder(args.obs_out) if args.obs_out else None
 
     progress = None
     if args.progress:
@@ -640,7 +634,6 @@ def _cmd_sweep(args) -> int:
             tasks,
             jobs=args.jobs,
             cache=cache,
-            recorder=recorder,
             retries=args.retries,
             shard_dir=args.obs_dir,
             on_event=progress,
@@ -656,9 +649,6 @@ def _cmd_sweep(args) -> int:
             )
             cause = cause.__cause__
         return 1
-    finally:
-        if recorder is not None:
-            recorder.close()
     if args.progress:
         print(file=sys.stderr)
 
@@ -706,11 +696,6 @@ def _cmd_sweep(args) -> int:
             )
         )
     print(report.summary(), file=sys.stderr)
-    if args.obs_out:
-        print(
-            f"run log written to {args.obs_out} (inspect with: repro obs {args.obs_out})",
-            file=sys.stderr,
-        )
     if args.obs_dir:
         print(
             f"worker shards written under {args.obs_dir} (sweep {report.sweep_id}; "
@@ -951,10 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--retries", type=int, default=2, help="extra attempts per task")
     sweep.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    sweep.add_argument(
-        "--obs-out", metavar="RUN.jsonl", default=None,
-        help="record spans/counters to a JSONL log (see: repro obs)",
-    )
     sweep.add_argument(
         "--obs-dir", metavar="DIR", default=None,
         help="record per-worker observability shards under DIR "

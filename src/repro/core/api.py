@@ -13,24 +13,21 @@ from __future__ import annotations
 
 from ..isa.cpu import CPU
 from ..isa.programs import load_kernel
-from ..obs.recorder import Recorder
 from ..trace.trace import Trace
 from .pipeline import FlowConfig, FlowResult, MemoryOptimizationFlow
 
 __all__ = ["optimize_memory_layout", "trace_from_kernel"]
 
 
-def optimize_memory_layout(
-    trace: Trace, recorder: Recorder | None = None, **config_kwargs
-) -> FlowResult:
+def optimize_memory_layout(trace: Trace, **config_kwargs) -> FlowResult:
     """Run the full clustering + partitioning flow on a data trace.
 
     Keyword arguments configure :class:`~repro.core.pipeline.FlowConfig`
     (``block_size``, ``max_banks``, ``strategy``, ``partitioner``, ...).
-    ``recorder`` instruments the run (spans, counters, manifest) without
-    changing its results — see :mod:`repro.obs`.
+    The active recorder (see :func:`repro.obs.recording`) gets the run's
+    spans, counters and manifest without changing its results.
     """
-    return MemoryOptimizationFlow(FlowConfig(**config_kwargs), recorder=recorder).run(trace)
+    return MemoryOptimizationFlow(FlowConfig(**config_kwargs)).run(trace)
 
 
 def trace_from_kernel(name: str, memory_size: int = 1 << 20) -> Trace:

@@ -21,8 +21,7 @@ from dataclasses import asdict, dataclass, field
 from ..memory.energy import DecoderEnergyModel, SRAMEnergyModel
 from ..obs.counters import FLOW_TOTAL_PJ, STAGE_ENERGY_PJ
 from ..obs.manifest import RunManifest, collect_manifest, config_fingerprint
-from ..obs.recorder import Recorder
-from ..obs.spans import span
+from ..obs.spans import current_recorder, span
 from ..partition.cost import PartitionCostModel
 from ..partition.evaluate import SimulatedPartitionEnergy, simulate_partition
 from ..partition.greedy import EvenPartitioner, GreedyPartitioner
@@ -269,26 +268,22 @@ class FlowResult:
 class MemoryOptimizationFlow:
     """Runs the clustering + partitioning flow on a data trace.
 
+    When a recorder is active (see :func:`repro.obs.recording`) it receives
+    a span per stage (``profile``, ``cluster``, then ``partition_search``
+    and ``playback`` per variant), per-variant energy counters whose
+    components sum *exactly* to the reported totals, and the run manifest.
+    Recording never changes results: the default
+    :class:`~repro.obs.recorder.NullRecorder` path is a single flag check,
+    and counters are flushed from totals the flow computes anyway.
+
     Parameters
     ----------
     config:
         Flow configuration (defaults apply when omitted).
-    recorder:
-        Optional observability recorder.  When enabled it receives a span
-        per stage (``profile``, ``cluster``, then ``partition_search`` and
-        ``playback`` per variant), per-variant energy counters whose
-        components sum *exactly* to the reported totals, and the run
-        manifest.  Recording never changes results: the default
-        :class:`~repro.obs.recorder.NullRecorder` path is a single flag
-        check, and counters are flushed from totals the flow computes
-        anyway.
     """
 
-    def __init__(
-        self, config: FlowConfig | None = None, recorder: Recorder | None = None
-    ) -> None:
+    def __init__(self, config: FlowConfig | None = None) -> None:
         self.config = config if config is not None else FlowConfig()
-        self.recorder = recorder
 
     def build_manifest(self, trace_name: str) -> RunManifest:
         """Provenance manifest for a run of this flow on ``trace_name``."""
@@ -306,19 +301,17 @@ class MemoryOptimizationFlow:
         without ever being resident in memory at once.
         """
         config = self.config
-        recorder = self.recorder
         data_trace = trace.data_accesses()
         if not len(data_trace):
             raise ValueError(f"trace {trace.name!r} contains no data accesses")
         manifest = self.build_manifest(trace.name)
-        if recorder is not None and recorder.enabled:
+        recorder = current_recorder()
+        if recorder.enabled:
             recorder.record_manifest(manifest.to_dict())
-        with span(recorder, "profile", events=len(data_trace)):
-            profile = AccessProfile(
-                data_trace, block_size=config.block_size, recorder=recorder
-            )
+        with span("profile", events=len(data_trace)):
+            profile = AccessProfile(data_trace, block_size=config.block_size)
 
-        with span(recorder, "cluster", strategy=str(config.strategy)):
+        with span("cluster", strategy=str(config.strategy)):
             identity_layout = IdentityClustering().build_layout(profile)
             clustered_layout = config.make_strategy().build_layout(profile)
 
@@ -347,7 +340,6 @@ class MemoryOptimizationFlow:
         num_banks: int | None = None,
     ) -> FlowVariant:
         config = self.config
-        recorder = self.recorder
         reads, writes = layout.counts_in_order(profile)
         cost_model = PartitionCostModel(
             reads=reads,
@@ -357,7 +349,7 @@ class MemoryOptimizationFlow:
             decoder_model=config.decoder_model,
             round_pow2=config.round_pow2,
         )
-        with span(recorder, "partition_search", variant=label):
+        with span("partition_search", variant=label):
             if num_banks == 1:
                 spec = PartitionSpec(
                     block_size=config.block_size,
@@ -372,7 +364,7 @@ class MemoryOptimizationFlow:
             else:
                 partitioner = config.make_partitioner()
                 result = partitioner.partition(cost_model)
-        with span(recorder, "playback", variant=label, banks=result.num_banks):
+        with span("playback", variant=label, banks=result.num_banks):
             # A streamed trace remaps lazily, chunk by chunk, keeping the
             # playback memory bound at the chunk size.
             layout_trace = data_trace.map_chunks(layout.remap_trace)
@@ -382,9 +374,9 @@ class MemoryOptimizationFlow:
                 sram_model=config.sram_model,
                 decoder_model=config.decoder_model,
                 include_leakage=config.include_leakage,
-                recorder=recorder,
             )
-        if recorder is not None and recorder.enabled:
+        recorder = current_recorder()
+        if recorder.enabled:
             # Components in the exact order SimulatedPartitionEnergy.total
             # adds them, so a replayed sum reconciles bit-for-bit.
             recorder.counter(

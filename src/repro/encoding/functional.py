@@ -38,6 +38,11 @@ from .base import BusEncoder
 
 __all__ = ["FunctionalEncoder"]
 
+#: Consecutive-word steps per block of :meth:`FunctionalEncoder.fit`'s
+#: toggle sums: the toggle matrix is at most this many rows, so training
+#: memory is bounded whatever the stream length.
+_FIT_BLOCK_STEPS = 16384
+
 
 def _forward_images(partners: Sequence[int]) -> list[int]:
     """Transform of each unit vector: bit ``i`` feeds output ``i`` and every ``j`` paired to it."""
@@ -165,19 +170,26 @@ class FunctionalEncoder(BusEncoder):
 
         With ``D`` the ``(n−1) × width`` matrix of per-bit toggles between
         consecutive words, ``b_i ⊕ b_j`` toggles ``|D_i| + |D_j| − 2·D_iᵀD_j``
-        times, so the one Gram matrix ``DᵀD`` scores every pair.  It is a
-        ``float64`` matmul of 0/1 entries, exact below 2⁵³ words — a one-off
-        profiling cost, exactly like the paper's software profiling step.
+        times, so the one Gram matrix ``DᵀD`` scores every pair.  ``D`` is
+        built :data:`_FIT_BLOCK_STEPS` rows at a time, from blocks of words
+        that overlap by one word so that no step is lost, and ``DᵀD`` and
+        the column sums are summed over the blocks.  They are ``float64``
+        sums of 0/1 products, exact below 2⁵³ words — a one-off profiling
+        cost, exactly like the paper's software profiling step.
         """
         array = np.asarray(
             words if isinstance(words, np.ndarray) else list(words), dtype=np.uint64
         )
-        steps = array[1:] ^ array[:-1]
-        toggles = ((steps[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)).astype(
-            np.float64
-        )
-        alone = toggles.sum(axis=0)
-        paired = alone[:, None] + alone[None, :] - 2.0 * (toggles.T @ toggles)
+        shifts = np.arange(width, dtype=np.uint64)
+        alone = np.zeros(width)
+        gram = np.zeros((width, width))
+        for start in range(0, array.size - 1, _FIT_BLOCK_STEPS):
+            block = array[start : start + _FIT_BLOCK_STEPS + 1]
+            steps = block[1:] ^ block[:-1]
+            toggles = ((steps[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+            alone += toggles.sum(axis=0)
+            gram += toggles.T @ toggles
+        paired = alone[:, None] + alone[None, :] - 2.0 * gram
         paired[np.tril_indices(width)] = np.inf  # a partner sits above its bit
         best = paired.argmin(axis=1)
         partners = np.where(paired[np.arange(width), best] < alone, best, -1)

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from ..obs.counters import PLAY_BANK_HITS, PLAY_ENERGY_PJ, PLAY_EVENTS
-from ..obs.recorder import Recorder
+from ..obs.spans import current_recorder
 from ..trace.columnar import assign_banks, per_bank_read_write_counts
 from ..trace.events import MemoryAccess
 from ..trace.trace import Trace
@@ -128,12 +128,7 @@ class PartitionedMemory:
         self._decoder_energy += decoder_pj
         return bank_pj + decoder_pj
 
-    def play(
-        self,
-        trace: Trace,
-        include_leakage: bool = False,
-        recorder: Recorder | None = None,
-    ) -> MemoryEnergyReport:
+    def play(self, trace: Trace, include_leakage: bool = False) -> MemoryEnergyReport:
         """Play a whole trace; return the energy report.
 
         When ``include_leakage`` is set, every bank leaks for the full trace
@@ -148,8 +143,8 @@ class PartitionedMemory:
         Addresses are validated chunk by chunk, so a trace that raises
         :class:`AccessOutsideMemoryError` leaves the counters reset.
 
-        ``recorder`` receives per-call counters (events played, bank hit
-        distribution, energy components); counters are flushed once per
+        The active recorder receives per-call counters (events played, bank
+        hit distribution, energy components); counters are flushed once per
         play from totals the report needs anyway, so an enabled recorder
         never changes the result and a disabled one costs one flag check.
         """
@@ -189,16 +184,10 @@ class PartitionedMemory:
         duration_cycles = 0
         if first_time is not None:
             duration_cycles = last_time - first_time + 1
-        return self._report_from_counters(
-            accesses, duration_cycles, include_leakage, recorder
-        )
+        return self._report_from_counters(accesses, duration_cycles, include_leakage)
 
     def _report_from_counters(
-        self,
-        accesses: int,
-        duration_cycles: int,
-        include_leakage: bool,
-        recorder: Recorder | None = None,
+        self, accesses: int, duration_cycles: int, include_leakage: bool
     ) -> MemoryEnergyReport:
         """Assemble the energy report from the per-bank counters.
 
@@ -215,7 +204,8 @@ class PartitionedMemory:
         leakage_pj = 0.0
         if include_leakage and accesses:
             leakage_pj = sum(bank.leakage_energy(duration_cycles) for bank in self.banks)
-        if recorder is not None and recorder.enabled:
+        recorder = current_recorder()
+        if recorder.enabled:
             recorder.counter(PLAY_EVENTS, accesses)
             for index, bank in enumerate(self.banks):
                 recorder.counter(PLAY_BANK_HITS, bank.accesses, bank=index)

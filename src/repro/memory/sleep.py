@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.counters import SLEEP_ENERGY_PJ, SLEEP_WAKE_EVENTS
-from ..obs.recorder import Recorder
-from ..obs.spans import span
+from ..obs.spans import current_recorder, span
 from ..trace.columnar import assign_banks, idle_interval_split
 from ..trace.trace import Trace
 from .energy import SRAMEnergyModel
@@ -100,7 +99,6 @@ def simulate_bank_sleep(
     policy: SleepPolicy,
     sram_model: SRAMEnergyModel | None = None,
     cycle_time_ns: float = 10.0,
-    recorder: Recorder | None = None,
 ) -> BankSleepReport:
     """Replay a layout-space trace and account drowsy-mode leakage.
 
@@ -118,10 +116,10 @@ def simulate_bank_sleep(
     are independent of the chunking, and the report (folded once through
     :func:`_accumulate_sleep_report`) is bit-identical too.
 
-    ``recorder`` brackets the simulation in a ``sleep`` span and receives
-    the wake-event count and leakage energy components.
+    The active recorder gets the simulation as a ``sleep`` span and
+    receives the wake-event count and leakage energy components.
     """
-    with span(recorder, "sleep", banks=len(bank_sizes)):
+    with span("sleep", banks=len(bank_sizes)):
         _check_bank_geometry(bank_sizes, bank_bases)
         if sram_model is None:
             sram_model = SRAMEnergyModel()
@@ -174,7 +172,7 @@ def simulate_bank_sleep(
                 last_times[index] = int(times[-1])
 
         if start_cycles is None:
-            return _record_sleep(recorder, BankSleepReport(0.0, 0.0, 0, 0.0, 0.0))
+            return _record_sleep(BankSleepReport(0.0, 0.0, 0, 0.0, 0.0))
         report = _accumulate_sleep_report(
             bank_sizes,
             list(zip(awake, asleep, wakes)),
@@ -186,12 +184,13 @@ def simulate_bank_sleep(
             sram_model,
             cycle_time_ns,
         )
-        return _record_sleep(recorder, report)
+        return _record_sleep(report)
 
 
-def _record_sleep(recorder: Recorder | None, report: BankSleepReport) -> BankSleepReport:
+def _record_sleep(report: BankSleepReport) -> BankSleepReport:
     """Flush one sleep simulation's counters; returns ``report`` unchanged."""
-    if recorder is not None and recorder.enabled:
+    recorder = current_recorder()
+    if recorder.enabled:
         recorder.counter(SLEEP_WAKE_EVENTS, report.wake_events)
         recorder.counter(SLEEP_ENERGY_PJ, report.managed_leakage, component="managed")
         recorder.counter(SLEEP_ENERGY_PJ, report.wake_energy, component="wake")

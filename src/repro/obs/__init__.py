@@ -7,11 +7,12 @@ the per-stage energy contributions add up to the reported totals.
 
 Design constraints, in order:
 
-1. **Zero overhead when off.**  The default :class:`NullRecorder` is a
-   no-op object; hot paths guard every emission with a single
-   ``recorder is not None and recorder.enabled`` check and never emit
-   per-event — counters are flushed once per playback call from totals the
-   simulation computes anyway.
+1. **Zero overhead when off.**  Instrumented code reads the one active
+   recorder (:func:`current_recorder`; :func:`recording` sets it for a
+   block), whose default is a shared no-op :class:`NullRecorder`.  Hot
+   paths guard every emission with a single ``recorder.enabled`` check per
+   call and never emit per-event — counters are flushed once per playback
+   call from totals the simulation computes anyway.
 2. **Recording never changes results.**  Instrumentation reads the numbers
    the engines produce; it does not participate in producing them.  The
    test suite asserts bit-identical energy reports with recording on/off.
@@ -34,7 +35,7 @@ from .merge import MergedSweep, ShardLog, TaskSegment, load_merged, load_shards,
 from .recorder import SCHEMA_VERSION, JsonlRecorder, NullRecorder, Recorder
 from .replay import OBS_REPORT_SCHEMA_VERSION, ObsLog, SpanRecord, read_log
 from .shard import WORKER_SHARD_SCHEMA_VERSION, ShardRecorder
-from .spans import span
+from .spans import current_recorder, recording, span
 from .timeline import TIMELINE_SCHEMA_VERSION, build_timeline_payload
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
     "JsonlRecorder",
     "SCHEMA_VERSION",
     "span",
+    "recording",
+    "current_recorder",
     "CounterRegistry",
     "attrs_key",
     "RunManifest",

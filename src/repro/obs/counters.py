@@ -31,10 +31,6 @@ __all__ = [
     "FLOW_TOTAL_PJ",
     "PLATFORM_ENERGY_PJ",
     "COMPRESS_OFFCHIP_BYTES",
-    "BATCH_TASKS",
-    "BATCH_CACHE_HITS",
-    "BATCH_CACHE_MISSES",
-    "BATCH_RETRIES",
     "attrs_key",
     "CounterRegistry",
 ]
@@ -64,12 +60,6 @@ STAGE_ENERGY_PJ = "stage.energy_pj"
 FLOW_TOTAL_PJ = "flow.total_pj"
 PLATFORM_ENERGY_PJ = "platform.energy_pj"
 COMPRESS_OFFCHIP_BYTES = "compress.offchip_bytes"
-
-# -- batch sweeps (repro.batch work queue) ------------------------------------------
-BATCH_TASKS = "batch.tasks"
-BATCH_CACHE_HITS = "batch.cache_hits"
-BATCH_CACHE_MISSES = "batch.cache_misses"
-BATCH_RETRIES = "batch.retries"
 
 
 def attrs_key(attrs: Mapping[str, object]) -> Tuple[Tuple[str, object], ...]:
@@ -112,6 +102,17 @@ class CounterRegistry:
     def names(self) -> list[str]:
         """Counter names seen so far, in first-seen order."""
         return list(self._totals)
+
+    def rows(self) -> list[dict]:
+        """One ``{name, attrs, value}`` row per series, in first-seen order.
+
+        The counter rows of the ``obs-report`` and the canonical timeline.
+        """
+        return [
+            {"name": name, "attrs": dict(key), "value": value}
+            for name, series in self._totals.items()
+            for key, value in series.items()
+        ]
 
     @classmethod
     def from_events(cls, events: Iterable[Mapping]) -> "CounterRegistry":

@@ -215,30 +215,14 @@ class MergedSweep:
         rows: list = []
         for fingerprint, segment in self.tasks:
             log = segment.log()
-            spans = [
-                {
-                    "name": record.name,
-                    "depth": record.depth,
-                    "elapsed_seconds": record.elapsed_seconds,
-                    "status": record.status,
-                    "attrs": record.attrs,
-                }
-                for record in log.spans()
-            ]
-            registry = log.counters()
-            counters = [
-                {"name": name, "attrs": dict(key), "value": value}
-                for name in registry.names()
-                for key, value in registry.series(name).items()
-            ]
             rows.append(
                 {
                     "task": fingerprint,
                     "label": str(segment.attrs.get("label", "")),
                     "flow": str(segment.attrs.get("flow", "")),
                     "status": segment.status,
-                    "spans": spans,
-                    "counters": counters,
+                    "spans": [record.row() for record in log.spans()],
+                    "counters": log.counters().rows(),
                 }
             )
         return {"sweep": self.sweep_id, "tasks": rows}

@@ -2,10 +2,10 @@
 
 A :class:`Recorder` receives four kinds of structured events from
 instrumented code: span starts, span ends, counter samples, and run
-manifests.  :class:`NullRecorder` (the default everywhere) ignores all of
-them — it exists so hot paths can hold an object reference without
-branching on ``None`` at every site — and :class:`JsonlRecorder` appends
-one JSON object per event to a sink.
+manifests.  :class:`NullRecorder` (the default active recorder, see
+:mod:`repro.obs.spans`) ignores all of them — it exists so hot paths can
+hold an object reference without branching on ``None`` at every site —
+and :class:`JsonlRecorder` appends one JSON object per event to a sink.
 
 JSONL schema, version 1 (one object per line, ``"v": 1`` on every line):
 

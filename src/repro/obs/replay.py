@@ -33,9 +33,21 @@ class SpanRecord:
     span_id: int
     name: str
     depth: int
+    #: The start event's ``t_seconds``: the span's offset on the log clock.
+    start_seconds: float
     elapsed_seconds: float
     status: str
     attrs: dict = field(default_factory=dict)
+
+    def row(self) -> dict:
+        """The span row of the ``obs-report`` and the canonical timeline."""
+        return {
+            "name": self.name,
+            "depth": self.depth,
+            "elapsed_seconds": self.elapsed_seconds,
+            "status": self.status,
+            "attrs": self.attrs,
+        }
 
 
 @dataclass
@@ -74,6 +86,7 @@ class ObsLog:
                     span_id=event["id"],
                     name=event["name"],
                     depth=depth_of[event["id"]],
+                    start_seconds=start.get("t_seconds", 0.0),
                     elapsed_seconds=event["elapsed_seconds"],
                     status=event.get("status", "ok"),
                     attrs=attrs,
@@ -121,12 +134,6 @@ class ObsLog:
         verdicts — so CI asserts on fields instead of scraping table text.
         Values stay full-precision floats.
         """
-        registry = self.counters()
-        counters = [
-            {"name": name, "attrs": dict(key), "value": value}
-            for name in registry.names()
-            for key, value in registry.series(name).items()
-        ]
         reconciliation = [
             {
                 "stage": stage,
@@ -140,17 +147,8 @@ class ObsLog:
             "schema": OBS_REPORT_SCHEMA_VERSION,
             "generated_by": "repro obs",
             "manifest": self.manifest,
-            "spans": [
-                {
-                    "name": record.name,
-                    "depth": record.depth,
-                    "elapsed_seconds": record.elapsed_seconds,
-                    "status": record.status,
-                    "attrs": record.attrs,
-                }
-                for record in self.spans()
-            ],
-            "counters": counters,
+            "spans": [record.row() for record in self.spans()],
+            "counters": self.counters().rows(),
             "stage_energy": [
                 {"stage": stage, "component": component, "energy_pj": value}
                 for stage, component, value in self.stage_energy_rows()

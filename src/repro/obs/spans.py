@@ -1,4 +1,12 @@
-"""Hierarchical spans: the ``with span(recorder, name)`` helper.
+"""The active recorder and hierarchical spans.
+
+Instrumented code never receives a recorder as an argument.  It reads the
+one *active* recorder, held in a :class:`~contextvars.ContextVar` whose
+default is a shared :class:`~repro.obs.recorder.NullRecorder`:
+:func:`recording` makes a recorder active for a block, and
+:func:`current_recorder` and :func:`span` read it.  A stage deep in a
+flow therefore records wherever a caller opened a recording, and every
+signature between them stays free of observability plumbing.
 
 A span brackets one pipeline stage.  Nesting is implicit — the recorder
 tracks the innermost open span, so a playback layer's span opened inside a
@@ -10,23 +18,53 @@ exception-safe by construction: a raising body closes the span with
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator
 
-from .recorder import Recorder
+from .recorder import NullRecorder, Recorder
 
-__all__ = ["span"]
+__all__ = ["current_recorder", "recording", "span"]
+
+_ACTIVE: ContextVar[Recorder] = ContextVar("repro_obs_recorder", default=NullRecorder())
+
+
+def current_recorder() -> Recorder:
+    """The active recorder: the shared :class:`NullRecorder` unless one is set.
+
+    Instrumented code reads it once per *call* and checks ``enabled``
+    before assembling any event, so a disabled recorder costs one lookup
+    and one flag check per call, never one per event.
+    """
+    return _ACTIVE.get()
 
 
 @contextmanager
-def span(recorder: Recorder | None, name: str, **attrs) -> Iterator[None]:
-    """Bracket a block as a named span on ``recorder``.
+def recording(recorder: Recorder) -> Iterator[None]:
+    """Make ``recorder`` the active recorder for the block.
 
-    ``recorder`` may be ``None`` or disabled, in which case the block runs
-    unbracketed with no per-entry cost beyond one attribute check — the
+    On exit the previously active recorder is restored, also when the
+    block raises.  The recorder's sink is not closed here: a recorder used
+    as a context manager (``with JsonlRecorder(path) as recorder,
+    recording(recorder):``) owns and closes its sink itself.
+    """
+    token = _ACTIVE.set(recorder)
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
+
+
+@contextmanager
+def span(name: str, **attrs) -> Iterator[None]:
+    """Bracket a block as a named span on the active recorder.
+
+    When the active recorder is disabled the block runs unbracketed with
+    no per-entry cost beyond one lookup and one attribute check — the
     contract that keeps default (uninstrumented) runs unmeasurably close
     to uninstrumented code.
     """
-    if recorder is None or not recorder.enabled:
+    recorder = _ACTIVE.get()
+    if not recorder.enabled:
         yield
         return
     span_id = recorder.span_start(name, **attrs)

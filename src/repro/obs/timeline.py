@@ -27,34 +27,21 @@ __all__ = ["TIMELINE_SCHEMA_VERSION", "build_timeline_payload"]
 TIMELINE_SCHEMA_VERSION = 1
 
 
-def _flame_rows(events) -> list:
+def _flame_rows(segment) -> list:
     """Per-span flame rows for one task block: name, depth, start, elapsed.
 
-    Reconstructed from the raw span events (the replay-layer span records
-    drop start times); unclosed spans are omitted, like
-    :meth:`repro.obs.replay.ObsLog.spans`.
+    Unclosed spans are omitted, as in :meth:`repro.obs.replay.ObsLog.spans`.
     """
-    depth_of: dict = {}
-    start_of: dict = {}
-    order: list = []
-    closed: dict = {}
-    for event in events:
-        kind = event.get("kind")
-        if kind == "span_start":
-            parent = event.get("parent")
-            depth_of[event["id"]] = depth_of.get(parent, -1) + 1 if parent else 0
-            start_of[event["id"]] = event
-            order.append(event["id"])
-        elif kind == "span_end" and event["id"] in start_of:
-            start = start_of[event["id"]]
-            closed[event["id"]] = {
-                "name": str(event.get("name", "")),
-                "depth": depth_of[event["id"]],
-                "start_seconds": float(start.get("t_seconds", 0.0)),
-                "elapsed_seconds": float(event.get("elapsed_seconds", 0.0)),
-                "status": str(event.get("status", "ok")),
-            }
-    return [closed[span_id] for span_id in order if span_id in closed]
+    return [
+        {
+            "name": record.name,
+            "depth": record.depth,
+            "start_seconds": record.start_seconds,
+            "elapsed_seconds": record.elapsed_seconds,
+            "status": record.status,
+        }
+        for record in segment.log().spans()
+    ]
 
 
 def build_timeline_payload(merged: MergedSweep) -> dict:
@@ -86,7 +73,7 @@ def build_timeline_payload(merged: MergedSweep) -> dict:
             "start_seconds": segment.start_wall_seconds - origin_seconds,
             "elapsed_seconds": segment.elapsed_wall_seconds,
             "status": segment.status,
-            "spans": _flame_rows(segment.events),
+            "spans": _flame_rows(segment),
         }
         if fingerprint in queue_of:
             row["queue_seconds"] = queue_of[fingerprint]

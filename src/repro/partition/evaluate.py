@@ -15,7 +15,6 @@ import numpy as np
 
 from ..memory.energy import DecoderEnergyModel, SRAMEnergyModel
 from ..memory.partitioned import PartitionedMemory
-from ..obs.recorder import Recorder
 from ..trace.trace import Trace
 from .spec import PartitionSpec
 
@@ -58,14 +57,12 @@ def simulate_partition(
     sram_model: SRAMEnergyModel | None = None,
     decoder_model: DecoderEnergyModel | None = None,
     include_leakage: bool = False,
-    recorder: Recorder | None = None,
 ) -> SimulatedPartitionEnergy:
     """Play a layout-space trace through the memory described by ``spec``.
 
     ``layout_trace`` addresses must already be remapped into the contiguous
     layout space ``[0, spec.total_bytes)`` — see
-    :class:`repro.core.layout.BlockLayout`.  ``recorder`` is forwarded to
-    :meth:`~repro.memory.partitioned.PartitionedMemory.play`.
+    :class:`repro.core.layout.BlockLayout`.
 
     When ``spec.round_pow2`` is set the physical banks are larger than the
     block extents, and :func:`build_memory` places them back-to-back at
@@ -82,7 +79,7 @@ def simulate_partition(
         layout_trace = layout_trace.map_chunks(
             lambda chunk: _translate_columnar(chunk, exact_edges, physical_bases)
         )
-    report = memory.play(layout_trace, include_leakage=include_leakage, recorder=recorder)
+    report = memory.play(layout_trace, include_leakage=include_leakage)
     return SimulatedPartitionEnergy(
         bank_energy=report.bank_energy,
         decoder_energy=report.decoder_energy,

@@ -40,8 +40,7 @@ from ..isa.cpu import CPU
 from ..memory.energy import BusEnergyModel, DRAMEnergyModel, SRAMEnergyModel
 from ..memory.mainmem import MainMemory
 from ..obs.counters import COMPRESS_OFFCHIP_BYTES, PLATFORM_ENERGY_PJ
-from ..obs.recorder import Recorder
-from ..obs.spans import span
+from ..obs.spans import current_recorder, span
 from ..trace.trace import KIND_WRITE, Trace
 from .breakdown import EnergyBreakdown, check_report
 
@@ -153,12 +152,7 @@ class Platform:
     def __init__(self, config: PlatformConfig) -> None:
         self.config = config
 
-    def run_program(
-        self,
-        program: Program,
-        memory_size: int = 1 << 20,
-        recorder: Recorder | None = None,
-    ) -> PlatformReport:
+    def run_program(self, program: Program, memory_size: int = 1 << 20) -> PlatformReport:
         """Execute ``program`` and account the memory-subsystem energy."""
         result = CPU(memory_size=memory_size).run(program)
         instruction_image = MemoryImage()
@@ -168,7 +162,6 @@ class Platform:
             result.data_trace,
             result.instruction_trace,
             instruction_image=instruction_image,
-            recorder=recorder,
         )
 
     def run_traces(
@@ -176,23 +169,22 @@ class Platform:
         data_trace: Trace,
         instruction_trace: Trace | None = None,
         instruction_image: MemoryImage | None = None,
-        recorder: Recorder | None = None,
     ) -> PlatformReport:
         """Replay traces through the hierarchy; return the energy report.
 
-        ``recorder`` brackets the replay in a ``compression`` span (the E2
-        stage this platform substrate exists for) and receives the energy
+        The active recorder gets the replay as a ``compression`` span (the
+        E2 stage this platform substrate exists for) and receives the energy
         breakdown per component plus the off-chip byte counts — flushed once
         from the finished report, so recording never perturbs it.
         """
         with span(
-            recorder,
             "compression",
             platform=self.config.name,
             codec=type(self.config.codec).__name__ if self.config.codec else None,
         ):
             report = self._run_traces(data_trace, instruction_trace, instruction_image)
-        if recorder is not None and recorder.enabled:
+        recorder = current_recorder()
+        if recorder.enabled:
             for component, value_pj in report.breakdown.as_dict().items():
                 recorder.counter(PLATFORM_ENERGY_PJ, value_pj, component=component)
             recorder.counter(

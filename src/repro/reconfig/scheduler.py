@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.counters import RECONFIG_KERNELS
-from ..obs.recorder import Recorder
-from ..obs.spans import span
+from ..obs.spans import current_recorder, span
 from .model import Application, DataSet, Kernel, ReconfigArchitecture, ScheduleEnergy
 
 __all__ = ["NaiveScheduler", "EnergyAwareScheduler", "Schedule", "evaluate_schedule"]
@@ -133,14 +132,12 @@ class NaiveScheduler:
     name = "naive"
 
     def schedule(
-        self,
-        application: Application,
-        architecture: ReconfigArchitecture,
-        recorder: Recorder | None = None,
+        self, application: Application, architecture: ReconfigArchitecture
     ) -> Schedule:
         """Produce the baseline schedule."""
         n = len(application.kernels)
-        if recorder is not None and recorder.enabled:
+        recorder = current_recorder()
+        if recorder.enabled:
             recorder.counter(RECONFIG_KERNELS, n)
         return Schedule(order=tuple(range(n)), l0_placements=tuple(frozenset() for _ in range(n)))
 
@@ -268,18 +265,16 @@ class EnergyAwareScheduler:
         return frozenset(chosen)
 
     def schedule(
-        self,
-        application: Application,
-        architecture: ReconfigArchitecture,
-        recorder: Recorder | None = None,
+        self, application: Application, architecture: ReconfigArchitecture
     ) -> Schedule:
         """Produce the energy-aware schedule.
 
-        ``recorder`` brackets the run in a ``reconfig_schedule`` span and
+        The active recorder gets the run as a ``reconfig_schedule`` span and
         receives the kernel count.
         """
-        with span(recorder, "reconfig_schedule", kernels=len(application.kernels)):
-            if recorder is not None and recorder.enabled:
+        with span("reconfig_schedule", kernels=len(application.kernels)):
+            recorder = current_recorder()
+            if recorder.enabled:
                 recorder.counter(RECONFIG_KERNELS, len(application.kernels))
             order = self._order(application)
             placements = self._placements(application, architecture, order)

@@ -20,8 +20,7 @@ import numpy as np
 
 from ..memory.energy import SRAMEnergyModel
 from ..obs.counters import SPM_BENEFIT_PJ, SPM_BLOCKS
-from ..obs.recorder import Recorder
-from ..obs.spans import span
+from ..obs.spans import current_recorder, span
 from ..trace.profile import AccessProfile
 
 __all__ = ["SPMConfig", "SPMAllocation", "SPMAllocator"]
@@ -92,17 +91,16 @@ class SPMAllocator:
         self.config = config
         self.cache_path_energy = cache_path_energy
 
-    def allocate(
-        self, profile: AccessProfile, recorder: Recorder | None = None
-    ) -> SPMAllocation:
+    def allocate(self, profile: AccessProfile) -> SPMAllocation:
         """Pick the block set maximizing predicted energy benefit.
 
-        ``recorder`` brackets the allocation in an ``spm_alloc`` span and
+        The active recorder gets the allocation as an ``spm_alloc`` span and
         receives the block count and predicted benefit.
         """
-        with span(recorder, "spm_alloc", capacity_bytes=self.config.size):
+        with span("spm_alloc", capacity_bytes=self.config.size):
             allocation = self._allocate(profile)
-        if recorder is not None and recorder.enabled:
+        recorder = current_recorder()
+        if recorder.enabled:
             recorder.counter(SPM_BLOCKS, len(allocation.blocks))
             recorder.counter(SPM_BENEFIT_PJ, allocation.predicted_benefit)
         return allocation

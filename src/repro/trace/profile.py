@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.counters import PROFILE_BLOCKS, PROFILE_EVENTS
-from ..obs.recorder import Recorder
+from ..obs.spans import current_recorder
 from .trace import KIND_WRITE, Trace
 
 __all__ = ["BlockStats", "AccessProfile", "reuse_distances"]
@@ -103,6 +103,10 @@ def reuse_distances(block_sequence: list[int]) -> list[int]:
 class AccessProfile:
     """Condensed per-block view of a trace.
 
+    The active recorder receives the event and block counts (counters
+    only — flushed once, after the build, so recording cannot perturb the
+    profile).
+
     Parameters
     ----------
     trace:
@@ -110,18 +114,9 @@ class AccessProfile:
     block_size:
         Granularity in bytes at which addresses are aggregated.  This is the
         unit the partitioner and clustering algorithms move around.
-    recorder:
-        Optional observability recorder; receives event and block counts
-        (counters only — flushed once, after the build, so recording cannot
-        perturb the profile).
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        block_size: int = 32,
-        recorder: Recorder | None = None,
-    ) -> None:
+    def __init__(self, trace: Trace, block_size: int = 32) -> None:
         if block_size <= 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
         self.block_size = block_size
@@ -129,7 +124,8 @@ class AccessProfile:
         self._stats: dict[int, BlockStats] = {}
         self._sequence: list[int] = []
         self._build(trace)
-        if recorder is not None and recorder.enabled:
+        recorder = current_recorder()
+        if recorder.enabled:
             recorder.counter(PROFILE_EVENTS, self.total_accesses)
             recorder.counter(PROFILE_BLOCKS, self.num_blocks)
 

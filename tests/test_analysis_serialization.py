@@ -525,7 +525,8 @@ class TestRegistryValidation:
 
     def test_shipped_registry_schema_lookup(self):
         spec = REPRO_SCHEMA_MODEL.schema("obs-jsonl")
-        assert "t_seconds" in spec.write_only_names()
+        # Replay reads t_seconds (span start times) and never reads span.
+        assert spec.write_only_names() == {"span"}
         with pytest.raises(KeyError):
             REPRO_SCHEMA_MODEL.schema("no-such-schema")
 

@@ -8,7 +8,6 @@ lives in ``test_batch_properties.py``.
 
 from __future__ import annotations
 
-import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -18,15 +17,8 @@ import pytest
 from repro.batch import ResultCache, SweepTask, TraceSpec, run_sweep
 from repro.batch import runner
 from repro.batch.flows import FLOW_NAMES
-from repro.obs import JsonlRecorder
+from repro.obs import JsonlRecorder, load_merged, read_log, recording
 from repro.obs.clock import TickClock
-from repro.obs.counters import (
-    BATCH_CACHE_HITS,
-    BATCH_CACHE_MISSES,
-    BATCH_RETRIES,
-    BATCH_TASKS,
-    CounterRegistry,
-)
 from repro.trace.store import StoreError
 
 
@@ -50,11 +42,6 @@ def flaky_task(tmp_path, name, fail_times=1, mode="raise"):
         TraceSpec.synthetic("strided_sweep", sweeps=1),
         {"marker_dir": str(tmp_path / name), "fail_times": fail_times, "mode": mode},
     )
-
-
-def replayed_counters(sink: io.StringIO) -> CounterRegistry:
-    events = [json.loads(line) for line in sink.getvalue().splitlines()]
-    return CounterRegistry.from_events(events)
 
 
 class TestMergeContract:
@@ -289,44 +276,28 @@ class TestRetries:
 
 
 class TestObservability:
-    def test_counters_account_every_task(self, tmp_path):
-        tasks = small_sweep()
-        cache = ResultCache(tmp_path / "cache")
-        sink = io.StringIO()
-        recorder = JsonlRecorder(sink, clock=TickClock())
-        run_sweep(tasks, jobs=1, cache=cache, recorder=recorder)
-        recorder.close()
-        counters = replayed_counters(sink)
-        assert counters.grand_total(BATCH_TASKS) == 4
-        assert counters.grand_total(BATCH_CACHE_MISSES) == 4
-        assert counters.grand_total(BATCH_CACHE_HITS) == 0
-
-        sink = io.StringIO()
-        recorder = JsonlRecorder(sink, clock=TickClock())
-        run_sweep(tasks, jobs=1, cache=cache, recorder=recorder)
-        recorder.close()
-        counters = replayed_counters(sink)
-        assert counters.grand_total(BATCH_CACHE_HITS) == 4
-        assert counters.grand_total(BATCH_CACHE_MISSES) == 0
-
-    def test_retry_counter_incremented(self, tmp_path):
-        sink = io.StringIO()
-        recorder = JsonlRecorder(sink, clock=TickClock())
-        task = flaky_task(tmp_path, "counted", fail_times=1)
-        run_sweep([task], jobs=1, recorder=recorder, backoff_seconds=0.01)
-        recorder.close()
-        counters = replayed_counters(sink)
-        assert counters.total(BATCH_RETRIES, flow="_flaky") == 1
-
-    def test_spans_bracket_sweep_and_tasks(self):
-        sink = io.StringIO()
-        recorder = JsonlRecorder(sink, clock=TickClock())
-        run_sweep(small_sweep()[:2], jobs=1, recorder=recorder)
-        recorder.close()
-        events = [json.loads(line) for line in sink.getvalue().splitlines()]
-        names = [event["name"] for event in events if event["kind"] == "span_start"]
-        assert names[0] == "sweep"
-        assert names.count("sweep.task") == 2
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_active_recorder_receives_no_sweep_events(self, tmp_path, jobs):
+        # A path sink reopens in forked workers, so a task event leaking
+        # into the caller's recorder would land in the log at jobs=2 too.
+        tasks = small_sweep()[:2]
+        log_path = tmp_path / "caller.jsonl"
+        with JsonlRecorder(log_path, clock=TickClock()) as recorder, recording(recorder):
+            recorded = run_sweep(
+                tasks, jobs=jobs, shard_dir=tmp_path / "inside", shard_clock=TickClock
+            )
+            unsharded = run_sweep(tasks, jobs=jobs)
+        bare = run_sweep(
+            tasks, jobs=jobs, shard_dir=tmp_path / "outside", shard_clock=TickClock
+        )
+        assert read_log(log_path).events == []
+        assert recorded.results == unsharded.results == bare.results
+        inside = load_merged(tmp_path / "inside", sweep=recorded.sweep_id)
+        outside = load_merged(tmp_path / "outside", sweep=bare.sweep_id)
+        assert inside.canonical() == outside.canonical()
+        assert [row["spans"][0]["name"] for row in inside.canonical()["tasks"]] == [
+            "sweep.task"
+        ] * len(tasks)
 
     def test_outcome_rows_are_table_ready(self):
         report = run_sweep(small_sweep()[:1], jobs=1)

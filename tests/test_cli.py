@@ -267,13 +267,6 @@ class TestSweep:
         assert self.sweep(tmp_path, "--set", "max_banks=4") == 0
         assert "2 tasks" in capsys.readouterr().err
 
-    def test_sweep_obs_log_written(self, tmp_path, capsys):
-        log = tmp_path / "run.jsonl"
-        assert self.sweep(tmp_path, "--obs-out", str(log)) == 0
-        capsys.readouterr()
-        assert log.exists()
-        assert main(["obs", str(log)]) == 0
-
     def test_sweep_failed_task_reports_cause_chain(self, tmp_path, capsys):
         # A task that fails inside the worker (here: the encoding flow on a
         # trace with no value payloads) must surface the underlying

@@ -1,5 +1,7 @@
 """Unit tests for the learned functional transform and the selector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from repro.encoding import (
     TransformSelector,
     measure_encoder,
 )
+from repro.encoding import functional as functional_module
 from repro.encoding import selector as selector_module
+
+from .encoding_oracle import oracle_partners
 
 
 def per_bit_transform(partners, word):
@@ -120,6 +125,27 @@ class TestFit:
     def test_fit_on_empty_stream(self):
         encoder = FunctionalEncoder.fit([], width=8)
         assert encoder.partners == [-1] * 8
+
+    @pytest.mark.parametrize("block_steps", [11, 7])
+    def test_blocked_fit_keeps_every_step(self, monkeypatch, block_steps):
+        # 100 words are 99 steps: 9 blocks of 11 end on a block boundary,
+        # 15 blocks of 7 end on a partial block.
+        rng = np.random.default_rng(11)
+        words = [int(word) for word in rng.integers(0, 2**16, size=100)]
+        expected = oracle_partners(words, 16)
+        assert FunctionalEncoder.fit(words, width=16).partners == expected
+        monkeypatch.setattr(functional_module, "_FIT_BLOCK_STEPS", block_steps)
+        assert FunctionalEncoder.fit(words, width=16).partners == expected
+
+    def test_fit_memory_is_bounded_by_the_block(self):
+        words = np.random.default_rng(0).integers(0, 2**32, size=200_000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            FunctionalEncoder.fit(words, width=32)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 16 * 2**20, f"fit peaked at {peak_bytes / 2**20:.1f} MiB"
 
     def test_fit_decodable_on_unseen_data(self):
         train = correlated_stream(seed=7)

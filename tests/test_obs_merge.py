@@ -19,7 +19,7 @@ from repro.batch.flows import FLOW_NAMES
 from repro.obs import ShardRecorder, counters, load_merged, load_shards, merge_shards
 from repro.obs.clock import TickClock
 from repro.obs.merge import _parse_shard
-from repro.obs.spans import span
+from repro.obs.spans import recording, span
 
 
 def worker_shard(path, worker_id, tasks, sweep_id="s1"):
@@ -29,7 +29,7 @@ def worker_shard(path, worker_id, tasks, sweep_id="s1"):
     )
     for fingerprint, value, status in tasks:
         recorder.begin_task(fingerprint, label=f"L-{fingerprint}", flow="e1")
-        with span(recorder, "sweep.task"):
+        with recording(recorder), span("sweep.task"):
             recorder.counter("events", value)
         recorder.end_task(status=status)
     return path

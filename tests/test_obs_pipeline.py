@@ -19,7 +19,7 @@ from repro.memory import (
     SleepPolicy,
     simulate_bank_sleep,
 )
-from repro.obs import JsonlRecorder, NullRecorder, read_log
+from repro.obs import JsonlRecorder, NullRecorder, read_log, recording
 from repro.obs.clock import TickClock
 from repro.obs.counters import (
     COMPRESS_OFFCHIP_BYTES,
@@ -40,10 +40,10 @@ from repro.trace import ScatteredHotGenerator
 
 
 def recorded_run(fn):
-    """Run ``fn(recorder)`` under a deterministic in-memory recorder."""
+    """Run ``fn()`` with a deterministic in-memory recorder active."""
     sink = io.StringIO()
-    with JsonlRecorder(sink, clock=TickClock()) as recorder:
-        value = fn(recorder)
+    with JsonlRecorder(sink, clock=TickClock()) as recorder, recording(recorder):
+        value = fn()
     return value, read_log(sink.getvalue().splitlines())
 
 
@@ -57,11 +57,7 @@ def scattered_trace():
 @pytest.fixture(scope="module")
 def instrumented(scattered_trace):
     config = FlowConfig(block_size=32, max_banks=4, strategy="affinity")
-    return recorded_run(
-        lambda recorder: MemoryOptimizationFlow(config, recorder=recorder).run(
-            scattered_trace
-        )
-    )
+    return recorded_run(lambda: MemoryOptimizationFlow(config).run(scattered_trace))
 
 
 class TestInstrumentedFlow:
@@ -150,13 +146,10 @@ class TestRecordingNeverChangesResults:
     def test_null_recorder_flow_is_bit_identical(self, scattered_trace):
         config = FlowConfig(block_size=32, max_banks=4, strategy="affinity")
         bare = MemoryOptimizationFlow(config).run(scattered_trace)
-        nulled = MemoryOptimizationFlow(config, recorder=NullRecorder()).run(
-            scattered_trace
-        )
+        with recording(NullRecorder()):
+            nulled = MemoryOptimizationFlow(config).run(scattered_trace)
         recorded, _log = recorded_run(
-            lambda recorder: MemoryOptimizationFlow(config, recorder=recorder).run(
-                scattered_trace
-            )
+            lambda: MemoryOptimizationFlow(config).run(scattered_trace)
         )
         for variant in ("monolithic", "partitioned", "clustered"):
             totals = {
@@ -173,10 +166,9 @@ class TestRecordingNeverChangesResults:
 
 class TestSleepInstrumentation:
     @staticmethod
-    def simulate(trace, recorder):
+    def simulate(trace):
         return simulate_bank_sleep(
-            [256, 256], [0, 256], trace, SleepPolicy(timeout_cycles=50),
-            recorder=recorder,
+            [256, 256], [0, 256], trace, SleepPolicy(timeout_cycles=50)
         )
 
     @pytest.fixture(scope="class")
@@ -187,7 +179,7 @@ class TestSleepInstrumentation:
         return Trace.from_events(events, name="sleep-small")
 
     def test_sleep_span_and_counters_recorded(self, small_trace):
-        report, log = recorded_run(lambda r: self.simulate(small_trace, r))
+        report, log = recorded_run(lambda: self.simulate(small_trace))
         counters = log.counters()
         assert [record.name for record in log.spans()] == ["sleep"]
         assert counters.total(SLEEP_WAKE_EVENTS) == report.wake_events
@@ -209,9 +201,7 @@ class TestSpmInstrumentation:
         ).generate()
         profile = AccessProfile(trace, block_size=32)
         allocator = SPMAllocator(SPMConfig(size=1024), cache_path_energy=50.0)
-        allocation, log = recorded_run(
-            lambda recorder: allocator.allocate(profile, recorder=recorder)
-        )
+        allocation, log = recorded_run(lambda: allocator.allocate(profile))
         counters = log.counters()
         spans = log.spans()
         assert [record.name for record in spans] == ["spm_alloc"]
@@ -247,9 +237,7 @@ class TestReconfigInstrumentation:
         app = self.tiny_app()
         architecture = ReconfigArchitecture()
         _schedule, log = recorded_run(
-            lambda recorder: EnergyAwareScheduler().schedule(
-                app, architecture, recorder=recorder
-            )
+            lambda: EnergyAwareScheduler().schedule(app, architecture)
         )
         counters = log.counters()
         assert [record.name for record in log.spans()] == ["reconfig_schedule"]
@@ -260,9 +248,7 @@ class TestReconfigInstrumentation:
 
         app = self.tiny_app()
         _schedule, log = recorded_run(
-            lambda recorder: NaiveScheduler().schedule(
-                app, ReconfigArchitecture(), recorder=recorder
-            )
+            lambda: NaiveScheduler().schedule(app, ReconfigArchitecture())
         )
         assert log.counters().total(RECONFIG_KERNELS) == len(app.kernels)
 
@@ -274,9 +260,7 @@ class TestPlatformInstrumentation:
 
         program = load_kernel("table_lookup")
         platform = risc_platform(None)
-        report, log = recorded_run(
-            lambda recorder: platform.run_program(program, recorder=recorder)
-        )
+        report, log = recorded_run(lambda: platform.run_program(program))
         counters = log.counters()
         spans = log.spans()
         assert [record.name for record in spans] == ["compression"]
@@ -303,9 +287,7 @@ class TestPlayInstrumentation:
             name="play-small",
         )
         memory = PartitionedMemory([512, 512])
-        report, log = recorded_run(
-            lambda recorder: memory.play(trace, recorder=recorder)
-        )
+        report, log = recorded_run(lambda: memory.play(trace))
         counters = log.counters()
         assert counters.total(PLAY_EVENTS) == len(trace)
         for index, hits in enumerate(memory.bank_access_counts()):

@@ -24,7 +24,14 @@ from hypothesis import strategies as st
 
 from repro.batch import SweepTask, TraceSpec, run_sweep
 from repro.memory import PartitionedMemory, SleepPolicy, simulate_bank_sleep
-from repro.obs import JsonlRecorder, NullRecorder, load_shards, merge_shards, read_log
+from repro.obs import (
+    JsonlRecorder,
+    NullRecorder,
+    load_shards,
+    merge_shards,
+    read_log,
+    recording,
+)
 from repro.obs.clock import TickClock
 from repro.obs.counters import (
     FLOW_TOTAL_PJ,
@@ -77,13 +84,12 @@ def jsonl_recorder() -> tuple[JsonlRecorder, io.StringIO]:
 def test_recording_never_changes_play_results(case):
     bank_sizes, trace = build_case(case)
     bare = PartitionedMemory(bank_sizes).play(trace, include_leakage=True)
-    nulled = PartitionedMemory(bank_sizes).play(
-        trace, include_leakage=True, recorder=NullRecorder()
-    )
+    with recording(NullRecorder()):
+        nulled = PartitionedMemory(bank_sizes).play(trace, include_leakage=True)
     recorder, sink = jsonl_recorder()
     memory = PartitionedMemory(bank_sizes)
-    recorded = memory.play(trace, include_leakage=True, recorder=recorder)
-    recorder.close()
+    with recorder, recording(recorder):
+        recorded = memory.play(trace, include_leakage=True)
 
     for report in (nulled, recorded):
         assert report.total == bare.total
@@ -105,14 +111,11 @@ def test_recording_never_changes_sleep_results(case, timeout_cycles):
     policy = SleepPolicy(timeout_cycles=timeout_cycles)
 
     bare = simulate_bank_sleep(bank_sizes, bank_bases, trace, policy)
-    nulled = simulate_bank_sleep(
-        bank_sizes, bank_bases, trace, policy, recorder=NullRecorder()
-    )
+    with recording(NullRecorder()):
+        nulled = simulate_bank_sleep(bank_sizes, bank_bases, trace, policy)
     recorder, sink = jsonl_recorder()
-    recorded = simulate_bank_sleep(
-        bank_sizes, bank_bases, trace, policy, recorder=recorder
-    )
-    recorder.close()
+    with recorder, recording(recorder):
+        recorded = simulate_bank_sleep(bank_sizes, bank_bases, trace, policy)
 
     assert bare == nulled == recorded
 

@@ -19,7 +19,7 @@ from repro.obs.clock import TickClock, WallClock
 from repro.obs.counters import CounterRegistry
 from repro.obs.manifest import collect_manifest, config_fingerprint
 from repro.obs.recorder import SCHEMA_VERSION
-from repro.obs.spans import span
+from repro.obs.spans import current_recorder, recording, span
 
 
 def make_recorder() -> tuple[JsonlRecorder, io.StringIO]:
@@ -75,21 +75,57 @@ class _ProbeRecorder(Recorder):
         raise AssertionError("counter called on a disabled recorder")
 
 
+class TestActiveRecorder:
+    def test_default_is_a_shared_disabled_null_recorder(self):
+        assert isinstance(current_recorder(), NullRecorder)
+        assert current_recorder() is current_recorder()
+        assert current_recorder().enabled is False
+
+    def test_recording_activates_for_the_block_and_restores(self):
+        outer, _sink = make_recorder()
+        inner, _sink = make_recorder()
+        default = current_recorder()
+        with recording(outer):
+            assert current_recorder() is outer
+            with recording(inner):
+                assert current_recorder() is inner
+            assert current_recorder() is outer
+        assert current_recorder() is default
+
+    def test_recording_restores_when_the_block_raises(self):
+        recorder, _sink = make_recorder()
+        default = current_recorder()
+        with pytest.raises(KeyError):
+            with recording(recorder):
+                raise KeyError("missing")
+        assert current_recorder() is default
+
+    def test_recording_leaves_the_sink_open(self, tmp_path):
+        recorder = JsonlRecorder(tmp_path / "run.jsonl", clock=TickClock())
+        with recording(recorder):
+            pass
+        assert not recorder._stream.closed
+        with recorder, recording(recorder):
+            recorder.counter("c", 1.0)
+        assert recorder._stream.closed
+        assert read_log(tmp_path / "run.jsonl").counters().total("c") == 1.0
+
+
 class TestSpanHelper:
     def test_none_recorder_runs_body_unbracketed(self):
         ran = []
-        with span(None, "stage"):
+        with span("stage"):
             ran.append(True)
         assert ran == [True]
 
     def test_disabled_recorder_never_sees_events(self):
-        with span(_ProbeRecorder(), "stage", attr=1):
+        with recording(_ProbeRecorder()), span("stage", attr=1):
             pass
 
     def test_exception_closes_span_with_error_and_reraises(self):
         recorder, sink = make_recorder()
         with pytest.raises(KeyError):
-            with span(recorder, "boom"):
+            with recording(recorder), span("boom"):
                 raise KeyError("missing")
         end = [e for e in lines_of(sink) if e["kind"] == "span_end"]
         assert len(end) == 1
@@ -100,7 +136,7 @@ class TestSpanHelper:
 class TestJsonlRecorder:
     def test_every_line_carries_schema_version(self):
         recorder, sink = make_recorder()
-        with span(recorder, "outer"):
+        with recording(recorder), span("outer"):
             recorder.counter("c", 1.0)
         recorder.record_manifest({"k": "v"})
         events = lines_of(sink)
@@ -115,8 +151,8 @@ class TestJsonlRecorder:
 
     def test_nested_spans_record_parent_ids(self):
         recorder, sink = make_recorder()
-        with span(recorder, "outer"):
-            with span(recorder, "inner"):
+        with recording(recorder), span("outer"):
+            with span("inner"):
                 pass
         starts = {e["name"]: e for e in lines_of(sink) if e["kind"] == "span_start"}
         assert starts["outer"]["parent"] is None
@@ -125,7 +161,7 @@ class TestJsonlRecorder:
     def test_tick_clock_makes_timings_exact(self):
         # TickClock: origin reading 1.0; each subsequent reading +1.0.
         recorder, sink = make_recorder()
-        with span(recorder, "stage"):
+        with recording(recorder), span("stage"):
             pass
         start, end = lines_of(sink)
         assert start["t_seconds"] == 1.0
@@ -135,8 +171,8 @@ class TestJsonlRecorder:
     def test_counter_attributed_to_innermost_open_span(self):
         recorder, sink = make_recorder()
         recorder.counter("outside", 1.0)
-        with span(recorder, "outer"):
-            with span(recorder, "inner"):
+        with recording(recorder), span("outer"):
+            with span("inner"):
                 recorder.counter("inside", 2.0)
         counters = {e["name"]: e for e in lines_of(sink) if e["kind"] == "counter"}
         starts = {e["name"]: e for e in lines_of(sink) if e["kind"] == "span_start"}
@@ -181,7 +217,7 @@ class TestJsonlRecorder:
 class TestReadLog:
     def test_accepts_path_file_and_iterable(self, tmp_path):
         recorder, sink = make_recorder()
-        with span(recorder, "stage"):
+        with recording(recorder), span("stage"):
             recorder.counter("c", 2.0)
         text = sink.getvalue()
         path = tmp_path / "run.jsonl"

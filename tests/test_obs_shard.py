@@ -23,7 +23,7 @@ from repro.obs import (
     read_log,
 )
 from repro.obs.clock import TickClock
-from repro.obs.spans import span
+from repro.obs.spans import recording, span
 
 
 def shard_lines(path) -> list[dict]:
@@ -48,7 +48,7 @@ class TestShardRecorder:
             tmp_path / "w1.jsonl", sweep_id="s1", worker_id="w1", clock_factory=TickClock
         )
         recorder.begin_task("t1", label="a")
-        with span(recorder, "stage"):
+        with recording(recorder), span("stage"):
             recorder.counter("events", 3)
         recorder.end_task()
         lines = shard_lines(tmp_path / "w1.jsonl")
@@ -169,7 +169,7 @@ class TestShardRecorder:
                 recorder.counter("events", index)
                 recorder.end_task()
             recorder.begin_task("target", label="t")
-            with span(recorder, "stage"):
+            with recording(recorder), span("stage"):
                 recorder.counter("events", 7)
             recorder.end_task()
             lines = shard_lines(path)

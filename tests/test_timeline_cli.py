@@ -92,6 +92,15 @@ class TestTimelineCommand:
         assert payload["schema"] == TIMELINE_SCHEMA_VERSION
         assert payload["reconciled"] is True
         assert len(payload["tasks"]) == 4
+        # `reconciled` is all() over the rows, so it alone would pass on a
+        # shard set whose tasks recorded no flow.total_pj counter at all.
+        stages_of = {task["task"]: [] for task in payload["tasks"]}
+        for row in payload["reconciliation"]:
+            stages_of[row["task"]].append(row["stage"])
+        assert all(
+            sorted(stages) == ["clustered", "monolithic", "partitioned"]
+            for stages in stages_of.values()
+        ), stages_of
         assert [worker["worker"] for worker in payload["workers"]] == [
             f"w{i}" for i in range(len(payload["workers"]))
         ]
