@@ -1,13 +1,12 @@
 """Lint-runtime budget: the whole-package lint must stay fast enough for CI.
 
-The SER family made ``repro lint`` interprocedural: it builds a call graph
-of the whole package and walks it from every registered writer, so its
-cost scales with the whole package, not per file.  SER builds that graph
-once per lint (pinned by ``tests/test_analysis_serialization.py``); this
-benchmark pins the cost two ways:
+Every rule family is syntactic: the module-scoped families (DET, CON, API)
+read one file at a time and the layering family reads the package's
+import graph, so a lint costs one parse and a few walks per module.  This
+benchmark pins that cost two ways:
 
 * a hard wall-clock **budget** asserted here (generous, so slow CI runners
-  never flake, but a quadratic blow-up in the resolver fails loudly);
+  never flake, but a quadratic blow-up in a rule fails loudly);
 * a pytest-benchmark metric gated through ``compare.py`` like every other
   benchmark, so gradual creep shows up as a regression diff even while the
   budget still passes.
@@ -35,16 +34,6 @@ def test_full_package_lint_runtime(benchmark):
     assert report.files_scanned > 100, "lint scanned suspiciously few files"
     assert elapsed < LINT_BUDGET_SECONDS, (
         f"full-package lint took {elapsed:.1f}s (budget "
-        f"{LINT_BUDGET_SECONDS:.0f}s); the interprocedural analysis has "
-        f"likely regressed super-linearly"
+        f"{LINT_BUDGET_SECONDS:.0f}s); a rule has likely regressed "
+        f"super-linearly"
     )
-
-
-def test_ser_only_lint_runtime(benchmark):
-    """A lint reporting only SER findings.
-
-    ``select`` filters findings after every family has run, so this costs
-    one full lint, like ``test_full_package_lint_runtime``.
-    """
-    report = benchmark(run_lint, select=["SER"])
-    assert report.clean, report.render_text()

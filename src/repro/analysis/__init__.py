@@ -2,10 +2,9 @@
 
 This package machine-enforces the invariants ARCHITECTURE.md documents —
 the layering diagram, the determinism policy, the error-handling
-conventions, public-API hygiene, and the serialization contracts of every
-persisted artifact — by parsing the package with :mod:`ast`.  It is a
-*leaf*: it imports nothing from the rest of ``repro``, so it can lint a
-broken tree.
+conventions and public-API hygiene — by parsing the package with
+:mod:`ast`.  It is a *leaf*: it imports nothing from the rest of
+``repro``, so it can lint a broken tree.
 
 Usage::
 
@@ -16,22 +15,13 @@ Usage::
 or from the command line: ``repro lint [--format json] [--select RULE,...]``.
 
 See :data:`repro.analysis.imports.REPRO_LAYER_MODEL` for the layering
-diagram as data, :data:`repro.analysis.schemamodel.REPRO_SCHEMA_MODEL`
-for the persisted-schema registry, and :data:`repro.analysis.rules.RULES`
-for the registry of checks.
+diagram as data and :data:`repro.analysis.rules.RULES` for the registry of
+checks.
 """
 
-from .callgraph import CallGraph, build_call_graph
 from .imports import REPRO_LAYER_MODEL, ImportEdge, LayerModel, extract_imports
 from .rules import RULES, Finding, Rule, SourceModule, load_module
 from .runner import LintReport, run_lint
-from .schemamodel import (
-    REPRO_SCHEMA_MODEL,
-    FingerprintSpec,
-    SchemaModel,
-    SchemaSpec,
-)
-from .serialization import check_serialization, schema_report
 
 __all__ = [
     "run_lint",
@@ -45,12 +35,4 @@ __all__ = [
     "REPRO_LAYER_MODEL",
     "ImportEdge",
     "extract_imports",
-    "CallGraph",
-    "build_call_graph",
-    "SchemaModel",
-    "SchemaSpec",
-    "FingerprintSpec",
-    "REPRO_SCHEMA_MODEL",
-    "check_serialization",
-    "schema_report",
 ]

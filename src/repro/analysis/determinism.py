@@ -25,10 +25,10 @@ machine-enforce it:
     the value must come from configuration.
 
 Resolution is purely syntactic over the module's own import aliases
-(:attr:`repro.analysis.rules.SourceModule.aliases`, which the call graph
-resolves through too): ``import numpy as np`` makes ``np.random.seed`` resolve to
-``numpy.random.seed``, so the checks need no imports to run and cannot be
-fooled by runtime monkey-patching — by design: the *source* is the contract.
+(:func:`repro.analysis.rules.module_aliases`): ``import numpy as np``
+makes ``np.random.seed`` resolve to ``numpy.random.seed``, so the checks
+need no imports to run and cannot be fooled by runtime monkey-patching — by
+design: the *source* is the contract.
 Module-level *assignment* aliases are resolved too: ``now = time.time``
 followed by ``now()`` fires DET001 — re-binding a clock does not launder it.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .rules import Finding, SourceModule, dotted_name
+from .rules import Finding, SourceModule, dotted_name, module_aliases
 
 __all__ = ["check_determinism", "ENTROPY_CALLS"]
 
@@ -103,7 +103,7 @@ def _mentions_seed(node: ast.expr) -> bool:
 
 def check_determinism(module: SourceModule) -> Iterator[Finding]:
     """Run DET001–DET004 over one module."""
-    aliases = module.aliases
+    aliases = module_aliases(module)
     path = str(module.path)
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):

@@ -20,15 +20,6 @@ Rule families
 ``API``
     Public-surface hygiene — ``__all__`` consistency and docstrings
     (see :mod:`repro.analysis.api`).
-``SER``
-    Serialization & schema contracts — every persisted artifact's
-    writer/reader pair agrees on the field set, emission is canonical
-    (``sort_keys=True``, no set-ordered values), field-set changes are
-    pinned against the schema registry and its version constants, and
-    fingerprint functions cover every field that influences results;
-    proved over the package call graph
-    (see :mod:`repro.analysis.serialization`,
-    :mod:`repro.analysis.schemamodel` and :mod:`repro.analysis.callgraph`).
 ``SYN``
     Files the linter could not parse at all.
 """
@@ -38,7 +29,6 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -139,41 +129,6 @@ RULES: dict[str, Rule] = _registry(
     Rule("API001", "all-drift", "__all__ names a symbol the module does not define", "module"),
     Rule("API002", "missing-from-all", "public definition missing from __all__", "module"),
     Rule("API003", "missing-docstring", "public function or class without a docstring", "module"),
-    Rule(
-        "SER001",
-        "writer-reader-field-drift",
-        "a persisted-schema key is written but never read, or read but "
-        "never written, and not declared as a deliberate asymmetry",
-        "project",
-    ),
-    Rule(
-        "SER002",
-        "non-canonical-emission",
-        "a persisted path emits JSON without sort_keys=True, or a "
-        "set-ordered value flows into a persisted payload",
-        "project",
-    ),
-    Rule(
-        "SER003",
-        "schema-drift-without-version-bump",
-        "a persisted schema's field set or version constant disagrees with "
-        "the schema-registry pin",
-        "project",
-    ),
-    Rule(
-        "SER004",
-        "fingerprint-incompleteness",
-        "a fingerprinted dataclass field is missing from its fingerprint "
-        "payload without a declared exemption",
-        "project",
-    ),
-    Rule(
-        "SER005",
-        "float-repr-hazard",
-        "lossy numeric formatting (round, format specs, %-formatting) on a "
-        "persisted payload value",
-        "project",
-    ),
 )
 
 
@@ -217,11 +172,6 @@ class SourceModule:
         if self.path.name == "__init__.py":
             return parts
         return parts[:-1]
-
-    @cached_property
-    def aliases(self) -> dict[str, str]:
-        """This module's import aliases (:func:`module_aliases`), walked once per module."""
-        return module_aliases(self)
 
     def import_base(self, node: ast.ImportFrom) -> str | None:
         """The absolute dotted module a ``from`` import reads from.
@@ -280,9 +230,8 @@ def module_aliases(module: SourceModule) -> dict[str, str]:
     ``import numpy as np`` maps ``np`` to ``numpy``; ``from .spec import
     SweepTask`` inside ``repro.batch.runner`` maps ``SweepTask`` to
     ``repro.batch.spec.SweepTask``; module-level assignment aliases of
-    dotted names (``now = time.time``) resolve in statement order.  The
-    call graph and the DET rules both resolve names through it, by way of
-    :attr:`SourceModule.aliases`, which walks each module once.
+    dotted names (``now = time.time``) resolve in statement order.  The DET
+    rules resolve names through it, walking each module once.
     """
     aliases: dict[str, str] = {}
     for node in ast.walk(module.tree):

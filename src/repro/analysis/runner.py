@@ -2,10 +2,9 @@
 
 The entry point is :func:`run_lint`, which parses every ``.py`` file under
 the given paths, runs the module-scoped rules file by file and the
-project-scoped rules over the whole package (layering over the import
-graph, serialization over the call graph), then drops any
-finding suppressed by a ``# repro: lint-ignore[RULE]`` pragma on the
-offending line (or on line 1 for a whole file).
+project-scoped layering rules over the whole package's import graph, then
+drops any finding suppressed by a ``# repro: lint-ignore[RULE]`` pragma on
+the offending line (or on line 1 for a whole file).
 
 Reports
 -------
@@ -35,7 +34,6 @@ from .conventions import check_conventions
 from .determinism import check_determinism
 from .imports import REPRO_LAYER_MODEL, LayerModel, check_layering
 from .rules import RULES, Finding, SourceModule, is_suppressed, load_module, parse_pragmas
-from .serialization import check_serialization
 
 __all__ = [
     "LintReport",
@@ -116,8 +114,8 @@ class LintReport:
         ``statistics`` adds a ``"statistics"`` object mapping rule id to
         finding count and a ``"family_statistics"`` object mapping rule
         family to its total — additive, so the schema version stays 1.
-        Emission is canonical (``sort_keys=True``): the report is itself a
-        persisted artifact registered in the schema model.
+        Emission is canonical (``sort_keys=True``), like every persisted
+        JSON artifact of the package.
         """
         payload = {
             "version": LINT_REPORT_SCHEMA_VERSION,
@@ -224,7 +222,7 @@ def _validated_selection(select: Iterable[str] | None) -> set[str] | None:
         if item in RULES:
             selection.add(item)
             continue
-        # A bare family prefix ("SER", "LAY") selects the whole family.
+        # A bare family prefix ("DET", "LAY") selects the whole family.
         family = {rule for rule in RULES if rule.startswith(item)}
         if family:
             selection.update(family)
@@ -246,7 +244,7 @@ def run_lint(
     """Lint ``paths`` (default: the installed package) and return a report.
 
     ``select`` restricts the run to the given rule ids; a bare family prefix
-    (``"SER"``, ``"LAY"``) selects every rule in the family, and unknown ids
+    (``"DET"``, ``"LAY"``) selects every rule in the family, and unknown ids
     raise :class:`ValueError` listing the known rules.  ``model`` parameterises the
     layering rules so synthetic trees can be checked in tests.
     """
@@ -271,7 +269,6 @@ def run_lint(
             findings.extend(check(module))
 
     findings.extend(check_layering(modules, model))
-    findings.extend(check_serialization(modules))
 
     findings = [
         finding

@@ -13,6 +13,7 @@ assignment depend only on the task, never on worker timing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -236,13 +237,19 @@ class TraceSpec:
     def describe(self) -> dict:
         """Deterministic, fingerprintable view of this spec.
 
-        Inline events are summarised by length (their *content* enters the
-        cache key through the trace digest, not through the spec).
+        Inline events enter as the fingerprint of their content, so two
+        inline traces that share a name and a length still fingerprint apart
+        (and land in different task blocks and sweep directories).
         """
         description = {"kind": self.kind, "name": self.name, "params": self.params}
         if self.events is not None:
-            description["events"] = len(self.events)
+            description["events"] = self._events_digest
         return description
+
+    @cached_property
+    def _events_digest(self) -> str:
+        """Fingerprint of the inline events, computed once per spec."""
+        return config_fingerprint({"events": self.events})
 
     def load(self) -> Trace:
         """Materialize the trace this spec describes; an invalid one raises.

@@ -166,6 +166,11 @@ def _worker_table(payload: Mapping) -> str:
     return f"<table>{header}{''.join(rows)}</table>"
 
 
+def _energy_cell(value) -> str:
+    """A reconciliation cell: the energy, or ``missing`` when unrecorded."""
+    return "missing" if value is None else f"{value:.3f}"
+
+
 def _reconciliation_table(payload: Mapping) -> str:
     header = (
         "<tr><th>task</th><th>stage</th><th class=num>component sum (pJ)</th>"
@@ -181,8 +186,8 @@ def _reconciliation_table(payload: Mapping) -> str:
         rows.append(
             f"<tr><td>{html.escape(row['label'])}</td>"
             f"<td>{html.escape(row['stage'])}</td>"
-            f"<td class=num>{row['component_sum_pj']:.3f}</td>"
-            f"<td class=num>{row['reported_total_pj']:.3f}</td>"
+            f"<td class=num>{_energy_cell(row['component_sum_pj'])}</td>"
+            f"<td class=num>{_energy_cell(row['reported_total_pj'])}</td>"
             f"<td>{badge}</td></tr>"
         )
     return f"<table>{header}{''.join(rows)}</table>"

@@ -57,9 +57,8 @@ Subcommands
 ``lint [PATHS]``
     Run the architecture & determinism linter over the package (or the given
     files/directories); exit 1 if there are findings.  ``--select`` narrows
-    to rule ids or family prefixes (``SER``), ``--statistics`` appends
-    per-rule and per-family counts, and ``--schemas`` prints the extracted
-    persisted-schema report (the ``tests/golden/schemas.json`` pin).
+    to rule ids or family prefixes (``DET``), and ``--statistics`` appends
+    per-rule and per-family counts.
 """
 
 from __future__ import annotations
@@ -231,17 +230,26 @@ def _cmd_optimize(args) -> int:
 def _cmd_obs(args) -> int:
     import json
 
-    from .obs import read_log
+    from .obs import read_log, reconciliation_failure
 
     try:
         log = read_log(args.log)
     except (OSError, ValueError) as error:
         raise SystemExit(f"error: {error}")
+    report = log.to_report()
+    failure = reconciliation_failure(report["reconciliation"])
+    if failure is not None:
+        failure = (
+            "error: per-stage energy counters do not reconcile with reported "
+            f"totals: {failure}"
+        )
 
     if args.format == "json":
-        report = log.to_report()
         print(json.dumps(report, sort_keys=True, indent=1))
-        return 0 if report["reconciled"] else 1
+        if failure is not None:
+            print(failure, file=sys.stderr)
+            return 1
+        return 0
 
     if log.manifest is not None:
         print("run manifest:")
@@ -284,24 +292,33 @@ def _cmd_obs(args) -> int:
             )
         )
 
-    reconciliation = log.reconcile_energy()
-    if reconciliation:
+    if report["reconciliation"]:
         print()
         print(
             render_table(
                 ["stage", "component sum (pJ)", "reported (pJ)", "exact"],
                 [
-                    [stage, f"{summed:.6f}", f"{reported:.6f}", "yes" if exact else "NO"]
-                    for stage, summed, reported, exact in reconciliation
+                    [
+                        row["stage"],
+                        _energy_cell(row["component_sum_pj"]),
+                        _energy_cell(row["reported_total_pj"]),
+                        "yes" if row["exact"] else "NO",
+                    ]
+                    for row in report["reconciliation"]
                 ],
                 title="energy reconciliation",
             )
         )
 
-    if reconciliation and not all(exact for *_rest, exact in reconciliation):
-        print("\nerror: per-stage energy counters do not reconcile with reported totals")
+    if failure is not None:
+        print(f"\n{failure}")
         return 1
     return 0
+
+
+def _energy_cell(value: float | None) -> str:
+    """A reconciliation table cell: the energy, or ``missing`` when unrecorded."""
+    return "missing" if value is None else f"{value:.6f}"
 
 
 def _cmd_compress(args) -> int:
@@ -419,8 +436,6 @@ def _cmd_bist(args) -> int:
 def _cmd_lint(args) -> int:
     from .analysis import run_lint
 
-    if args.schemas:
-        return _lint_schemas(args)
     select = None
     if args.select:
         select = [rule for chunk in args.select for rule in chunk.split(",")]
@@ -436,28 +451,6 @@ def _cmd_lint(args) -> int:
     else:
         print(report.render_text(statistics=args.statistics))
     return 0 if report.clean else 1
-
-
-def _lint_schemas(args) -> int:
-    import json
-
-    from .analysis import load_module, schema_report
-    from .analysis.runner import collect_files, default_target
-
-    targets = [Path(p) for p in args.paths] or [default_target()]
-    try:
-        files = collect_files(targets)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
-    modules = []
-    for file in files:
-        try:
-            modules.append(load_module(file))
-        except SyntaxError:
-            continue  # SYN001 territory; the normal lint path reports it
-    report = schema_report(modules)
-    print(json.dumps(report, indent=1, sort_keys=True))
-    return 0
 
 
 def _obs_report_section(path: Path) -> dict:
@@ -709,7 +702,7 @@ def _cmd_timeline(args) -> int:
     import json
 
     from .benchstats import render_timeline_html
-    from .obs import build_timeline_payload, load_merged
+    from .obs import build_timeline_payload, load_merged, reconciliation_failure
 
     try:
         merged = load_merged(args.run_dir, sweep=args.sweep)
@@ -725,10 +718,11 @@ def _cmd_timeline(args) -> int:
             json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
         )
         print(f"timeline document written to {args.json_out}")
-    if not payload["reconciled"]:
+    failure = reconciliation_failure(payload["reconciliation"], payload["tasks"])
+    if failure is not None:
         print(
             "error: merged per-stage energy does not reconcile with the "
-            "reported task totals",
+            f"reported task totals: {failure}",
             file=sys.stderr,
         )
         return 1
@@ -820,17 +814,12 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=["text", "json", "sarif"], default="text")
     lint.add_argument(
         "--select", action="append", metavar="RULE,...", default=[],
-        help="restrict to the given rule ids or family prefixes like SER "
+        help="restrict to the given rule ids or family prefixes like DET "
         "(repeatable, comma-separated)",
     )
     lint.add_argument(
         "--statistics", action="store_true",
         help="append per-rule finding counts to the report",
-    )
-    lint.add_argument(
-        "--schemas", action="store_true",
-        help="print the extracted persisted-schema report (field sets and "
-        "versions) as canonical JSON instead of linting",
     )
     lint.set_defaults(func=_cmd_lint)
 

@@ -38,16 +38,11 @@ from .clustering import (
 from .layout import BlockLayout
 
 __all__ = [
-    "FLOW_RESULT_SCHEMA_VERSION",
     "FlowConfig",
     "FlowResult",
     "FlowVariant",
     "MemoryOptimizationFlow",
 ]
-
-#: Version of the :meth:`FlowResult.to_dict` payload layout (pinned by the
-#: schema registry; bump when keys are renamed or removed).
-FLOW_RESULT_SCHEMA_VERSION = 1
 
 #: Partitioners by :attr:`FlowConfig.partitioner` name; each takes the bank
 #: budget as its first argument.

@@ -33,7 +33,13 @@ from .counters import CounterRegistry, attrs_key
 from .manifest import RunManifest, collect_manifest, config_fingerprint
 from .merge import MergedSweep, ShardLog, TaskSegment, load_merged, load_shards, merge_shards
 from .recorder import SCHEMA_VERSION, JsonlRecorder, NullRecorder, Recorder
-from .replay import OBS_REPORT_SCHEMA_VERSION, ObsLog, SpanRecord, read_log
+from .replay import (
+    OBS_REPORT_SCHEMA_VERSION,
+    ObsLog,
+    SpanRecord,
+    read_log,
+    reconciliation_failure,
+)
 from .shard import WORKER_SHARD_SCHEMA_VERSION, ShardRecorder
 from .spans import current_recorder, recording, span
 from .timeline import TIMELINE_SCHEMA_VERSION, build_timeline_payload
@@ -57,6 +63,7 @@ __all__ = [
     "ObsLog",
     "SpanRecord",
     "read_log",
+    "reconciliation_failure",
     "OBS_REPORT_SCHEMA_VERSION",
     "WORKER_SHARD_SCHEMA_VERSION",
     "TIMELINE_SCHEMA_VERSION",

@@ -15,15 +15,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .counters import FLOW_TOTAL_PJ, STAGE_ENERGY_PJ, CounterRegistry
 from .recorder import SCHEMA_VERSION
 
-__all__ = ["OBS_REPORT_SCHEMA_VERSION", "SpanRecord", "ObsLog", "read_log"]
+__all__ = [
+    "OBS_REPORT_SCHEMA_VERSION",
+    "SpanRecord",
+    "ObsLog",
+    "read_log",
+    "reconciliation_failure",
+]
 
 #: Version of the machine-readable ``repro obs --format json`` document.
 OBS_REPORT_SCHEMA_VERSION = 2
+
+#: The one sweep flow that records ``stage.energy_pj`` and ``flow.total_pj``
+#: (E1's memory-optimization flow); the other flows record no energy rows.
+_ENERGY_FLOW = "e1_clustering"
 
 
 @dataclass(frozen=True)
@@ -103,14 +113,16 @@ class ObsLog:
             )
         return rows
 
-    def reconcile_energy(self) -> list[tuple[str, float, float, bool]]:
+    def reconcile_energy(self) -> list[tuple[str, float | None, float | None, bool]]:
         """Check per-stage component sums against reported stage totals.
 
         Returns ``(stage, component_sum_pj, reported_total_pj, exact)``
-        rows, one per stage that reported a total.  Component values are
-        summed in recorded order, so an instrumented flow whose counters
-        are complete reconciles *exactly* (``==``, not approximately) —
-        the acceptance contract of the instrumentation layer.
+        rows: one per stage that reported a total, then one per stage that
+        recorded components but no total.  A side the log lacks is
+        ``None`` and its row is never exact.  Component values are summed
+        in recorded order, so an instrumented flow whose counters are
+        complete reconciles *exactly* (``==``, not approximately) — the
+        acceptance contract of the instrumentation layer.
         """
         components: dict[str, float] = {}
         for event in self.events:
@@ -118,11 +130,17 @@ class ObsLog:
                 continue
             stage = str(event.get("attrs", {}).get("stage", "?"))
             components[stage] = components.get(stage, 0.0) + event["value"]
-        rows: list[tuple[str, float, float, bool]] = []
+        rows: list[tuple[str, float | None, float | None, bool]] = []
         for key, reported in self.counters().series(FLOW_TOTAL_PJ).items():
             stage = str(dict(key).get("stage", "?"))
-            summed = components.get(stage, 0.0)
+            summed = components.get(stage)
             rows.append((stage, summed, reported, summed == reported))
+        reported_stages = {row[0] for row in rows}
+        rows.extend(
+            (stage, summed, None, False)
+            for stage, summed in components.items()
+            if stage not in reported_stages
+        )
         return rows
 
     def to_report(self) -> dict:
@@ -154,8 +172,64 @@ class ObsLog:
                 for stage, component, value in self.stage_energy_rows()
             ],
             "reconciliation": reconciliation,
-            "reconciled": all(row["exact"] for row in reconciliation),
+            "reconciled": reconciliation_failure(reconciliation) is None,
         }
+
+
+def reconciliation_failure(
+    rows: Sequence[Mapping], tasks: Sequence[Mapping] | None = None
+) -> str | None:
+    """Why the energy reconciliation ``rows`` fail, or ``None`` if they pass.
+
+    The one verdict behind ``"reconciled"`` in the ``obs-report`` and the
+    ``sweep-timeline`` documents, and behind the exit codes of ``repro
+    obs`` and ``repro timeline``.  ``rows`` are those documents'
+    reconciliation rows (``stage``, ``component_sum_pj``,
+    ``reported_total_pj``, ``exact``, and ``task``/``label`` in a timeline).
+
+    Rows must exist wherever energy was recorded.  For one run log
+    (``tasks`` is ``None``) no rows at all fails: the log reconciled
+    nothing.  For a sweep, ``tasks`` are the timeline's task rows, and each
+    completed ``e1_clustering`` task needs rows of its own; tasks of the
+    other flows record no energy and need none.
+    """
+    if tasks is None:
+        if not rows:
+            return f"no {FLOW_TOTAL_PJ} counter recorded, so nothing reconciles"
+    else:
+        reporting = {row["task"] for row in rows}
+        for task in tasks:
+            if (
+                task["flow"] == _ENERGY_FLOW
+                and task["status"] == "ok"
+                and task["task"] not in reporting
+            ):
+                return (
+                    f"task {task['label']} recorded no {FLOW_TOTAL_PJ} "
+                    "counter, so nothing reconciles"
+                )
+    for row in rows:
+        if row["exact"]:
+            continue
+        where = f"stage {row['stage']!r}"
+        if row.get("label"):
+            where = f"task {row['label']} {where}"
+        if row["reported_total_pj"] is None:
+            return (
+                f"{where} has {STAGE_ENERGY_PJ} components but no "
+                f"{FLOW_TOTAL_PJ} counter"
+            )
+        if row["component_sum_pj"] is None:
+            return (
+                f"{where} has a {FLOW_TOTAL_PJ} counter but no "
+                f"{STAGE_ENERGY_PJ} components"
+            )
+        return (
+            f"{where}: {STAGE_ENERGY_PJ} components sum to "
+            f"{row['component_sum_pj']!r} pJ, {FLOW_TOTAL_PJ} reports "
+            f"{row['reported_total_pj']!r} pJ"
+        )
+    return None
 
 
 def read_log(source: Union[str, Path, IO[str], Iterable[str]]) -> ObsLog:

@@ -20,6 +20,7 @@ All values are raw floats — formatting is the renderer's job.
 from __future__ import annotations
 
 from .merge import MergedSweep
+from .replay import reconciliation_failure
 
 __all__ = ["TIMELINE_SCHEMA_VERSION", "build_timeline_payload"]
 
@@ -128,6 +129,6 @@ def build_timeline_payload(merged: MergedSweep) -> dict:
             "incomplete_blocks": metrics["incomplete_blocks"],
         },
         "reconciliation": reconciliation,
-        "reconciled": all(row["exact"] for row in reconciliation),
+        "reconciled": reconciliation_failure(reconciliation, tasks) is None,
         "timeline": merged.canonical(),
     }

@@ -73,7 +73,7 @@ def statements(draw) -> str:
             f"        return {draw(expressions())}",
         ).rstrip()
     if choice == 7:
-        # Serialization-analyzer shapes: dict payloads and json emission.
+        # Dict payloads and json emission.
         key = draw(st.sampled_from(["a", "b", "kind", "v", ""]))
         return lines(
             "import json",
@@ -130,48 +130,3 @@ def test_reports_render_in_every_format(tmp_path, source):
     assert isinstance(report.render_text(statistics=True), str)
     assert isinstance(report.to_json(statistics=True), str)
     assert isinstance(report.to_sarif(), str)
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(source=programs())
-def test_serialization_analyzer_never_crashes(tmp_path, source):
-    # A registry that points straight at whatever the grammar generated:
-    # the write/read shapes above land on these qualnames, so the SER
-    # analyzers exercise extraction over arbitrary bodies, not just the
-    # skip-missing-writer path.
-    from repro.analysis import load_module
-    from repro.analysis.schemamodel import FingerprintSpec, SchemaModel, SchemaSpec
-    from repro.analysis.serialization import check_serialization, schema_report
-
-    target = tmp_path / "fuzz" / "mod.py"
-    target.parent.mkdir(exist_ok=True)
-    (target.parent / "__init__.py").write_text("")
-    target.write_text(source, encoding="utf-8")
-    try:
-        modules = [load_module(target.parent / "__init__.py"), load_module(target)]
-    except SyntaxError:
-        return
-    model = SchemaModel(
-        schemas=(
-            SchemaSpec(
-                name="fuzzed",
-                writers=("fuzz.mod.write",),
-                readers=("fuzz.mod.read",),
-                persist=("fuzz.mod.write",),
-                version_constant="fuzz.mod.VER",
-                version=1,
-                fields=("a", "b"),
-            ),
-        ),
-        fingerprints=(
-            FingerprintSpec(
-                name="fuzzed-fp", function="fuzz.mod.write", subject="fuzz.mod.Task"
-            ),
-        ),
-    )
-    findings = list(check_serialization(modules, model=model))
-    for finding in findings:
-        assert finding.rule.startswith("SER")
-        assert finding.line >= 1
-    report = schema_report(modules, model=model)
-    assert report["schema"] == 1

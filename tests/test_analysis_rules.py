@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LayerModel, load_module, run_lint
+from repro.analysis import LayerModel, LintReport, load_module, run_lint
 from repro.analysis.api import check_api
 from repro.analysis.conventions import check_conventions
 from repro.analysis.determinism import check_determinism
@@ -659,3 +659,61 @@ class TestStatistics:
         path.write_text(STATIC_VALUEERROR)
         assert main(["lint", str(path), "--select", "CON001", "--statistics"]) == 1
         assert "CON001 (valueerror-without-value): 1" in capsys.readouterr().out
+
+
+class TestReporting:
+    def test_family_statistics_appear_in_json_and_text(self, tmp_path):
+        root = write_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/io.py": """
+                    def write(x, payload={}):
+                        if x is None:
+                            raise ValueError("static")
+                        return payload
+                """,
+            },
+        )
+        modules = [load_module(path) for path in sorted(root.rglob("*.py"))]
+        findings = [
+            finding for module in modules for finding in check_conventions(module)
+        ]
+        report = LintReport(findings=findings, files_scanned=len(modules))
+        payload = json.loads(report.to_json(statistics=True))
+        assert payload["family_statistics"] == {"CON": len(findings)}
+        assert payload["files_scanned"] == len(modules)
+        assert "CON family total: 2" in report.render_text(statistics=True)
+
+    def test_plain_json_report_omits_statistics(self):
+        payload = json.loads(LintReport(findings=[], files_scanned=0).to_json())
+        assert "statistics" not in payload
+        assert "family_statistics" not in payload
+
+
+class TestSingleAliasWalk:
+    """A lint walks each module's imports for aliases ONCE, for DET."""
+
+    def test_run_lint_walks_each_module_once(self, tmp_path, monkeypatch):
+        from repro.analysis import determinism, rules, runner
+
+        walks = []
+        real_walk = rules.module_aliases
+
+        def counting_walk(module):
+            walks.append(module.name)
+            return real_walk(module)
+
+        # Count every reader: the checkers bind the walk by name.
+        monkeypatch.setattr(rules, "module_aliases", counting_walk)
+        monkeypatch.setattr(determinism, "module_aliases", counting_walk)
+
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        (tmp_path / "pkg" / "mod.py").write_text(
+            "from time import time as now\n\n\ndef run():\n    return now()\n"
+        )
+        report = runner.run_lint([tmp_path])
+        assert sorted(walks) == ["pkg", "pkg.mod"]
+        # DET still resolves names through the shared aliases.
+        assert "DET001" in {finding.rule for finding in report.findings}

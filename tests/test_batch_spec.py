@@ -160,6 +160,27 @@ class TestSweepTask:
         b = SweepTask.make("e1_clustering", TraceSpec.kernel("saxpy"), {})
         assert a.spec_fingerprint() != b.spec_fingerprint()
 
+    def test_inline_traces_of_one_name_and_length_stay_apart(self, tmp_path):
+        # Both traces are named hot_cold and hold 400 events: a fingerprint
+        # that covers inline events by their count merges the two tasks into
+        # one block and marks the other superseded.
+        from repro.batch import run_sweep
+        from repro.obs import load_merged
+        from repro.trace.synthetic import HotColdGenerator
+
+        tasks = [
+            SweepTask.make(
+                "e1_clustering",
+                TraceSpec.inline(HotColdGenerator(accesses=400, seed=seed).generate()),
+            )
+            for seed in (1, 2)
+        ]
+        report = run_sweep(tasks, jobs=1, shard_dir=tmp_path)
+        assert report.results[0] != report.results[1]
+        merged = load_merged(tmp_path)
+        assert len(merged.tasks) == 2
+        assert len(merged.superseded) == 0
+
     def test_label_is_compact(self):
         task = SweepTask.make("e1_clustering", TraceSpec.kernel("fir"), {})
         assert task.label().startswith("e1_clustering:fir:")

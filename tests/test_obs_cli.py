@@ -17,6 +17,17 @@ def run_log(tmp_path_factory):
     return path
 
 
+#: One stage.energy_pj component line, with no flow.total_pj beside it.
+STAGE_COMPONENT = {
+    "v": 1,
+    "kind": "counter",
+    "name": "stage.energy_pj",
+    "value": 1.0,
+    "span": None,
+    "attrs": {"stage": "clustered", "component": "bank"},
+}
+
+
 class TestOptimizeObsOut:
     def test_writes_log_and_points_at_it(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
@@ -98,10 +109,24 @@ class TestObsCommand:
         assert "do not reconcile" in out
 
     def test_empty_log_renders_without_sections(self, tmp_path, capsys):
+        # Renders what there is, then fails: no total means nothing reconciled.
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert main(["obs", str(path)]) == 0
-        assert "(none recorded)" in capsys.readouterr().out
+        assert main(["obs", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "(none recorded)" in out
+        assert "no flow.total_pj counter recorded" in out
+
+    def test_components_without_a_total_fail_the_gate(self, tmp_path, capsys):
+        path = tmp_path / "no_total.jsonl"
+        path.write_text(json.dumps(STAGE_COMPONENT) + "\n")
+        assert main(["obs", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "missing" in out
+        assert (
+            "stage 'clustered' has stage.energy_pj components but no "
+            "flow.total_pj counter" in out
+        )
 
 
 class TestObsJsonFormat:
@@ -119,6 +144,33 @@ class TestObsJsonFormat:
         assert all(row["exact"] for row in report["reconciliation"])
         # sort_keys=True emission: the document round-trips canonically.
         assert out.strip() == json.dumps(report, sort_keys=True, indent=1)
+
+    def test_empty_log_json_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main(["obs", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["reconciliation"] == []
+        assert report["reconciled"] is False
+        assert "no flow.total_pj counter recorded" in captured.err
+
+    def test_components_without_a_total_json_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "no_total.jsonl"
+        path.write_text(json.dumps(STAGE_COMPONENT) + "\n")
+        assert main(["obs", str(path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["reconciliation"] == [
+            {
+                "stage": "clustered",
+                "component_sum_pj": 1.0,
+                "reported_total_pj": None,
+                "exact": False,
+            }
+        ]
+        assert report["reconciled"] is False
+        assert "no flow.total_pj counter" in captured.err
 
     def test_unreconciled_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "doctored.jsonl"

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import TIMELINE_SCHEMA_VERSION
+from repro.obs import TIMELINE_SCHEMA_VERSION, reconciliation_failure
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +92,8 @@ class TestTimelineCommand:
         assert payload["schema"] == TIMELINE_SCHEMA_VERSION
         assert payload["reconciled"] is True
         assert len(payload["tasks"]) == 4
-        # `reconciled` is all() over the rows, so it alone would pass on a
-        # shard set whose tasks recorded no flow.total_pj counter at all.
+        # `reconciled` alone would pass a shard set in which some tasks
+        # reconcile only some of their stages.
         stages_of = {task["task"]: [] for task in payload["tasks"]}
         for row in payload["reconciliation"]:
             stages_of[row["task"]].append(row["stage"])
@@ -134,3 +134,113 @@ class TestTimelineCommand:
         out = tmp_path / "timeline.html"
         assert main(["timeline", str(copy), "--out", str(out)]) == 1
         assert "does not reconcile" in capsys.readouterr().err
+
+    def test_stripped_totals_fail_the_gate(self, sweep_run, tmp_path, capsys):
+        # Drop every flow.total_pj line: each task keeps its stage
+        # components but reports no total, which must not pass.
+        copy = tmp_path / "stripped"
+        stripped = 0
+        for path in sweep_run.glob("??/*/*.jsonl"):
+            target = copy / path.relative_to(sweep_run)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            kept = []
+            for line in path.read_text().splitlines(keepends=True):
+                if json.loads(line).get("name") == "flow.total_pj":
+                    stripped += 1
+                else:
+                    kept.append(line)
+            target.write_text("".join(kept))
+        assert stripped == 12
+        out = tmp_path / "timeline.html"
+        json_out = tmp_path / "timeline.json"
+        code = main(
+            ["timeline", str(copy), "--out", str(out), "--json-out", str(json_out)]
+        )
+        assert code == 1
+        assert "but no flow.total_pj counter" in capsys.readouterr().err
+        payload = json.loads(json_out.read_text())
+        assert payload["reconciled"] is False
+        assert len(payload["reconciliation"]) == 12
+        assert all(row["reported_total_pj"] is None for row in payload["reconciliation"])
+        assert "missing" in out.read_text()
+
+    def test_an_e1_task_without_energy_rows_fails_the_gate(
+        self, sweep_run, tmp_path, capsys
+    ):
+        # Strip every energy counter of one task only: the other three still
+        # reconcile, but a completed E1 task that reconciles nothing must not
+        # pass beside them.
+        copy = tmp_path / "one-task-stripped"
+        victim = None
+        for path in sorted(sweep_run.glob("??/*/*.jsonl")):
+            target = copy / path.relative_to(sweep_run)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            kept = []
+            task = None
+            for line in path.read_text().splitlines(keepends=True):
+                event = json.loads(line)
+                if event.get("kind") == "task_start":
+                    task = event["task"]
+                    victim = victim or task
+                energy = event.get("name") in ("stage.energy_pj", "flow.total_pj")
+                if not (energy and task == victim):
+                    kept.append(line)
+            target.write_text("".join(kept))
+        json_out = tmp_path / "timeline.json"
+        code = main(
+            [
+                "timeline", str(copy),
+                "--out", str(tmp_path / "timeline.html"),
+                "--json-out", str(json_out),
+            ]
+        )
+        assert code == 1
+        payload = json.loads(json_out.read_text())
+        (label,) = [task["label"] for task in payload["tasks"] if task["task"] == victim]
+        assert f"task {label} recorded no flow.total_pj counter" in capsys.readouterr().err
+        assert payload["reconciled"] is False
+        assert len(payload["reconciliation"]) == 9
+        assert all(row["exact"] for row in payload["reconciliation"])
+        assert victim not in {row["task"] for row in payload["reconciliation"]}
+
+    @pytest.mark.parametrize("flow", ["e2_compression", "e3_encoding", "e4_reconfig"])
+    def test_sweep_of_a_flow_without_energy_counters_passes(self, flow, tmp_path):
+        # Only E1 records stage.energy_pj and flow.total_pj, so these tasks
+        # add no reconciliation rows and owe none.
+        obs_dir = tmp_path / "obs"
+        code = main(
+            ["sweep", "saxpy", "--flow", flow, "--no-cache", "--obs-dir", str(obs_dir)]
+        )
+        assert code == 0
+        json_out = tmp_path / "timeline.json"
+        code = main(
+            [
+                "timeline", str(obs_dir),
+                "--out", str(tmp_path / "timeline.html"),
+                "--json-out", str(json_out),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(json_out.read_text())
+        assert [task["flow"] for task in payload["tasks"]] == [flow]
+        assert payload["reconciliation"] == []
+        assert payload["reconciled"] is True
+
+
+class TestReconciliationVerdict:
+    """``reconciliation_failure`` over a timeline's task rows."""
+
+    @staticmethod
+    def task(flow, status="ok"):
+        return {"task": "f1", "label": "t1", "flow": flow, "status": status}
+
+    def test_only_a_completed_e1_task_owes_rows(self):
+        assert "task t1 recorded no flow.total_pj" in reconciliation_failure(
+            [], [self.task("e1_clustering")]
+        )
+        # A failed task recorded no energy to reconcile; its failure shows
+        # in its status.
+        assert reconciliation_failure([], [self.task("e1_clustering", "error")]) is None
+        assert reconciliation_failure([], [self.task("e2_compression")]) is None
+        # A sweep whose tasks were all cache hits merged no task blocks.
+        assert reconciliation_failure([], []) is None
