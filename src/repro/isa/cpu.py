@@ -1,6 +1,6 @@
 """CPU: executes assembled programs and captures memory traces.
 
-The CPU is a functional (not cycle-accurate) interpreter: one instruction per
+The CPU is a functional (not cycle-accurate) simulator: one instruction per
 logical time step.  That is exactly the fidelity the reproduced experiments
 need — they consume the *address and value streams*, not pipeline timing.
 
@@ -12,16 +12,35 @@ Captured streams:
   stored/loaded value (the payload of partitioning/clustering/compression
   experiments E1/E2).
 
-Each run decodes every distinct instruction word once, on its first fetch,
-into a flat entry (op kind, register indices, operand, access size, masks,
-and the ALU or branch callable the step applies).  The table is keyed by
-the fetched word, not the PC, so a store that rewrites the text segment is
-decoded afresh when the new word is fetched.
+Each run translates a *basic block* once, on the first dispatch to its PC:
+the straight-line instructions from that PC up to and including the next
+branch, ``jal``, ``jalr`` or ``halt``.  A block is cut short before an
+undecodable word that is not its first, at the end of memory, and at the
+remaining step budget.  The block becomes the source of one Python function
+whose immediates, register numbers, access sizes and PCs are constants; it
+is compiled once and kept, keyed by its PC, for the rest of the run.  A
+block the step budget cut short is not kept, so the limit stays exact.
+
+The checks of a fetch run on the first dispatch to a PC: the step budget,
+then the PC's alignment and range, then :func:`decode`, whose ``ValueError``
+is raised only for a word that would execute.  Every load and store checks
+its range and alignment inline and reports a failure through
+:meth:`CPU._check_range`, with :attr:`CPU.pc` naming the faulting
+instruction.  A store that overlaps any translated word clears the block
+table and leaves its block right after the store, so rewritten code is
+translated afresh before it runs.
+
+Each translated instruction takes one *row* of per-run tables (its PC, word,
+block, access size and kind).  A block's exit appends the row of its last
+retired instruction, which names the block and how much of it ran; loads and
+stores append only their address and payload.  After the run, numpy gathers
+the instruction trace's PCs and words, and the data trace's times, sizes and
+kinds, from the rows the exits name.
 """
 
 from __future__ import annotations
 
-import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +48,10 @@ import numpy as np
 from ..trace.trace import KIND_READ, KIND_WRITE, SPACE_INSTRUCTION, Trace
 from .assembler import Program
 from .instructions import (
+    BRANCH_OPCODES,
     LOAD_OPCODES,
     STORE_OPCODES,
+    Instruction,
     Opcode,
     RFunct,
     decode,
@@ -63,164 +84,282 @@ def _to_signed(value: int) -> int:
     return value - (1 << 32) if value & (1 << 31) else value
 
 
-# -- ALU and branch semantics -----------------------------------------------------
-#
-# Each callable takes the two source operands and returns the raw result; the
-# step loop masks it to 32 bits on the register write.  The comparisons serve
-# both the set-less-than ALU ops (``True & mask == 1``) and the branches.
-
-
-def _sll(a: int, b: int) -> int:
-    return a << (b & 31)
-
-
-def _srl(a: int, b: int) -> int:
-    return (a & _WORD_MASK) >> (b & 31)
-
-
-def _sra(a: int, b: int) -> int:
-    return _to_signed(a) >> (b & 31)
-
-
-def _mul(a: int, b: int) -> int:
-    return _to_signed(a) * _to_signed(b)
-
-
 def _div(a: int, b: int) -> int:
     sa, sb = _to_signed(a), _to_signed(b)
     if sb == 0:
         return _WORD_MASK  # division by zero: all-ones, RISC-V style
-    return int(sa / sb)  # truncate toward zero
+    return int(sa / sb) & _WORD_MASK  # truncate toward zero
 
 
 def _rem(a: int, b: int) -> int:
     sa, sb = _to_signed(a), _to_signed(b)
     if sb == 0:
         return a
-    return sa - int(sa / sb) * sb
+    return (sa - int(sa / sb) * sb) & _WORD_MASK
 
 
-def _operand(a: int, b: int) -> int:
-    return b
+# -- block source -----------------------------------------------------------------
+#
+# The tables below map operand expressions (``r[n]``, or ``0`` for r0) and
+# constants to source.  Every register holds a value in [0, 2**32), so a signed
+# comparison flips both sign bits and compares unsigned, and
+# ``((x ^ 2**31) - 2**31)`` is ``x`` read as signed.
 
 
-def _lt(a: int, b: int) -> bool:
-    return _to_signed(a) < _to_signed(b)
+def _register(number: int) -> str:
+    return f"r[{number}]" if number else "0"
 
 
-def _ge(a: int, b: int) -> bool:
-    return _to_signed(a) >= _to_signed(b)
+def _plus(operand: str, imm: int) -> str:
+    return f"({operand} + {imm}) & 4294967295" if imm else operand
 
 
-def _ltu(a: int, b: int) -> bool:
-    return (a & _WORD_MASK) < (b & _WORD_MASK)
-
-
-def _geu(a: int, b: int) -> bool:
-    return (a & _WORD_MASK) >= (b & _WORD_MASK)
-
-
-_RTYPE_OPS = {
-    RFunct.ADD: operator.add,
-    RFunct.SUB: operator.sub,
-    RFunct.AND: operator.and_,
-    RFunct.OR: operator.or_,
-    RFunct.XOR: operator.xor,
-    RFunct.SLL: _sll,
-    RFunct.SRL: _srl,
-    RFunct.SRA: _sra,
-    RFunct.SLT: _lt,
-    RFunct.SLTU: _ltu,
-    RFunct.MUL: _mul,
-    RFunct.DIV: _div,
-    RFunct.REM: _rem,
+_RTYPE_SOURCE = {
+    RFunct.ADD: lambda a, b: f"({a} + {b}) & 4294967295",
+    RFunct.SUB: lambda a, b: f"({a} - {b}) & 4294967295",
+    RFunct.AND: lambda a, b: f"{a} & {b}",
+    RFunct.OR: lambda a, b: f"{a} | {b}",
+    RFunct.XOR: lambda a, b: f"{a} ^ {b}",
+    RFunct.SLL: lambda a, b: f"({a} << ({b} & 31)) & 4294967295",
+    RFunct.SRL: lambda a, b: f"{a} >> ({b} & 31)",
+    RFunct.SRA: lambda a, b: f"((({a} ^ 2147483648) - 2147483648) >> ({b} & 31)) & 4294967295",
+    RFunct.SLT: lambda a, b: f"1 if ({a} ^ 2147483648) < ({b} ^ 2147483648) else 0",
+    RFunct.SLTU: lambda a, b: f"1 if {a} < {b} else 0",
+    RFunct.MUL: lambda a, b: f"({a} * {b}) & 4294967295",
+    RFunct.DIV: lambda a, b: f"div({a}, {b})",
+    RFunct.REM: lambda a, b: f"rem({a}, {b})",
 }
 
-#: Immediate ALU opcodes: (callable, zero-extend the immediate).
-_IMMEDIATE_OPS = {
-    Opcode.ADDI: (operator.add, False),
-    Opcode.ANDI: (operator.and_, True),
-    Opcode.ORI: (operator.or_, True),
-    Opcode.XORI: (operator.xor, True),
-    Opcode.SLTI: (_lt, False),
-    Opcode.SLLI: (_sll, False),
-    Opcode.SRLI: (_srl, False),
-    Opcode.SRAI: (_sra, False),
+_IMMEDIATE_SOURCE = {
+    Opcode.ADDI: _plus,
+    Opcode.ANDI: lambda a, imm: f"{a} & {imm & 0xFFFF}",
+    Opcode.ORI: lambda a, imm: f"{a} | {imm & 0xFFFF}",
+    Opcode.XORI: lambda a, imm: f"{a} ^ {imm & 0xFFFF}",
+    Opcode.SLTI: lambda a, imm: f"1 if ({a} ^ 2147483648) < {(imm & _WORD_MASK) ^ 1 << 31} else 0",
+    Opcode.SLLI: lambda a, imm: f"({a} << {imm & 31}) & 4294967295",
+    Opcode.SRLI: lambda a, imm: f"{a} >> {imm & 31}",
+    Opcode.SRAI: lambda a, imm: f"((({a} ^ 2147483648) - 2147483648) >> {imm & 31}) & 4294967295",
+    Opcode.LUI: lambda a, imm: f"{(imm & 0xFFFF) << 16}",
 }
 
-_BRANCH_OPS = {
-    Opcode.BEQ: operator.eq,
-    Opcode.BNE: operator.ne,
-    Opcode.BLT: _lt,
-    Opcode.BGE: _ge,
-    Opcode.BLTU: _ltu,
-    Opcode.BGEU: _geu,
+_BRANCH_SOURCE = {
+    Opcode.BEQ: lambda a, b: f"{a} == {b}",
+    Opcode.BNE: lambda a, b: f"{a} != {b}",
+    Opcode.BLT: lambda a, b: f"({a} ^ 2147483648) < ({b} ^ 2147483648)",
+    Opcode.BGE: lambda a, b: f"({a} ^ 2147483648) >= ({b} ^ 2147483648)",
+    Opcode.BLTU: lambda a, b: f"{a} < {b}",
+    Opcode.BGEU: lambda a, b: f"{a} >= {b}",
 }
 
-# -- predecoding ------------------------------------------------------------------
+#: The value a load reads from address ``a`` of memory ``m``, as it enters rd.
+_LOAD_SOURCE = {
+    Opcode.LW: "u32(m, a)[0]",
+    Opcode.LHU: "u16(m, a)[0]",
+    Opcode.LH: "((u16(m, a)[0] ^ 32768) - 32768) & 4294967295",
+    Opcode.LBU: "m[a]",
+    Opcode.LB: "((m[a] ^ 128) - 128) & 4294967295",
+}
 
-#: Op kinds of a predecoded entry, in the order the step loop tests them
-#: (most frequent first on the bundled kernels).
-_IMM, _RTYPE, _LOAD, _BRANCH, _STORE, _JAL, _JALR, _HALT = range(8)
+#: A store's write of ``v`` to address ``a``, and the mask ``v`` takes.
+_STORE_SOURCE = {
+    Opcode.SW: ("p32(m, a, v)", ""),
+    Opcode.SH: ("p16(m, a, v)", " & 65535"),
+    Opcode.SB: ("m[a] = v", " & 255"),
+}
 
-#: Sign bit of the value a sign-extending load reads (0: zero-extend).
-_LOAD_SIGN_BITS = {Opcode.LH: 0x8000, Opcode.LB: 0x80}
+_ENDS_BLOCK = frozenset(BRANCH_OPCODES | {Opcode.JAL, Opcode.JALR, Opcode.HALT})
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
-def _predecode(word: int) -> tuple:
-    """Decode ``word`` into the entry the step loop dispatches on.
+class _Translator:
+    """One run's block table, the trace rows it filled, and the captured streams.
 
-    The entry is ``(kind, rd, rs1, rs2, operand, size, mask, fn)``:
-    ``operand`` is the immediate as the step uses it (zero-extended for the
-    logical immediates, the loaded constant for ``lui``, the byte offset
-    from the PC for taken branches and ``jal``); ``size`` is the access
-    width of a load or store; ``mask`` is a store's value mask or a signed
-    load's sign bit; ``fn`` is the ALU or branch callable.  Unknown opcodes
-    and functs raise :func:`decode`'s ``ValueError``.
+    ``blocks`` maps a PC to ``(function, length)``.  The row tables
+    ``pcs``, ``words``, ``starts`` (the row of the block's first
+    instruction), ``sizes`` (0 for no access) and ``kinds`` grow by one row
+    per translated instruction and outlive a cleared block table.
+    ``exits`` holds the row of the last retired instruction of every block
+    execution, in order; ``addresses`` and ``values`` the address and
+    payload of every load and store.
     """
-    ins = decode(word)
-    op = ins.opcode
-    if op is Opcode.RTYPE:
-        return (_RTYPE, ins.rd, ins.rs1, ins.rs2, 0, 0, 0, _RTYPE_OPS[ins.funct])
-    if op in _IMMEDIATE_OPS:
-        fn, zero_extend = _IMMEDIATE_OPS[op]
-        operand = ins.imm & 0xFFFF if zero_extend else ins.imm
-        return (_IMM, ins.rd, ins.rs1, 0, operand, 0, 0, fn)
-    if op is Opcode.LUI:
-        return (_IMM, ins.rd, ins.rs1, 0, (ins.imm & 0xFFFF) << 16, 0, 0, _operand)
-    if op in LOAD_OPCODES:
-        size = LOAD_OPCODES[op]
-        return (_LOAD, ins.rd, ins.rs1, 0, ins.imm, size, _LOAD_SIGN_BITS.get(op, 0), None)
-    if op in STORE_OPCODES:
-        size = STORE_OPCODES[op]
-        return (_STORE, ins.rd, ins.rs1, 0, ins.imm, size, (1 << (8 * size)) - 1, None)
-    if op in _BRANCH_OPS:
-        return (_BRANCH, ins.rd, ins.rs1, 0, 4 + 4 * ins.imm, 0, 0, _BRANCH_OPS[op])
-    if op is Opcode.JAL:
-        return (_JAL, ins.rd, 0, 0, 4 + 4 * ins.imm, 0, 0, None)
-    if op is Opcode.JALR:
-        return (_JALR, ins.rd, ins.rs1, 0, ins.imm, 0, 0, None)
-    if op is Opcode.HALT:
-        return (_HALT, 0, 0, 0, 0, 0, 0, None)
-    raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
+
+    def __init__(self, cpu: "CPU") -> None:
+        self.cpu = cpu
+        self.blocks: dict[int, tuple] = {}
+        self.code: set[int] = set()  # word index (address >> 2) of every translated word
+        self.pcs: list[int] = []
+        self.words: list[int] = []
+        self.starts: list[int] = []
+        self.sizes: list[int] = []
+        self.kinds: list[int] = []
+        self.exits: list[int] = []
+        self.addresses: list[int] = []
+        self.values: list[int] = []
+        self.namespace = {
+            "r": cpu.registers,
+            "m": cpu.memory,
+            "u16": _U16.unpack_from,
+            "u32": _U32.unpack_from,
+            "p16": _U16.pack_into,
+            "p32": _U32.pack_into,
+            "div": _div,
+            "rem": _rem,
+            "code": self.code,
+            "x": self.exits.append,
+            "da": self.addresses.append,
+            "dv": self.values.append,
+            "fault": cpu._fault,
+        }
+
+    def invalidate(self) -> None:
+        """Forget every translated block: a store rewrote translated code."""
+        self.blocks.clear()
+        self.code.clear()
+
+    def translate(self, pc: int, budget: int) -> tuple:
+        """The block at ``pc`` as ``(function, length)``, of at most ``budget`` steps.
+
+        The block is kept in :attr:`blocks` unless the budget cut it short.
+        An undecodable first word raises :func:`decode`'s ``ValueError``.
+        """
+        memory, memory_size = self.cpu.memory, self.cpu.memory_size
+        block: list[tuple[int, int, Instruction]] = []
+        cut = False
+        while True:
+            word = int.from_bytes(memory[pc : pc + 4], "little")
+            try:
+                instruction = decode(word)
+            except ValueError:
+                if not block:
+                    raise
+                break  # the next dispatch raises, if the word still executes
+            block.append((pc, word, instruction))
+            pc += 4
+            if instruction.opcode in _ENDS_BLOCK or pc >= memory_size:
+                break
+            if len(block) == budget:
+                cut = True
+                break
+
+        function = self._compile(block)
+        entry = (function, len(block))
+        if not cut:
+            self.blocks[block[0][0]] = entry
+        return entry
+
+    def _compile(self, block: list) -> object:
+        """One function for ``block``; its instructions take the next rows."""
+        start = len(self.pcs)
+        end = start + len(block) - 1
+        lines = ["def block():"]
+        for row, (pc, word, instruction) in enumerate(block, start):
+            lines += self._source(instruction, pc, row, end)
+            op = instruction.opcode
+            self.code.add(pc >> 2)
+            self.pcs.append(pc)
+            self.words.append(word)
+            self.starts.append(start)
+            self.sizes.append(LOAD_OPCODES.get(op) or STORE_OPCODES.get(op, 0))
+            self.kinds.append(KIND_WRITE if op in STORE_OPCODES else KIND_READ)
+        if block[-1][2].opcode not in _ENDS_BLOCK:
+            lines += [f"x({end})", f"return {block[-1][0] + 4}"]
+        namespace = self.namespace
+        exec(compile("\n    ".join(lines), f"<block {block[0][0]:#x}>", "exec"), namespace)
+        return namespace.pop("block")
+
+    def _source(self, ins: Instruction, pc: int, row: int, end: int) -> list[str]:
+        """Source lines of the instruction at ``pc``, in the block whose last row is ``end``."""
+        op = ins.opcode
+        rd = f"r[{ins.rd}] = " if ins.rd else ""  # a write to r0 is dropped
+        if op is Opcode.RTYPE:
+            source = _RTYPE_SOURCE[ins.funct](_register(ins.rs1), _register(ins.rs2))
+            return [rd + source] if rd else []
+        if op in _IMMEDIATE_SOURCE:
+            return [rd + _IMMEDIATE_SOURCE[op](_register(ins.rs1), ins.imm)] if rd else []
+        if op in LOAD_OPCODES or op in STORE_OPCODES:
+            size = LOAD_OPCODES.get(op) or STORE_OPCODES[op]
+            misaligned = f" or a & {size - 1}" if size > 1 else ""
+            lines = [
+                f"a = {_plus(_register(ins.rs1), ins.imm)}",
+                f"if a > {self.cpu.memory_size - size}{misaligned}: fault({pc}, a, {size})",
+            ]
+            values = self.cpu.trace_values
+            if op in LOAD_OPCODES:
+                if rd or values:
+                    lines.append(rd + ("v = " if values else "") + _LOAD_SOURCE[op])
+                lines.append("da(a)")
+                return lines + (["dv(v)"] if values else [])
+            write, mask = _STORE_SOURCE[op]
+            lines += [f"v = {_register(ins.rd)}{mask}", write, "da(a)"]
+            if values:
+                lines.append("dv(v)")
+            # A store into translated code leaves the block right after it.
+            lines += ["if a >> 2 in code:", f"    x({row})", f"    return {pc + 4}, {end - row}"]
+            return lines
+        if op in _BRANCH_SOURCE:
+            condition = _BRANCH_SOURCE[op](_register(ins.rd), _register(ins.rs1))
+            return [f"x({row})", f"return {pc + 4 + 4 * ins.imm} if {condition} else {pc + 4}"]
+        link = [f"{rd}{(pc + 4) & _WORD_MASK}"] if rd else []
+        if op is Opcode.JAL:
+            return link + [f"x({row})", f"return {pc + 4 + 4 * ins.imm}"]
+        if op is Opcode.JALR:
+            # The target reads rs1 before the link may overwrite it.
+            return [f"t = {_plus(_register(ins.rs1), ins.imm)}"] + link + [f"x({row})", "return t"]
+        if op is Opcode.HALT:
+            return [f"x({row})", "return None"]
+        raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
+
+    def traces(self, name: str, steps: int) -> tuple[Trace, Trace]:
+        """The run's data and instruction traces, gathered from the exits' rows."""
+        ends = np.array(self.exits, dtype=np.int64)
+        starts = np.array(self.starts, dtype=np.int64)[ends]
+        lengths = ends - starts + 1
+        # Row of every retired instruction: each exit's rows start..end in turn.
+        rows = np.arange(steps) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        sizes = np.array(self.sizes, dtype=np.int64)[rows]
+        times = np.flatnonzero(sizes)
+        carried = self.cpu.trace_values and len(times) > 0
+        data = Trace(
+            self.addresses,
+            times,
+            np.array(self.kinds, dtype=np.uint8)[rows[times]],
+            sizes[times],
+            values=self.values if carried else None,
+            value_mask=np.ones(len(times), dtype=bool) if carried else None,
+            name=f"{name}.data",
+        )
+        instructions = Trace(
+            np.array(self.pcs, dtype=np.int64)[rows],
+            np.arange(steps),
+            np.full(steps, KIND_READ),
+            np.full(steps, 4),
+            spaces=np.full(steps, SPACE_INSTRUCTION),
+            values=np.array(self.words, dtype=np.int64)[rows],
+            value_mask=np.ones(steps, dtype=bool),
+            name=f"{name}.instr",
+        )
+        return data, instructions
 
 
 class CPU:
-    """Functional interpreter for assembled programs.
+    """Functional simulator for assembled programs.
 
     Parameters
     ----------
     memory_size:
-        Size of the flat byte-addressable memory.  Text and data segments are
-        loaded at their program bases; the stack pointer starts at the top.
+        Size of the flat byte-addressable memory, from 16 bytes to 4 GiB.
+        Text and data segments are loaded at their program bases; the stack
+        pointer starts 16 bytes below the top.
     trace_values:
         When set (default), data events carry store/load payloads so the
         compression experiments can reconstruct line contents.
     """
 
     def __init__(self, memory_size: int = 1 << 20, trace_values: bool = True) -> None:
-        if memory_size <= 0:
-            raise ValueError(f"memory_size must be positive, got {memory_size}")
+        if not 16 <= memory_size <= 1 << 32:
+            raise ValueError(f"memory_size must be between 16 and 2**32 bytes, got {memory_size}")
         self.memory_size = memory_size
         self.trace_values = trace_values
         self.memory = bytearray(memory_size)
@@ -256,6 +395,11 @@ class CPU:
         if address % size:
             raise ExecutionError(f"unaligned {size}-byte access at {address:#x}")
 
+    def _fault(self, pc: int, address: int, size: int) -> None:
+        # A translated load or store at ``pc`` failed its inline check.
+        self.pc = pc
+        self._check_range(address, size)
+
     def read_memory(self, address: int, size: int) -> int:
         """Read ``size`` bytes little-endian (range- and alignment-checked)."""
         self._check_range(address, size)
@@ -280,114 +424,42 @@ class CPU:
         names the faulting instruction.
         """
         self.load(program)
-        # Per-stream columns: fetch PCs and words; data times, addresses,
-        # sizes, kind codes and payloads.
-        pcs: list[int] = []
-        words: list[int] = []
-        data: tuple[list[int], ...] = ([], [], [], [], [])
-        fetched_pc, fetched_word = pcs.append, words.append
-        times, addresses, sizes, kinds, values = (column.append for column in data)
-        from_bytes = int.from_bytes
-        check_range = self._check_range
-        memory = self.memory
-        memory_size = self.memory_size
-        regs = self.registers
-        entries: dict[int, tuple] = {}
-        lookup = entries.get
+        translator = _Translator(self)
+        lookup = translator.blocks.get
+        budget = max_steps
         pc = self.pc
-        steps = 0
-        halted = False
-
-        try:
-            while steps < max_steps:
-                if pc % 4 or not 0 <= pc < memory_size:
-                    raise ExecutionError(f"bad PC {pc:#x}")
-                word = from_bytes(memory[pc : pc + 4], "little")
-                fetched_pc(pc)
-                fetched_word(word)
-                entry = lookup(word)
-                if entry is None:
-                    entry = entries[word] = _predecode(word)
-                kind, rd, rs1, rs2, operand, size, mask, fn = entry
-                if kind == _IMM:
-                    if rd:
-                        regs[rd] = fn(regs[rs1], operand) & _WORD_MASK
-                    pc += 4
-                elif kind == _RTYPE:
-                    if rd:
-                        regs[rd] = fn(regs[rs1], regs[rs2]) & _WORD_MASK
-                    pc += 4
-                elif kind == _LOAD:
-                    address = (regs[rs1] + operand) & _WORD_MASK
-                    check_range(address, size)
-                    value = from_bytes(memory[address : address + size], "little")
-                    if value & mask:
-                        value = (value - (mask << 1)) & _WORD_MASK
-                    if rd:
-                        regs[rd] = value
-                    times(steps)
-                    addresses(address)
-                    sizes(size)
-                    kinds(KIND_READ)
-                    values(value)
-                    pc += 4
-                elif kind == _BRANCH:
-                    pc += operand if fn(regs[rd], regs[rs1]) else 4
-                elif kind == _STORE:
-                    address = (regs[rs1] + operand) & _WORD_MASK
-                    value = regs[rd] & mask
-                    check_range(address, size)
-                    memory[address : address + size] = value.to_bytes(size, "little")
-                    times(steps)
-                    addresses(address)
-                    sizes(size)
-                    kinds(KIND_WRITE)
-                    values(value)
-                    pc += 4
-                elif kind == _JAL:
-                    if rd:
-                        regs[rd] = (pc + 4) & _WORD_MASK
-                    pc += operand
-                elif kind == _JALR:
-                    target = (regs[rs1] + operand) & _WORD_MASK
-                    if rd:
-                        regs[rd] = (pc + 4) & _WORD_MASK
-                    pc = target
-                else:  # _HALT
-                    steps += 1
-                    halted = True
+        while True:
+            block = lookup(pc)
+            if block is None or block[1] > budget:
+                # A halt, a store into translated code, the first dispatch to
+                # ``pc`` since the table was last cleared, or a block the
+                # budget cuts short.
+                if pc is None:
                     break
-                steps += 1
-        finally:
-            self.pc = pc
+                if pc.__class__ is tuple:
+                    # The store's block retired up to the store, ``unretired``
+                    # steps short of the length charged for it.
+                    pc, unretired = pc
+                    budget += unretired
+                    translator.invalidate()
+                self.pc = pc
+                if budget <= 0:
+                    raise ExecutionError(f"program did not halt within {max_steps} steps")
+                if pc % 4 or not 0 <= pc < self.memory_size:
+                    raise ExecutionError(f"bad PC {pc:#x}")
+                block = translator.translate(pc, budget)
+            function, length = block
+            budget -= length
+            pc = function()
 
-        if not halted:
-            raise ExecutionError(f"program did not halt within {max_steps} steps")
-
-        data_times, data_addresses, data_sizes, data_kinds, data_values = data
-        carried = self.trace_values and len(data_times) > 0
+        steps = max_steps - budget
+        self.pc = translator.pcs[translator.exits[-1]]
+        data_trace, instruction_trace = translator.traces(program.name, steps)
         return ExecutionResult(
             program=program,
             instructions_executed=steps,
-            data_trace=Trace(
-                data_addresses,
-                data_times,
-                data_kinds,
-                data_sizes,
-                values=data_values if carried else None,
-                value_mask=np.ones(len(data_times), dtype=bool) if carried else None,
-                name=f"{program.name}.data",
-            ),
-            instruction_trace=Trace(
-                pcs,
-                np.arange(steps),
-                np.full(steps, KIND_READ),
-                np.full(steps, 4),
-                spaces=np.full(steps, SPACE_INSTRUCTION),
-                values=words,
-                value_mask=np.ones(steps, dtype=bool),
-                name=f"{program.name}.instr",
-            ),
-            registers=list(regs),
-            halted=halted,
+            data_trace=data_trace,
+            instruction_trace=instruction_trace,
+            registers=list(self.registers),
+            halted=True,
         )

@@ -1,11 +1,11 @@
 """Run manifests: provenance for every regenerated number.
 
-A manifest answers "what produced this log / this benchmark file?":
-package version, Python and OS, a configuration fingerprint, and the seed.
-Attached to every :class:`~repro.core.pipeline.FlowResult`, embedded in the
-benchmark baseline, and written as the first line of every JSONL run log —
-so two runs whose numbers differ can first be checked for differing
-*inputs*.
+A manifest answers "what produced this run log?": package version, Python
+and OS, a configuration fingerprint, and the seed.  Only
+:class:`~repro.core.pipeline.MemoryOptimizationFlow` builds manifests: one
+is attached to each :class:`~repro.core.pipeline.FlowResult` and, when the
+run is recorded, written as the first line of its JSONL run log — so two
+runs whose numbers differ can first be checked for differing *inputs*.
 
 Manifests are deterministic: no wall-clock timestamps (the determinism
 policy applies to provenance too — two identical runs produce identical

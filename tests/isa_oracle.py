@@ -3,10 +3,13 @@
 :class:`OracleCPU` is the plain per-step interpreter: every fetched word goes
 through :func:`repro.isa.decode` into an :class:`~repro.isa.Instruction`,
 which is dispatched on its opcode, and every register write goes through one
-masking helper.  It shares program loading and the range- and
-alignment-checked memory helpers with :class:`~repro.isa.CPU` and nothing
-else, so a disagreement between the two points at the ISS's predecoded step
-loop.  Slow by design: use it on test-sized programs only.
+masking helper.  It fetches and checks every step, so it has no blocks, no
+translated source and nothing to invalidate when a store rewrites code.  It
+shares program loading and the range- and alignment-checked memory helpers
+with :class:`~repro.isa.CPU` and nothing else, so a disagreement between the
+two points at the ISS's block translator: the generated source of a block,
+where a block ends, the invalidation of translated code, or the gathering of
+the trace columns.  Slow by design: use it on test-sized programs only.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
-"""Unit tests for the CPU interpreter."""
+"""Unit tests for the ISS's CPU."""
+
+import gc
 
 import pytest
 
-from repro.isa import CPU, ExecutionError, assemble
+from repro.isa import CPU, ExecutionError, Instruction, Opcode, Program, RFunct, assemble, encode
 from repro.trace import AddressSpace
 
 
@@ -174,3 +176,36 @@ class TestTraces:
     def test_stack_pointer_initialized_at_top(self):
         result = run(".text\nhalt\n", memory_size=1 << 16)
         assert result.registers[29] == (1 << 16) - 16
+
+    def test_a_run_leaves_no_reference_cycles(self):
+        # The translated blocks, their rows and the memory image they read
+        # must be freed when ``run`` returns, not at the next collection.
+        source = ".text\nli r1, 3\nloop: addi r1, r1, -1\nbne r1, r0, loop\nhalt\n"
+        gc.collect()
+        gc.disable()
+        try:
+            run(source)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestMemorySize:
+    @pytest.mark.parametrize("size", [-16, 0, 8, 15, (1 << 32) + 1, 1 << 33])
+    def test_rejects_a_size_whose_stack_pointer_no_register_holds(self, size):
+        # Checked before the memory is allocated: no 8 GiB bytearray here.
+        with pytest.raises(ValueError, match=f"got {size}$"):
+            CPU(memory_size=size)
+
+    def test_smallest_memory_starts_sp_at_zero(self):
+        copy_sp = encode(Instruction(Opcode.RTYPE, rd=1, rs1=29, rs2=0, funct=RFunct.ADD))
+        program = Program(
+            name="tiny",
+            text_words=[copy_sp, encode(Instruction(Opcode.HALT))],
+            data_bytes=b"",
+            symbols={},
+            data_base=8,
+        )
+        result = CPU(memory_size=16).run(program)
+        assert result.registers[29] == 0
+        assert result.registers[1] == result.registers[29]

@@ -1,7 +1,8 @@
 """Property-based tests for the ISA: encoder, CPU ALU, disassembler, ISS.
 
-The CPU's ALU is checked against an independent Python reference over random
-straight-line programs — the strongest cheap oracle available for an ISS.
+The CPU's ALU and branches are checked against an independent Python
+reference over random operands — the strongest cheap oracle available for an
+ISS.
 The whole ISS is checked against :class:`tests.isa_oracle.OracleCPU`, a
 decode-every-step interpreter: registers, final memory, the retired count and
 both traces must agree exactly on every bundled kernel, on generated
@@ -9,7 +10,7 @@ programs, on self-modifying code and on every fault.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.isa import (
@@ -155,6 +156,40 @@ main:   lui  r1, {(a >> 16) & 0xFFFF}
 """
     result = CPU().run(assemble(source))
     assert result.registers[3] == _reference_alu(funct, a, b)
+
+
+_BRANCH_REFERENCE = {
+    Opcode.BEQ: lambda a, b: a == b,
+    Opcode.BNE: lambda a, b: a != b,
+    Opcode.BLT: lambda a, b: _signed(a) < _signed(b),
+    Opcode.BGE: lambda a, b: _signed(a) >= _signed(b),
+    Opcode.BLTU: lambda a, b: a < b,
+    Opcode.BGEU: lambda a, b: a >= b,
+}
+
+
+@given(
+    # Signed draws, so about half the operands have the sign bit set.
+    a=st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
+    b=st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1),
+    op=st.sampled_from(sorted(_BRANCH_REFERENCE)),
+)
+@settings(max_examples=100, deadline=None)
+def test_branches_match_reference(a, b, op):
+    a, b = a & _WORD, b & _WORD
+    source = f"""
+        .text
+main:   lui  r1, {(a >> 16) & 0xFFFF}
+        ori  r1, r1, {a & 0xFFFF}
+        lui  r2, {(b >> 16) & 0xFFFF}
+        ori  r2, r2, {b & 0xFFFF}
+        {op.name.lower()} r1, r2, taken
+        halt
+taken:  li   r3, 1
+        halt
+"""
+    result = CPU().run(assemble(source))
+    assert result.registers[3] == int(_BRANCH_REFERENCE[op](a, b))
 
 
 @given(
@@ -310,7 +345,12 @@ def generated_programs(draw):
     """Seeded registers, then a random ALU/immediate/load/store/branch mix, then ``halt``.
 
     Forward branches land at most on the ``halt``; backward ones may loop
-    until the step limit, which both interpreters must report alike.
+    until the step limit, which both interpreters must report alike.  A
+    drawn share of the stores write a text word within four words of their
+    own (base ``r0``: the text starts at address 0) instead of ``.data``.
+    That makes random self-modifying code, which rewrites the loop it runs
+    in, words of blocks already translated and words not yet run, and may
+    turn them into faults.
     """
     words = [encode(Instruction(Opcode.ADDI, rd=_BASE, imm=0x4000))]
     for register in range(2, 10):
@@ -320,12 +360,19 @@ def generated_programs(draw):
         words.append(encode(Instruction(Opcode.LUI, rd=register, imm=high)))
         words.append(encode(Instruction(Opcode.ORI, rd=register, rs1=register, imm=low)))
     body = draw(st.lists(_body_instruction, min_size=8, max_size=40))
+    last_word = len(words) + len(body)
+    code_quarters = draw(st.integers(min_value=0, max_value=4), label="code store quarters")
     for index, instruction in enumerate(body):
         if instruction.opcode in _BRANCHES:
             offset = min(instruction.imm, len(body) - index - 1)
             instruction = Instruction(
                 instruction.opcode, rd=instruction.rd, rs1=instruction.rs1, imm=offset
             )
+        elif instruction.opcode in STORE_OPCODES and draw(st.integers(0, 3)) < code_quarters:
+            size = STORE_OPCODES[instruction.opcode]
+            word = min(max(len(words) + draw(st.integers(min_value=-4, max_value=4)), 0), last_word)
+            offset = 4 * word + size * draw(st.integers(min_value=0, max_value=4 // size - 1))
+            instruction = Instruction(instruction.opcode, rd=instruction.rd, imm=offset)
         words.append(encode(instruction))
     words.append(encode(Instruction(Opcode.HALT)))
     data = draw(st.binary(min_size=_WINDOW, max_size=_WINDOW))
@@ -338,12 +385,23 @@ def test_generated_programs_match_oracle(program):
     assert_matches_oracle(program, max_steps=400, memory_size=1 << 16)
 
 
-def test_step_limit_boundary_matches_oracle():
-    program = load_kernel("dot_product")
-    steps = CPU().run(program).instructions_executed
-    assert assert_matches_oracle(program, max_steps=steps).halted
-    overrun = assert_matches_oracle(program, max_steps=steps - 1)
-    assert isinstance(overrun, ExecutionError)
+_LIMITED = load_kernel("dot_product")
+_LIMITED_STEPS = CPU().run(_LIMITED).instructions_executed
+
+
+@given(limit=st.integers(min_value=1, max_value=_LIMITED_STEPS))
+@example(limit=_LIMITED_STEPS)
+@example(limit=_LIMITED_STEPS - 1)
+@example(limit=1)
+@settings(max_examples=40, deadline=None)
+def test_step_limit_boundary_matches_oracle(limit):
+    # The limit lands anywhere in the run: at 1, mid-block on a block run
+    # before, on a block's last instruction, and on the halt.
+    result = assert_matches_oracle(_LIMITED, max_steps=limit)
+    if limit == _LIMITED_STEPS:
+        assert result.halted
+    else:
+        assert isinstance(result, ExecutionError)
 
 
 # -- self-modifying code --------------------------------------------------------
@@ -381,6 +439,68 @@ patch:  addi r3, r3, 1
 """
     result = assert_matches_oracle(assemble(source))
     assert result.registers[3] == 101
+
+
+def test_subroutine_rewrites_a_loop_body_run_before():
+    # The first pass runs the loop body as a block of its own; the second
+    # calls the patch; the third must run the new word, not that block.
+    patched = encode(Instruction(Opcode.ADDI, rd=3, rs1=3, imm=100))
+    source = f"""
+        .text
+main:   li   r4, 0
+        li   r5, 3
+        li   r6, 2
+loop:   addi r3, r3, 1
+        addi r4, r4, 1
+        bne  r4, r6, next
+        jal  patch
+next:   bne  r4, r5, loop
+        halt
+patch:  la   r1, loop
+        li   r2, {patched}
+        sw   r2, 0(r1)
+        ret
+"""
+    result = assert_matches_oracle(assemble(source))
+    assert result.registers[3] == 102
+
+
+def test_jalr_into_the_middle_of_a_block_run_before():
+    source = """
+        .text
+main:   li   r4, 0
+        li   r5, 2
+        la   r6, middle
+        addi r3, r3, 1
+middle: addi r3, r3, 10
+        addi r4, r4, 1
+        beq  r4, r5, done
+        jalr r0, r6, 0
+done:   halt
+"""
+    result = assert_matches_oracle(assemble(source))
+    assert result.registers[3] == 21
+
+
+@pytest.mark.parametrize(
+    "memory_size, error, message",
+    [
+        (64, ExecutionError, "bad PC 0x40"),
+        # A partial last word: its two bytes read as 0, which does not decode.
+        (66, ValueError, "unknown funct 0x0 in word 0x00000000"),
+    ],
+)
+def test_straight_line_code_runs_off_the_end_of_memory(memory_size, error, message):
+    words = [encode(Instruction(Opcode.ADDI, rd=3, rs1=3, imm=1))] * 16
+    program = Program(name="runoff", text_words=words, data_bytes=b"", symbols={}, data_base=64)
+    raised = assert_matches_oracle(program, memory_size=memory_size)
+    assert type(raised) is error
+    assert str(raised) == message
+    cpu = CPU(memory_size=memory_size)
+    with pytest.raises(error):
+        cpu.run(program)
+    assert cpu.pc == 64
+    assert cpu.registers[3] == 16  # every instruction before the fault retired
 
 
 # -- fault parity ---------------------------------------------------------------
